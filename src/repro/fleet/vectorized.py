@@ -47,6 +47,7 @@ never need rotation.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, NamedTuple, Sequence
 
@@ -334,24 +335,24 @@ class VectorizedTelemetry:
         cuts = [thresholds.wait_thresholds[kind] for kind in SCALABLE_KINDS]
         self._wait_low = np.array([c.low_ms for c in cuts])[:, None]
         self._wait_high = np.array([c.high_ms for c in cuts])[:, None]
-        # Persistent per-tile scratch, keyed by (name, shape): allocated
-        # on first use, reused every interval thereafter.  At most two
-        # shapes per name ever exist (the full tile and the trailing
-        # partial one), so the pool is bounded and the per-interval
+        # Persistent scratch: one flat backing array per name, grown to
+        # the largest size ever requested and viewed in the shape asked
+        # for.  Whatever mix of tile and wave widths arrives, the pool
+        # holds one largest request per name, and the per-interval
         # np.empty churn on the signal hot path disappears.
-        self._scratch: dict[tuple, np.ndarray] = {}
+        self._scratch: dict[str, np.ndarray] = {}
 
     @property
     def dtype(self) -> np.dtype:
         return self._dtype
 
     def _buf(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        key = (name,) + shape
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=self._dtype)
-            self._scratch[key] = buf
-        return buf
+        size = math.prod(shape)
+        flat = self._scratch.get(name)
+        if flat is None or flat.size < size:
+            flat = np.empty(size, dtype=self._dtype)
+            self._scratch[name] = flat
+        return flat[:size].reshape(shape)
 
     def __len__(self) -> int:
         return min(self._count, self._window)
