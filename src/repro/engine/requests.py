@@ -2,10 +2,16 @@
 
 The engine is a fluid, discrete-time simulator: every active request is a
 row in a structure-of-arrays :class:`RequestTable` so that each tick's
-resource arbitration is a handful of vectorized numpy operations rather
-than a Python loop over requests.  This keeps full experiment runs (tens of
-thousands of ticks, hundreds of concurrent requests) fast enough to sweep
-six scaling policies per benchmark.
+admission, resource arbitration and retirement are a handful of vectorized
+numpy operations rather than a Python loop over requests.  A tick's
+arrivals enter in one :meth:`RequestTable.admit` call and its completions
+leave in one :meth:`RequestTable.release` call.  This keeps full
+experiment runs (tens of thousands of ticks, hundreds of concurrent
+requests) fast enough to sweep six scaling policies per benchmark.
+
+Row placement is part of the simulator's determinism contract: float
+sums over a tick's rows follow row order, so a batch takes rows from the
+free list in exactly the order that one-at-a-time admission would.
 
 A request carries remaining-work components (CPU ms, logical reads, log
 KB) plus an optional *hot-lock critical section*: the application-level
@@ -145,6 +151,56 @@ class RequestTable:
     def capacity(self) -> int:
         return self._capacity
 
+    def _take_rows(self, n: int) -> np.ndarray:
+        """Pop ``n`` rows in the order ``n`` single pops would give.
+
+        The free list is a stack: rows come off its end.  A batch larger
+        than the free list takes every free row first, then grows the
+        table (whose new rows pop in ascending order) and continues.
+        """
+        free = self._free
+        taken: list[int] = []
+        while True:
+            k = min(n - len(taken), len(free))
+            if k:
+                taken.extend(free[: -k - 1 : -1])
+                del free[-k:]
+            if len(taken) == n:
+                return np.asarray(taken, dtype=np.intp)
+            self._grow()
+
+    def admit(
+        self,
+        txn_type: np.ndarray,
+        arrival_ms: np.ndarray,
+        cpu_ms: np.ndarray,
+        logical_reads: np.ndarray,
+        log_kb: np.ndarray,
+        lock_id: np.ndarray,
+        max_read_iops: np.ndarray,
+        max_log_mb_s: np.ndarray,
+    ) -> np.ndarray:
+        """Admit a batch of requests; returns their row indices in order.
+
+        Every argument is aligned with the batch: the work columns are
+        the request's total work (spec work times its size multiplier),
+        and ``lock_id`` is ``-1`` for requests that need no hot lock.
+        """
+        rows = self._take_rows(len(txn_type))
+        self.active[rows] = True
+        self.txn_type[rows] = txn_type
+        self.arrival_ms[rows] = arrival_ms
+        self.cpu_rem_ms[rows] = cpu_ms
+        self.reads_rem[rows] = logical_reads
+        self.log_rem_kb[rows] = log_kb
+        self.lock_id[rows] = lock_id
+        self.lock_state[rows] = np.where(lock_id >= 0, LOCK_QUEUED, LOCK_NONE)
+        self.hold_rem_ms[rows] = 0.0
+        self.max_read_iops[rows] = max_read_iops
+        self.max_log_mb_s[rows] = max_log_mb_s
+        self._active_count += rows.size
+        return rows
+
     def add(
         self,
         txn_type: int,
@@ -154,34 +210,35 @@ class RequestTable:
         work_multiplier: float = 1.0,
     ) -> int:
         """Admit one request; returns its row index."""
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self.active[row] = True
-        self.txn_type[row] = txn_type
-        self.arrival_ms[row] = arrival_ms
-        self.cpu_rem_ms[row] = spec.cpu_ms * work_multiplier
-        self.reads_rem[row] = spec.logical_reads * work_multiplier
-        self.log_rem_kb[row] = spec.log_kb * work_multiplier
-        self.lock_id[row] = lock_id
-        self.lock_state[row] = LOCK_QUEUED if lock_id >= 0 else LOCK_NONE
-        self.hold_rem_ms[row] = 0.0
-        self.max_read_iops[row] = spec.max_read_iops
-        self.max_log_mb_s[row] = spec.max_log_mb_s
-        self._active_count += 1
-        return row
+        rows = self.admit(
+            np.asarray([txn_type]),
+            np.asarray([arrival_ms], dtype=float),
+            np.asarray([spec.cpu_ms * work_multiplier]),
+            np.asarray([spec.logical_reads * work_multiplier]),
+            np.asarray([spec.log_kb * work_multiplier]),
+            np.asarray([lock_id]),
+            np.asarray([spec.max_read_iops]),
+            np.asarray([spec.max_log_mb_s]),
+        )
+        return int(rows[0])
 
     def release(self, rows: np.ndarray) -> None:
-        """Retire completed rows back to the free list."""
-        for row in np.atleast_1d(rows):
-            row_index = int(row)
-            if not self.active[row_index]:
-                continue
-            self.active[row_index] = False
-            self.lock_id[row_index] = -1
-            self.lock_state[row_index] = LOCK_NONE
-            self._free.append(row_index)
-            self._active_count -= 1
+        """Retire rows back to the free list, in the order given.
+
+        Rows already inactive are skipped, and a row listed twice is
+        freed once, at its first occurrence.
+        """
+        rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
+        live = rows[self.active[rows]]
+        if live.size > 1 and not (live[1:] > live[:-1]).all():
+            # Not strictly ascending, so duplicates are possible.
+            _, first = np.unique(live, return_index=True)
+            live = live[np.sort(first)]
+        self.active[live] = False
+        self.lock_id[live] = -1
+        self.lock_state[live] = LOCK_NONE
+        self._free.extend(live.tolist())
+        self._active_count -= live.size
 
     def active_rows(self) -> np.ndarray:
         """Indices of all in-flight requests."""

@@ -152,6 +152,17 @@ class DatabaseServer:
         self._mix_p = weights / weights.sum()
         self._spec_lock_p = np.asarray([s.lock_probability for s in specs])
         self._spec_hold_ms = np.asarray([s.lock_hold_ms for s in specs])
+        # Per-spec columns that admission gathers by transaction type.
+        sigma = np.asarray([s.work_sigma for s in specs], dtype=float)
+        self._spec_sigma = sigma
+        self._spec_half_var = 0.5 * sigma * sigma
+        self._spec_cpu_ms = np.asarray([s.cpu_ms for s in specs], dtype=float)
+        self._spec_reads = np.asarray([s.logical_reads for s in specs], dtype=float)
+        self._spec_log_kb = np.asarray([s.log_kb for s in specs], dtype=float)
+        self._spec_read_iops = np.asarray(
+            [s.max_read_iops for s in specs], dtype=float
+        )
+        self._spec_log_mb_s = np.asarray([s.max_log_mb_s for s in specs], dtype=float)
 
         self.table = RequestTable()
         self.locks = HotLockManager(n_hot_locks)
@@ -285,20 +296,24 @@ class DatabaseServer:
         offsets_ms = self._rng.random(admitted) * cfg.tick_s * 1000.0
         base_ms = self._now_s * 1000.0
         jitter = self._rng.standard_normal(admitted)
-        for txn_type, lock_id, offset, z in zip(types, lock_ids, offsets_ms, jitter):
-            spec = self.specs[int(txn_type)]
-            sigma = spec.work_sigma
-            # Lognormal with unit mean, so jitter never changes average load.
-            multiplier = float(np.exp(sigma * z - 0.5 * sigma * sigma))
-            row = self.table.add(
-                int(txn_type),
-                base_ms + float(offset),
-                spec,
-                int(lock_id),
-                work_multiplier=multiplier,
-            )
-            if lock_id >= 0:
-                self.locks.enqueue(int(lock_id), row)
+        # Lognormal with unit mean, so jitter never changes average load.
+        multiplier = np.exp(
+            self._spec_sigma[types] * jitter - self._spec_half_var[types]
+        )
+        rows = self.table.admit(
+            types,
+            base_ms + offsets_ms,
+            self._spec_cpu_ms[types] * multiplier,
+            self._spec_reads[types] * multiplier,
+            self._spec_log_kb[types] * multiplier,
+            lock_ids,
+            self._spec_read_iops[types],
+            self._spec_log_mb_s[types],
+        )
+        locked = lock_ids >= 0
+        if locked.any():
+            for row, lock_id in zip(rows[locked].tolist(), lock_ids[locked].tolist()):
+                self.locks.enqueue(lock_id, row)
 
     def _service_locks(self, tick_ms: float) -> None:
         granted = self.locks.serve_tick(
@@ -325,12 +340,14 @@ class DatabaseServer:
         rows = table.runnable_rows()
         container = self._container
 
-        # Snapshot remaining work for sub-tick completion interpolation.
+        # Snapshot remaining work for sub-tick completion interpolation
+        # (gathers copy, so these stay the tick-start values).
+        cpu_rem = table.cpu_rem_ms[rows]
+        reads_rem = table.reads_rem[rows]
+        log_rem = table.log_rem_kb[rows]
         self._tick_rows = rows
-        self._tick_rem0 = np.column_stack(
-            [table.cpu_rem_ms[rows], table.reads_rem[rows], table.log_rem_kb[rows]]
-        )
-        self._tick_hold0 = table.hold_rem_ms[rows].copy()
+        self._tick_rem0 = np.column_stack([cpu_rem, reads_rem, log_rem])
+        self._tick_hold0 = table.hold_rem_ms[rows]
         potential = np.zeros((rows.size, 3), dtype=float)
 
         # Critical-section countdown runs in wall time, container-independent.
@@ -340,12 +357,13 @@ class DatabaseServer:
 
         # --- CPU: processor sharing across runnable requests. ---------------
         cpu_capacity_ms = container.cpu_cores * tick_ms
-        cpu_want = np.minimum(tick_ms, np.maximum(table.cpu_rem_ms[rows], 0.0))
+        cpu_want = np.minimum(tick_ms, np.maximum(cpu_rem, 0.0))
         cpu_demand = float(cpu_want.sum())
         cpu_saturated = cpu_demand > cpu_capacity_ms
         cpu_progress = _fair_share_allocate(cpu_want, cpu_capacity_ms)
+        cpu_left = cpu_rem - cpu_progress
         if rows.size:
-            table.cpu_rem_ms[rows] = table.cpu_rem_ms[rows] - cpu_progress
+            table.cpu_rem_ms[rows] = cpu_left
         if cpu_saturated:
             # Under saturation a finished request's effective rate was its
             # fair-share progress; the interpolated completion lands at the
@@ -380,18 +398,16 @@ class DatabaseServer:
             logical_rate = np.minimum(
                 logical_rate, table.max_read_iops[rows] / miss_rate
             )
-        read_want = np.minimum(
-            logical_rate * cfg.tick_s,
-            np.maximum(table.reads_rem[rows], 0.0),
-        )
+        read_want = np.minimum(logical_rate * cfg.tick_s, np.maximum(reads_rem, 0.0))
         physical = read_want * miss_rate
         physical_demand = float(physical.sum())
         disk_saturated = physical_demand > workload_disk_capacity
         served_physical = _fair_share_allocate(physical, workload_disk_capacity)
         # logical progress = hits (always served) + physical reads served.
         logical_progress = read_want * hit_rate + served_physical
+        reads_left = reads_rem - logical_progress
         if rows.size:
-            table.reads_rem[rows] = table.reads_rem[rows] - logical_progress
+            table.reads_rem[rows] = reads_left
         if disk_saturated:
             potential[:, 1] = np.maximum(logical_progress, _EPS)
         else:
@@ -447,30 +463,22 @@ class DatabaseServer:
         )
 
         # --- Log writes at commit (after CPU and reads finish). ---------------
-        ready_mask = (
-            (table.cpu_rem_ms[rows] <= _EPS)
-            & (table.reads_rem[rows] <= _EPS)
-            & (table.log_rem_kb[rows] > _EPS)
-        )
+        ready_mask = (cpu_left <= _EPS) & (reads_left <= _EPS) & (log_rem > _EPS)
         ready = rows[ready_mask]
         log_capacity_kb = container.log_mb_s * 1024.0 * cfg.tick_s
         log_served_kb = 0.0
         if ready.size:
-            log_want = np.minimum(
-                table.max_log_mb_s[ready] * 1024.0 * cfg.tick_s,
-                table.log_rem_kb[ready],
-            )
+            log_rate_kb = table.max_log_mb_s[ready] * 1024.0 * cfg.tick_s
+            log_rem_ready = log_rem[ready_mask]
+            log_want = np.minimum(log_rate_kb, log_rem_ready)
             log_demand = float(log_want.sum())
             log_saturated = log_demand > log_capacity_kb
             log_progress = _fair_share_allocate(log_want, log_capacity_kb)
-            table.log_rem_kb[ready] = table.log_rem_kb[ready] - log_progress
-            ready_positions = np.flatnonzero(ready_mask)
+            table.log_rem_kb[ready] = log_rem_ready - log_progress
             if log_saturated:
-                potential[ready_positions, 2] = np.maximum(log_progress, _EPS)
+                potential[ready_mask, 2] = np.maximum(log_progress, _EPS)
             else:
-                potential[ready_positions, 2] = (
-                    table.max_log_mb_s[ready] * 1024.0 * cfg.tick_s
-                )
+                potential[ready_mask, 2] = log_rate_kb
             log_served_kb = float(log_progress.sum())
             log_wait_ms = log_served_kb * cfg.base_log_wait_ms_per_kb
             if log_saturated:
@@ -510,13 +518,13 @@ class DatabaseServer:
         # Requests that arrived mid-tick only start working at their
         # arrival offset; older requests work from the tick start.
         now_ms = self._now_s * 1000.0
-        arrival_fraction = np.maximum(
-            (table.arrival_ms[finished] - now_ms) / tick_ms, 0.0
-        )
-        fraction = np.clip(arrival_fraction + work_fraction, 0.0, 1.0)
+        arrival_ms = table.arrival_ms[finished]
+        arrival_fraction = np.maximum((arrival_ms - now_ms) / tick_ms, 0.0)
+        # Both terms are non-negative, so only the upper clip can bind.
+        fraction = np.minimum(arrival_fraction + work_fraction, 1.0)
 
         end_ms = now_ms + fraction * tick_ms
-        latencies = np.maximum(end_ms - table.arrival_ms[finished], 1.0)
+        latencies = np.maximum(end_ms - arrival_ms, 1.0)
         self._acc.latencies.extend(latencies.tolist())
         self._acc.completions += int(finished.size)
         table.release(finished)

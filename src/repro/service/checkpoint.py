@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -128,12 +129,17 @@ class Checkpoint:
         interval: interval-clock position the snapshot was taken at —
             state reflects everything up to and including this interval.
         payload: the (already ``encode_state``-encoded) state tree.
+
+    A copy built by :meth:`CheckpointStore.put` also remembers the exact
+    wire text it was parsed from; :meth:`wire` hands that text back
+    instead of encoding the payload again.
     """
 
     version: int
     kind: str
     interval: int
     payload: dict[str, Any]
+    _wire: str | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def capture(cls, kind: str, interval: int, state: dict[str, Any]) -> "Checkpoint":
@@ -162,6 +168,10 @@ class Checkpoint:
             sort_keys=True,
             separators=(",", ":"),
         )
+
+    def wire(self) -> str:
+        """The :meth:`to_json` text, without re-encoding when it is known."""
+        return self._wire if self._wire is not None else self.to_json()
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
@@ -194,8 +204,21 @@ class Checkpoint:
         )
 
     def save(self, path: str | Path) -> Path:
+        """Write the wire text to ``path``, atomically.
+
+        The text goes to a temporary file in the same directory, which
+        then replaces ``path`` in one rename: a crash mid-write leaves
+        the previous file intact, never a torn one.  (No fsync: this
+        guards against a dying process, not against power loss.)
+        """
         path = Path(path)
-        path.write_text(self.to_json() + "\n")
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            temporary.write_text(self.wire() + "\n")
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
         return path
 
     @classmethod
@@ -208,6 +231,15 @@ class Checkpoint:
         return cls.from_json(text)
 
 
+def _file_name(interval: int) -> str:
+    """File name of the checkpoint taken at ``interval``."""
+    # The pristine pre-run snapshot has interval -1; a signed %06d would
+    # render it "checkpoint--00001.json".
+    if interval < 0:
+        return "checkpoint-initial.json"
+    return f"checkpoint-{interval:06d}.json"
+
+
 class CheckpointStore:
     """Latest-wins checkpoint storage shared by primary and standby.
 
@@ -215,11 +247,16 @@ class CheckpointStore:
     identities see the same object); pass ``directory`` to also persist
     every checkpoint as ``checkpoint-<interval>.json`` plus a
     ``latest.json`` alias, which is what `repro serve` and the CI
-    crash-recovery job archive.
+    crash-recovery job archive.  The directory mirrors the in-memory
+    history: when a checkpoint falls out of the last ``keep``, its file
+    is removed too.  The pre-run snapshot (``checkpoint-initial.json``)
+    is no exception; ``latest.json`` always stays.
 
     Snapshots always round-trip through the JSON wire format on ``put``,
     so what a restore sees is exactly what a process restart would read
-    from disk — no in-memory shortcuts that could mask codec bugs.
+    from disk — no in-memory shortcuts that could mask codec bugs.  The
+    payload is encoded once per ``put``: both file writes and the copy
+    ``put`` returns reuse that text.
     """
 
     def __init__(self, directory: str | Path | None = None, keep: int = 8) -> None:
@@ -237,21 +274,30 @@ class CheckpointStore:
         return self._directory
 
     def put(self, checkpoint: Checkpoint) -> Checkpoint:
-        """Store a checkpoint; returns the wire-round-tripped copy kept."""
-        stored = Checkpoint.from_json(checkpoint.to_json())
-        self._history.append(stored)
+        """Store a checkpoint; returns the wire-round-tripped copy kept.
+
+        The returned copy equals ``latest()`` and also carries its wire
+        text, so callers can measure or re-send it without re-encoding.
+        """
+        text = checkpoint.to_json()
+        parsed = Checkpoint.from_json(text)
+        # ``text`` came from ``to_json``, so it is also the parsed copy's
+        # canonical wire form (``from_json(t).to_json() == t``).  Only the
+        # returned copy carries it: the history does not hold a megabyte
+        # of text per kept checkpoint.
+        stored = replace(parsed, _wire=text)
+        self._history.append(parsed)
+        dropped = self._history[: -self._keep]
         del self._history[: -self._keep]
         self.puts += 1
         if self._directory is not None:
-            # The pristine pre-run snapshot has interval -1; a signed
-            # %06d would render it "checkpoint--00001.json".
-            name = (
-                f"checkpoint-{stored.interval:06d}.json"
-                if stored.interval >= 0
-                else "checkpoint-initial.json"
-            )
-            stored.save(self._directory / name)
+            stored.save(self._directory / _file_name(stored.interval))
             stored.save(self._directory / "latest.json")
+            kept = {_file_name(c.interval) for c in self._history}
+            for old in dropped:
+                name = _file_name(old.interval)
+                if name not in kept:
+                    (self._directory / name).unlink(missing_ok=True)
         return stored
 
     def latest(self) -> Checkpoint | None:

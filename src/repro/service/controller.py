@@ -387,7 +387,7 @@ class ControllerService:
                 interval=stored.interval,
                 holder=self.holder,
                 tenants=len(self.tenants),
-                bytes=len(stored.to_json()) + 1,
+                bytes=len(stored.wire()) + 1,
             )
         return stored
 
