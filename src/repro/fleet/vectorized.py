@@ -7,10 +7,10 @@ whole cluster each billing interval, and URSA-style capacity loops touch
 every tenant per cycle) the Python-object dispatch dominates wall-clock.
 This module runs the *same* control loop for all tenants at once:
 
-* :class:`VectorizedTelemetry` — the fleet's signal windows as ``(T, W)``
-  ring matrices sharing one cursor, with signal extraction batched through
-  :mod:`repro.stats.batched` (one Theil–Sen kernel call covers the latency
-  + 4 utilization + 4 wait trends of every tenant).
+* :class:`VectorizedTelemetry` — the fleet's signal windows as time-major
+  ``(W, T)`` ring matrices sharing one cursor, with signal extraction
+  batched through :mod:`repro.stats.batched` (one Theil–Sen kernel call
+  covers the latency + 4 utilization + 4 wait trends of every tenant).
 * :func:`estimate_fleet` — the rule hierarchy as stacked boolean condition
   masks; first-match selection is an ``argmax`` over the stack.  Rule ids
   and step sizes are read from :func:`repro.core.rules.high_demand_rules`
@@ -41,7 +41,7 @@ Scope and contracts:
 
 Ordering does not matter to any signal: trends and correlations depend
 only on the *set* of ``(t, value)`` samples and the tail medians on the
-sample multiset, so ring columns are consumed unordered and the windows
+sample multiset, so ring slots are consumed unordered and the windows
 never need rotation.
 """
 
@@ -78,6 +78,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.stats.batched import (
+    BatchedTrend,
     batched_detect_trend,
     batched_spearman,
     batched_tail_median,
@@ -108,6 +109,8 @@ __all__ = [
 ]
 
 K = len(SCALABLE_KINDS)  # resource dimensions, in SCALABLE_KINDS order
+#: Telemetry rings, checkpointed under these keys with the time axis last.
+_RINGS = ("t", "lat", "util", "wait", "wpct")
 _CPU, _MEM, _DISK, _LOG = range(K)
 
 #: Latency-status codes (integer mirror of LatencyStatus).
@@ -241,6 +244,14 @@ class FleetDecisions(NamedTuple):
     actions: tuple[tuple[str, ...], ...] | None
 
 
+def _check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None:
+    if array.shape != expected:
+        raise ConfigurationError(
+            f"fleet telemetry checkpoint {name!r} has shape {array.shape}, "
+            f"expected {expected} for this engine's geometry"
+        )
+
+
 def _sign8(values: np.ndarray) -> np.ndarray:
     return np.sign(values).astype(np.int8)
 
@@ -279,12 +290,39 @@ def _empty_fleet_signals(n: int) -> FleetSignals:
     )
 
 
+def _trend_into(out: FleetSignals, lo: int, hi: int, trend: BatchedTrend) -> None:
+    """Scatter one stacked latency + K util + K wait trend into a tile."""
+    series = (1 + 2 * K, hi - lo)
+    slope = trend.slope.reshape(series)
+    sig = trend.significant.reshape(series)
+    agree = trend.agreement.reshape(series)
+    # TrendResult.direction: sign of the slope iff significant.
+    direction = np.where(sig, _sign8(slope), np.int8(0)).astype(np.int8)
+    out.lat_slope[lo:hi] = slope[0]
+    out.lat_significant[lo:hi] = sig[0]
+    out.lat_agreement[lo:hi] = agree[0]
+    out.lat_n_points[lo:hi] = trend.n_points.reshape(series)[0]
+    out.lat_direction[lo:hi] = direction[0]
+    out.util_slope[:, lo:hi] = slope[1 : 1 + K]
+    out.util_significant[:, lo:hi] = sig[1 : 1 + K]
+    out.util_agreement[:, lo:hi] = agree[1 : 1 + K]
+    out.util_direction[:, lo:hi] = direction[1 : 1 + K]
+    out.wait_slope[:, lo:hi] = slope[1 + K :]
+    out.wait_trend_significant[:, lo:hi] = sig[1 + K :]
+    out.wait_agreement[:, lo:hi] = agree[1 + K :]
+    out.wait_direction[:, lo:hi] = direction[1 + K :]
+
+
 class VectorizedTelemetry:
     """Fleet-wide signal windows as ring matrices with one shared cursor.
 
-    One :meth:`observe` per billing interval writes a column; ring order
-    is irrelevant to every downstream statistic (see module docstring), so
-    :meth:`signals` gathers the last-k ring columns without rotation.
+    The rings are time-major — ``(W, T)`` for latency, ``(W, K, T)`` per
+    resource — so one :meth:`observe` per billing interval writes one
+    contiguous slot, and the batched kernels read ``(W, series)`` views
+    without a transposing copy.  Checkpoints keep the tenant-major wire
+    layout (``(T, W)`` / ``(K, T, W)``).  Ring order is irrelevant to every
+    downstream statistic (see module docstring), so :meth:`signals`
+    gathers the last-k ring slots without rotation.
     Unwritten slots hold NaN, which the batched kernels drop exactly like
     the scalar paths drop absent samples — so a cold window needs no
     special-casing either.
@@ -326,10 +364,10 @@ class VectorizedTelemetry:
         self._smooth = min(thresholds.smooth_intervals, window)
         dt = self._dtype
         self._t = np.full(window, np.nan, dtype=dt)  # one shared clock
-        self._lat = np.full((n_tenants, window), np.nan, dtype=dt)
-        self._util = np.full((K, n_tenants, window), np.nan, dtype=dt)
-        self._wait = np.full((K, n_tenants, window), np.nan, dtype=dt)
-        self._wpct = np.full((K, n_tenants, window), np.nan, dtype=dt)
+        self._lat = np.full((window, n_tenants), np.nan, dtype=dt)
+        self._util = np.full((window, K, n_tenants), np.nan, dtype=dt)
+        self._wait = np.full((window, K, n_tenants), np.nan, dtype=dt)
+        self._wpct = np.full((window, K, n_tenants), np.nan, dtype=dt)
         self._cursor = 0
         self._count = 0
         cuts = [thresholds.wait_thresholds[kind] for kind in SCALABLE_KINDS]
@@ -373,10 +411,10 @@ class VectorizedTelemetry:
         """
         c = self._cursor
         self._t[c] = float(t)
-        self._lat[:, c] = latency_ms
-        self._util[:, :, c] = util_pct
-        self._wait[:, :, c] = wait_ms
-        self._wpct[:, :, c] = wait_pct
+        self._lat[c] = latency_ms
+        self._util[c] = util_pct
+        self._wait[c] = wait_ms
+        self._wpct[c] = wait_pct
         self._cursor = (c + 1) % self._window
         self._count += 1
 
@@ -385,23 +423,23 @@ class VectorizedTelemetry:
     def state_dict(self) -> dict:
         """Exact serializable state (ring matrices, cursor, count).
 
-        Arrays are copied: the returned dict is an immutable-by-convention
+        Rings go out in the tenant-major wire layout, the time axis last:
+        ``lat`` ``(T, W)``, ``util``/``wait``/``wpct`` ``(K, T, W)``.  Arrays
+        are copies: the returned dict is an immutable-by-convention
         snapshot, safe to serialize off the hot path while the next
         interval's ``observe`` mutates the live rings.
         """
-        return {
+        state = {
             "n_tenants": self.n_tenants,
             "window": self._window,
             "smooth": self._smooth,
             "dtype": str(self._dtype),
-            "t": self._t.copy(),
-            "lat": self._lat.copy(),
-            "util": self._util.copy(),
-            "wait": self._wait.copy(),
-            "wpct": self._wpct.copy(),
             "cursor": self._cursor,
             "count": self._count,
         }
+        for name in _RINGS:
+            state[name] = np.moveaxis(getattr(self, "_" + name), 0, -1).copy()
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         if (
@@ -423,24 +461,28 @@ class VectorizedTelemetry:
                 f"this engine ({self._dtype}); rebuild the engine with "
                 "the checkpoint's dtype"
             )
-        dt = self._dtype
-        self._t = np.asarray(state["t"], dtype=dt).copy()
-        self._lat = np.asarray(state["lat"], dtype=dt).copy()
-        self._util = np.asarray(state["util"], dtype=dt).copy()
-        self._wait = np.asarray(state["wait"], dtype=dt).copy()
-        self._wpct = np.asarray(state["wpct"], dtype=dt).copy()
+        rings = {}
+        for name in _RINGS:
+            live = getattr(self, "_" + name)
+            wire = np.asarray(state[name], dtype=self._dtype)
+            _check_shape(name, wire, live.shape[1:] + live.shape[:1])
+            rings[name] = np.moveaxis(wire, -1, 0).copy()
+        for name, ring in rings.items():
+            setattr(self, "_" + name, ring)
         self._cursor = int(state["cursor"])
         self._count = int(state["count"])
 
     def _tail_cols(self, k: int) -> np.ndarray:
         """Ring indices of the last ``min(k, window)`` written slots.
 
-        When fewer than ``k`` columns are written the extra slots are the
-        NaN-initialized ones, which every consumer drops — the surviving
-        sample set is exactly the scalar window's.
+        Oldest first, so the shared clock read through them ascends and
+        the trend kernel takes the stack in place.  When fewer than ``k``
+        slots are written the extra slots are the NaN-initialized ones,
+        which every consumer drops — the surviving sample set is exactly
+        the scalar window's.
         """
         k = min(k, self._window)
-        return (self._cursor - 1 - np.arange(k)) % self._window
+        return (self._cursor - k + np.arange(k)) % self._window
 
     def signals(self) -> FleetSignals:
         """The categorized fleet signal set for the current interval.
@@ -465,69 +507,45 @@ class VectorizedTelemetry:
         """Fill ``out[..., lo:hi]`` from the ring slice ``[lo, hi)``."""
         cfg = self.thresholds
         m = hi - lo
-        lat = self._lat[lo:hi]
-        util = self._util[:, lo:hi, :]
-        wait = self._wait[:, lo:hi, :]
-        wpct = self._wpct[:, lo:hi, :]
+        lat = self._lat[:, lo:hi]
+        util = self._util[:, :, lo:hi]
+        wait = self._wait[:, :, lo:hi]
+        wpct = self._wpct[:, :, lo:hi]
 
         # Trends: one kernel call for latency + K utilization + K wait
-        # series, over the trend sub-window.
+        # series over the trend sub-window, stacked (tw, series, m) so its
+        # transpose is the kernel's (series, tw) input without a copy.
         tcols = self._tail_cols(cfg.trend_window)
-        x = self._t[tcols]
-        stack = self._buf("trend", (1 + 2 * K, m, tcols.size))
-        np.take(lat, tcols, axis=1, out=stack[0])
-        np.take(util, tcols, axis=2, out=stack[1 : 1 + K])
-        np.take(wait, tcols, axis=2, out=stack[1 + K :])
+        stack = self._buf("trend", (tcols.size, 1 + 2 * K, m))
+        for row, c in zip(stack, tcols):
+            row[0] = lat[c]
+            row[1 : 1 + K] = util[c]
+            row[1 + K :] = wait[c]
         trend = batched_detect_trend(
-            x, stack.reshape(-1, tcols.size), alpha=cfg.trend_alpha
+            self._t[tcols], stack.reshape(tcols.size, -1).T, alpha=cfg.trend_alpha
         )
-        slope = trend.slope.reshape(1 + 2 * K, m)
-        sig = trend.significant.reshape(1 + 2 * K, m)
-        agree = trend.agreement.reshape(1 + 2 * K, m)
-        npts = trend.n_points.reshape(1 + 2 * K, m)
-        # TrendResult.direction: sign of the slope iff significant.
-        direction = np.where(sig, _sign8(slope), np.int8(0)).astype(np.int8)
-        out.lat_slope[lo:hi] = slope[0]
-        out.lat_significant[lo:hi] = sig[0]
-        out.lat_agreement[lo:hi] = agree[0]
-        out.lat_n_points[lo:hi] = npts[0]
-        out.lat_direction[lo:hi] = direction[0]
-        out.util_slope[:, lo:hi] = slope[1 : 1 + K]
-        out.util_significant[:, lo:hi] = sig[1 : 1 + K]
-        out.util_agreement[:, lo:hi] = agree[1 : 1 + K]
-        out.util_direction[:, lo:hi] = direction[1 : 1 + K]
-        out.wait_slope[:, lo:hi] = slope[1 + K :]
-        out.wait_trend_significant[:, lo:hi] = sig[1 + K :]
-        out.wait_agreement[:, lo:hi] = agree[1 + K :]
-        out.wait_direction[:, lo:hi] = direction[1 + K :]
+        _trend_into(out, lo, hi, trend)
 
         # Correlation: latency vs each resource's waits over the full
-        # window (order-invariant; non-finite pairs drop per row).
-        lat_rep = self._buf("lat_rep", (K, m, self._window))
-        lat_rep[:] = lat
-        wait_rows = self._buf("wait_rows", (K, m, self._window))
-        wait_rows[:] = wait
-        corr = batched_spearman(
-            lat_rep.reshape(-1, self._window),
-            wait_rows.reshape(-1, self._window),
-        )
-        out.rho[:, lo:hi] = corr.rho.reshape(K, m)
-        out.corr_n_points[:, lo:hi] = corr.n_points.reshape(K, m)
+        # window (order-invariant; non-finite pairs drop per row).  The
+        # kernel ranks each latency window once for all K resources.
+        corr = batched_spearman(lat.T, wait.transpose(1, 2, 0))
+        out.rho[:, lo:hi] = corr.rho
+        out.corr_n_points[:, lo:hi] = corr.n_points
 
         # Smoothed "current" values: tail medians (defaults: latency NaN,
         # resources 0.0 — the scalar TailMedian defaults).
         scols = self._tail_cols(self._smooth)
-        lat_tail = self._buf("lat_tail", (m, scols.size))
-        np.take(lat, scols, axis=1, out=lat_tail)
         out.latency_ms[lo:hi] = batched_tail_median(
-            lat_tail, scols.size, default=np.nan
+            lat[scols].T, scols.size, default=np.nan
         )
-        res_stack = self._buf("smooth", (3 * K, m, scols.size))
-        np.take(util, scols, axis=2, out=res_stack[:K])
-        np.take(wait, scols, axis=2, out=res_stack[K : 2 * K])
-        np.take(wpct, scols, axis=2, out=res_stack[2 * K :])
+        res_stack = self._buf("smooth", (scols.size, 3 * K, m))
+        for row, c in zip(res_stack, scols):
+            row[:K] = util[c]
+            row[K : 2 * K] = wait[c]
+            row[2 * K :] = wpct[c]
         smoothed = batched_tail_median(
-            res_stack.reshape(-1, scols.size), scols.size, default=0.0
+            res_stack.reshape(scols.size, -1).T, scols.size, default=0.0
         ).reshape(3 * K, m)
         self._categorize_into(out, lo, hi, smoothed)
 
@@ -577,9 +595,9 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
     admits two samples in one interval, and a quarantined interval admits
     none.  The parent's single shared ``t`` vector and cursor cannot
     represent that, so this subclass gives every tenant its own interval
-    clock row (``_t`` becomes ``(T, W)``) and its own cursor/count, and
-    adds row-subset ``observe_rows`` / ``signals_rows`` so a *wave* of
-    admitted deliveries touches only the affected rows.
+    clock (``_t`` becomes a ``(W, T)`` ring like the others) and its own
+    cursor/count, and adds row-subset ``observe_rows`` / ``signals_rows``
+    so a *wave* of admitted deliveries touches only the affected rows.
 
     With lock-step input (``observe`` over all rows each interval) the
     gathered sample sets equal the parent's, so signals are byte-identical
@@ -597,7 +615,7 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
         tile: int | None = None,
     ) -> None:
         super().__init__(n_tenants, thresholds, goal, dtype=dtype, tile=tile)
-        self._t = np.full((n_tenants, self._window), np.nan, dtype=self._dtype)
+        self._t = np.full((self._window, n_tenants), np.nan, dtype=self._dtype)
         self._cursor_rows = np.zeros(n_tenants, dtype=np.int64)
         self._count_rows = np.zeros(n_tenants, dtype=np.int64)
 
@@ -619,11 +637,12 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
         if rows.size == 0:
             return
         c = self._cursor_rows[rows]
-        self._t[rows, c] = t
-        self._lat[rows, c] = latency_ms
-        self._util[:, rows, c] = util_pct
-        self._wait[:, rows, c] = wait_ms
-        self._wpct[:, rows, c] = wait_pct
+        self._t[c, rows] = t
+        self._lat[c, rows] = latency_ms
+        # [c, :, rows] is (n, K): the paired indices come first.
+        self._util[c, :, rows] = np.transpose(util_pct)
+        self._wait[c, :, rows] = np.transpose(wait_ms)
+        self._wpct[c, :, rows] = np.transpose(wait_pct)
         self._cursor_rows[rows] = (c + 1) % self._window
         self._count_rows[rows] += 1
         self._count = int(self._count_rows.max())
@@ -683,65 +702,40 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
         cfg = self.thresholds
         m = rows.size
         hi = lo + m
-        window = self._window
+        kinds = np.arange(K)[:, None]
 
-        tcols = self._tail_cols_rows(rows, cfg.trend_window)
-        tw = tcols.shape[1]
-        lat_sub = self._lat[rows]  # (m, W)
-        util_sub = self._util[:, rows, :]  # (K, m, W)
-        wait_sub = self._wait[:, rows, :]
-        wpct_sub = self._wpct[:, rows, :]
-
-        x = np.take_along_axis(self._t[rows], tcols, axis=1)  # (m, tw)
-        cols3 = np.broadcast_to(tcols, (K, m, tw))
-        stack = self._buf("rows_trend", (1 + 2 * K, m, tw))
-        stack[0] = np.take_along_axis(lat_sub, tcols, axis=1)
-        stack[1 : 1 + K] = np.take_along_axis(util_sub, cols3, axis=2)
-        stack[1 + K :] = np.take_along_axis(wait_sub, cols3, axis=2)
-        x_rep = self._buf("rows_x_rep", (1 + 2 * K, m, tw))
-        x_rep[:] = x
+        # Per-row ring slots, (tw, m): rings index as [slot, row] and
+        # [slot, kind, row], so each gather lands in (tw, series, m) order.
+        tcols = self._tail_cols_rows(rows, cfg.trend_window).T
+        tw = tcols.shape[0]
+        stack = self._buf("rows_trend", (tw, 1 + 2 * K, m))
+        stack[:, 0] = self._lat[tcols, rows]
+        stack[:, 1 : 1 + K] = self._util[tcols[:, None], kinds, rows]
+        stack[:, 1 + K :] = self._wait[tcols[:, None], kinds, rows]
+        x_rep = self._buf("rows_x_rep", (tw, 1 + 2 * K, m))
+        x_rep[:] = self._t[tcols, rows][:, None]
         trend = batched_detect_trend(
-            x_rep.reshape(-1, tw), stack.reshape(-1, tw), alpha=cfg.trend_alpha
+            x_rep.reshape(tw, -1).T, stack.reshape(tw, -1).T, alpha=cfg.trend_alpha
         )
-        slope = trend.slope.reshape(1 + 2 * K, m)
-        sig = trend.significant.reshape(1 + 2 * K, m)
-        agree = trend.agreement.reshape(1 + 2 * K, m)
-        npts = trend.n_points.reshape(1 + 2 * K, m)
-        direction = np.where(sig, _sign8(slope), np.int8(0)).astype(np.int8)
-        out.lat_slope[lo:hi] = slope[0]
-        out.lat_significant[lo:hi] = sig[0]
-        out.lat_agreement[lo:hi] = agree[0]
-        out.lat_n_points[lo:hi] = npts[0]
-        out.lat_direction[lo:hi] = direction[0]
-        out.util_slope[:, lo:hi] = slope[1 : 1 + K]
-        out.util_significant[:, lo:hi] = sig[1 : 1 + K]
-        out.util_agreement[:, lo:hi] = agree[1 : 1 + K]
-        out.util_direction[:, lo:hi] = direction[1 : 1 + K]
-        out.wait_slope[:, lo:hi] = slope[1 + K :]
-        out.wait_trend_significant[:, lo:hi] = sig[1 + K :]
-        out.wait_agreement[:, lo:hi] = agree[1 + K :]
-        out.wait_direction[:, lo:hi] = direction[1 + K :]
+        _trend_into(out, lo, hi, trend)
 
-        lat_rep = self._buf("rows_lat_rep", (K, m, window))
-        lat_rep[:] = lat_sub
         corr = batched_spearman(
-            lat_rep.reshape(-1, window), wait_sub.reshape(-1, window)
+            self._lat[:, rows].T, self._wait[:, :, rows].transpose(1, 2, 0)
         )
-        out.rho[:, lo:hi] = corr.rho.reshape(K, m)
-        out.corr_n_points[:, lo:hi] = corr.n_points.reshape(K, m)
+        out.rho[:, lo:hi] = corr.rho
+        out.corr_n_points[:, lo:hi] = corr.n_points
 
-        scols = self._tail_cols_rows(rows, self._smooth)
-        sw = scols.shape[1]
+        scols = self._tail_cols_rows(rows, self._smooth).T
+        sw = scols.shape[0]
         out.latency_ms[lo:hi] = batched_tail_median(
-            np.take_along_axis(lat_sub, scols, axis=1), sw, default=np.nan
+            self._lat[scols, rows].T, sw, default=np.nan
         )
-        scols3 = np.broadcast_to(scols, (K, m, sw))
-        res_stack = self._buf("rows_smooth", (3 * K, m, sw))
-        res_stack[:K] = np.take_along_axis(util_sub, scols3, axis=2)
-        res_stack[K : 2 * K] = np.take_along_axis(wait_sub, scols3, axis=2)
-        res_stack[2 * K :] = np.take_along_axis(wpct_sub, scols3, axis=2)
+        res_stack = self._buf("rows_smooth", (sw, 3 * K, m))
+        res_stack[:, :K] = self._util[scols[:, None], kinds, rows]
+        res_stack[:, K : 2 * K] = self._wait[scols[:, None], kinds, rows]
+        res_stack[:, 2 * K :] = self._wpct[scols[:, None], kinds, rows]
         smoothed = batched_tail_median(
-            res_stack.reshape(-1, sw), sw, default=0.0
+            res_stack.reshape(sw, -1).T, sw, default=0.0
         ).reshape(3 * K, m)
         self._categorize_into(out, lo, hi, smoothed)
 
@@ -754,9 +748,13 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        per_row = {}
+        for name in ("cursor_rows", "count_rows"):
+            per_row[name] = np.asarray(state[name], dtype=np.int64).copy()
+            _check_shape(name, per_row[name], (self.n_tenants,))
         super().load_state_dict(state)
-        self._cursor_rows = np.asarray(state["cursor_rows"], dtype=np.int64).copy()
-        self._count_rows = np.asarray(state["count_rows"], dtype=np.int64).copy()
+        self._cursor_rows = per_row["cursor_rows"]
+        self._count_rows = per_row["count_rows"]
 
 
 def estimate_fleet(
@@ -1566,7 +1564,7 @@ class VectorizedAutoScaler:
             probe_started = gate & can_probe
             if np.any(probe_started):
                 rows = probe_started
-                baseline = np.maximum(self._disk_baseline()[rows], 1.0)
+                baseline = np.maximum(self._disk_baseline(rows), 1.0)
                 self._b_phase[rows] = _B_PROBING
                 self._b_target[rows] = self._mem[below[rows]]
                 self._b_baseline[rows] = baseline
@@ -1642,11 +1640,10 @@ class VectorizedAutoScaler:
             out[relax] = np.minimum(92.0, base * np.sqrt(ratio[relax] / 1.3))
         return out
 
-    def _disk_baseline(self) -> np.ndarray:
-        """Per-tenant median of the recent disk-read window (NaN-free)."""
-        return batched_tail_median(
-            self._disk_reads, self._disk_reads.shape[1], default=1.0
-        )
+    def _disk_baseline(self, rows: np.ndarray) -> np.ndarray:
+        """Median of the recent disk-read window (NaN-free) for ``rows``."""
+        reads = self._disk_reads[rows]
+        return batched_tail_median(reads, reads.shape[1], default=1.0)
 
     def _damper_observe(
         self, previous: np.ndarray, target: np.ndarray

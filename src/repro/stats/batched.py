@@ -13,7 +13,9 @@ This module computes the same statistics for *all tenants at once*:
 * :func:`batched_detect_trend` — Theil–Sen trend with the paper's
   α-sign-agreement acceptance rule, over every row of a ``(T, W)`` matrix.
 * :func:`batched_spearman` — tie-averaged Spearman rank correlation per
-  row, via an exact integer reformulation (no per-row re-ranking loops).
+  row, via an exact integer reformulation (no per-row re-ranking loops);
+  one x row may be paired with a stack of y rows (``(m, W)`` against
+  ``(K, m, W)``).
 * :func:`batched_tail_median` — NaN-dropping tail median with a default
   for all-NaN rows, the batched :class:`repro.stats.incremental.TailMedian`.
 
@@ -27,6 +29,12 @@ integer identity of :func:`repro.stats.spearman.spearman` evaluated per
 row (bit-identical to the incremental vector path; the float Pearson of
 ``spearman`` itself agrees to 1e-9), and ``np.median`` of each row's
 non-NaN tail.
+
+Memory order: callers may pass any layout.  Every kernel works on the
+time-major ``(W, rows)`` transpose, so a caller holding time-major
+buffers (the fleet's telemetry rings) passes ``buf.T`` and the kernel
+reads the buffer in place; other layouts are copied once.  No kernel
+writes its inputs: a sentinel write goes to a private copy.
 
 How each kernel stays exact without the per-row reference's work:
 
@@ -44,7 +52,11 @@ How each kernel stays exact without the per-row reference's work:
 * Spearman's doubled ranks come from one ``(W, W, T)`` comparison cube
   for windows of at most :data:`PAIRWISE_RANK_MAX_WINDOW` and from a sort
   (:func:`fractional_ranks`) for longer ones; both give the same
-  integers, so the choice only moves time.
+  integers, so the choice only moves time.  An x row shared by K y rows
+  is ranked once; ranks depend on the valid pair set, so only a pair
+  whose y drops a sample that x keeps re-ranks x over the pair mask.
+* A one-column tail median is a select: the sample itself, or the
+  default where it is NaN — the entry the sort-and-gather would pick.
 
 Memory: the pairwise stages (the accepted rows' slope matrix, Spearman's
 rank comparisons) materialise ``(chunk, W(W-1)/2)`` and ``(W, W,
@@ -171,6 +183,24 @@ def _trend_by_rows(
     )
 
 
+def _nan_where(values_t: np.ndarray, finite: np.ndarray, caller) -> np.ndarray:
+    """``values_t`` with NaN wherever ``finite`` is false, ``caller`` untouched.
+
+    Only entries that are not NaN already are written, so a window whose
+    exclusions are all NaN (idle intervals, cold ring slots) is used as
+    it is.  A write goes to a private copy whenever ``values_t`` may
+    share memory with the caller's array.
+    """
+    keep = np.isnan(values_t)
+    keep |= finite
+    if keep.all():
+        return values_t
+    if np.may_share_memory(values_t, caller):
+        values_t = values_t.copy()
+    np.copyto(values_t, np.nan, where=~keep)
+    return values_t
+
+
 def batched_detect_trend(
     x: np.ndarray,
     y: np.ndarray,
@@ -183,11 +213,14 @@ def batched_detect_trend(
     clock for the whole fleet) or per-tenant ``(T, W)``.  Samples with a
     non-finite coordinate on either axis are excluded from that row's
     estimate, and pairs with identical x are skipped, exactly as the
-    scalar reference does.
+    scalar reference does.  Inputs may be in any memory order; a
+    time-major buffer passed as its transpose (``buf.T``) is read in
+    place, and neither input is ever written.
     """
     if not 0.5 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0.5, 1.0], got {alpha}")
     shared_x = np.asarray(x, dtype=float).ndim == 1
+    x_in, y_in = x, y
     x, y = _as_matrix_pair(x, y)
     n_tenants, window = y.shape
 
@@ -196,17 +229,22 @@ def batched_detect_trend(
     # A shared axis is first sorted ascending (non-finite last): Theil–Sen
     # does not depend on the order of the points and a swapped pair has
     # the same slope, so afterwards every pair i < j has dx >= 0, and the
-    # pairs with dx > 0 are j >= first_right[i].
+    # pairs with dx > 0 are j >= first_right[i].  An axis that is already
+    # ascending needs no gather, and y.T of a time-major buffer is already
+    # contiguous.
     if shared_x:
         x_row = np.where(np.isfinite(x[0]), x[0], np.nan)
         order = np.argsort(x_row, kind="stable")
         x_t = x_row[order][:, None]
-        y_t = y.T[order]
+        if np.array_equal(order, np.arange(window)):
+            y_t = np.ascontiguousarray(y.T)
+        else:
+            y_t = y.T[order]
         first_right = np.searchsorted(x_t[:, 0], x_t[:, 0], side="right")
         blocks = [(i, int(j0)) for i, j0 in enumerate(first_right) if j0 < window]
     else:
-        x_t = x.T.copy()
-        y_t = y.T.copy()
+        x_t = np.ascontiguousarray(x.T)
+        y_t = np.ascontiguousarray(y.T)
         blocks = [(i, i + 1) for i in range(window - 1)]
     finite_t = np.isfinite(y_t)
     finite_t &= np.isfinite(x_t)
@@ -220,10 +258,9 @@ def batched_detect_trend(
     if not finite_t.all():
         # Excluded samples become NaN: they compare false both ways, so
         # pairs touching them count nowhere and their slopes are NaN.
-        excluded = ~finite_t
-        np.copyto(y_t, np.nan, where=excluded)
+        y_t = _nan_where(y_t, finite_t, y_in)
         if not shared_x:
-            np.copyto(x_t, np.nan, where=excluded)
+            x_t = _nan_where(x_t, finite_t, x_in)
     if not _quotient_signs_exact(x_t, y_t):
         return _trend_by_rows(x, y, alpha, min_points)
 
@@ -361,16 +398,27 @@ def _pairwise_ranks(values_t: np.ndarray) -> np.ndarray:
     return u
 
 
+def _ranks_t(values_t: np.ndarray) -> np.ndarray:
+    """Doubled tie-averaged ranks down each column of a NaN-free ``(W, N)``."""
+    if values_t.shape[0] <= PAIRWISE_RANK_MAX_WINDOW:
+        return _pairwise_ranks(np.ascontiguousarray(values_t))
+    return fractional_ranks(np.ascontiguousarray(values_t.T)).T
+
+
 def batched_spearman(
     x: np.ndarray,
     y: np.ndarray,
     min_points: int = 4,
 ) -> BatchedCorrelation:
-    """Row-wise :func:`repro.stats.spearman.spearman` over ``(T, W)``.
+    """Row-wise :func:`repro.stats.spearman.spearman` over the last axis.
 
-    Pairs with a non-finite value on either axis are dropped per row;
-    rows with fewer than ``min_points`` surviving pairs (or a constant
-    axis) report ``rho = 0.0``.
+    ``y`` is ``(T, W)`` or stacked ``(K, T, W)``; ``x``'s shape must be a
+    trailing part of ``y``'s (``(W,)``, ``(T, W)``), and each ``x`` row is
+    paired with every ``y`` row it broadcasts against.  Outputs have
+    ``y.shape[:-1]``.  Inputs may be in any memory order and are never
+    written.  Pairs with a non-finite value on either axis are dropped per
+    row; rows with fewer than ``min_points`` surviving pairs (or a
+    constant axis) report ``rho = 0.0``.
 
     Uses the doubled-rank integer identity (see
     :class:`repro.stats.incremental.IncrementalSpearman`): with
@@ -380,38 +428,59 @@ def batched_spearman(
         rho = (Σuv − n³) / sqrt((Σu² − n³)(Σv² − n³))
 
     in *exact integer arithmetic* — bit-identical to the incremental
-    vector path.
+    vector path.  Each ``x`` row is ranked once over its own finite
+    samples; only a pair whose ``y`` drops a sample that ``x`` keeps
+    re-ranks its ``x`` over the pair mask, since ranks depend on which
+    samples survive.
     """
-    x, y = _as_matrix_pair(x, y)
-    n_tenants, window = y.shape
-    # Counted ranks work on (W, T): one comparison block per sample.
-    pairwise = window <= PAIRWISE_RANK_MAX_WINDOW
-    x, y = (x.T.copy(), y.T.copy()) if pairwise else (x.copy(), y.copy())
-    valid = np.isfinite(x) & np.isfinite(y)
-    n_points = np.add.reduce(valid, axis=0 if pairwise else 1, dtype=np.intp)
-    rho = np.zeros(n_tenants)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.ndim < 2 or x.ndim < 1 or x.shape != y.shape[y.ndim - x.ndim :]:
+        raise ValueError(
+            f"x shape {x.shape} must be a trailing part of y shape {y.shape}"
+        )
+    window = y.shape[-1]
     if window == 0:
-        return BatchedCorrelation(rho, n_points)
+        zeros = np.zeros(y.shape[:-1], dtype=np.intp)
+        return BatchedCorrelation(zeros.astype(float), zeros)
+    # Time-major views, one row per sample: x (W, N), y (W, G, N).
+    x_t = x.reshape(-1, window).T
+    y_t = y.reshape(-1, x_t.shape[1], window).transpose(2, 0, 1)
+    x_valid = np.isfinite(x_t)
+    valid = np.isfinite(y_t)
+    valid &= x_valid[:, None, :]
+    n_points = np.add.reduce(valid, axis=0, dtype=np.intp)
 
     # Excluded entries become +inf sentinels: they sort after every finite
     # value, so the valid entries' fractional ranks are exactly the ranks
     # they would get in the compacted row.  Their own ranks are zeroed.
-    excluded = ~valid
-    np.copyto(x, np.inf, where=excluded)
-    np.copyto(y, np.inf, where=excluded)
-    ranks = _pairwise_ranks if pairwise else fractional_ranks
-    ux = ranks(x) * valid
-    uy = ranks(y) * valid
-    spec = "wt,wt->t" if pairwise else "tw,tw->t"
+    ux = _ranks_t(np.where(x_valid, x_t, np.inf)) * x_valid
+    uy = _ranks_t(np.where(valid, y_t, np.inf).reshape(window, -1))
+    uy = uy.reshape(valid.shape) * valid
+    # Doubled ranks stay below 2W, so the W-term sums fit this type.
+    acc = np.promote_types(ux.dtype, np.min_scalar_type(window * (2 * window) ** 2))
+    a = np.einsum("wn,wn->n", ux, ux, dtype=acc)
+    a = np.broadcast_to(a, n_points.shape).copy()
+    b = np.einsum("wgn,wgn->gn", uy, uy, dtype=acc)
+    c = np.einsum("wn,wgn->gn", ux, uy, dtype=acc)
+    # The valid pairs are a subset of x's finite samples, so a pair with
+    # fewer of them than x has lost one to y: re-rank that x over the pair.
+    g, r = np.nonzero(n_points < np.add.reduce(x_valid, axis=0, dtype=np.intp))
+    if g.size:
+        pair = valid[:, g, r]
+        ur = _ranks_t(np.where(pair, x_t[:, r], np.inf)) * pair
+        a[g, r] = np.einsum("wn,wn->n", ur, ur, dtype=acc)
+        c[g, r] = np.einsum("wn,wn->n", ur, uy[:, g, r], dtype=acc)
     n3 = n_points.astype(np.int64) ** 3
-    a = np.einsum(spec, ux, ux, dtype=np.int64) - n3
-    b = np.einsum(spec, uy, uy, dtype=np.int64) - n3
-    c = np.einsum(spec, ux, uy, dtype=np.int64) - n3
+    a = a - n3
+    b = b - n3
+    c = c - n3
     ab = a * b
     compute = (n_points >= min_points) & (ab > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(compute, c / np.sqrt(np.where(compute, ab, 1)), 0.0)
-    return BatchedCorrelation(rho, n_points)
+    out_shape = y.shape[:-1]
+    return BatchedCorrelation(rho.reshape(out_shape), n_points.reshape(out_shape))
 
 
 def batched_tail_median(
@@ -424,12 +493,16 @@ def batched_tail_median(
     The batched :class:`repro.stats.incremental.TailMedian`: NaN entries
     are excluded, and rows whose tail is entirely NaN report ``default``.
     ``±inf`` propagates through the median exactly as ``np.median`` does.
+    A one-column tail is a select: the median of one sample is itself.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"values must be (tenants, window), got {values.shape}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if min(k, values.shape[1]) == 1:
+        last = values[:, -1]
+        return np.where(np.isnan(last), default, last)
     tail = np.sort(values[:, -k:], axis=1)  # NaN sorts last
     counts = tail.shape[1] - np.count_nonzero(np.isnan(tail), axis=1)
     out = np.full(values.shape[0], default, dtype=float)

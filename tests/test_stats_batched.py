@@ -108,6 +108,20 @@ def _median_reference(values, k, default):
     return np.array(out)
 
 
+def _layouts(a):
+    """``a`` as given (C order), as the transpose of a time-major buffer
+    (F order), and as a tile sliced out of a wider time-major buffer."""
+    time_major = np.moveaxis(a, -1, 0)
+    wide = np.full(time_major.shape[:-1] + (a.shape[-2] + 5,), -7.0)
+    wide[..., 2 : 2 + a.shape[-2]] = time_major
+    tile = np.moveaxis(wide[..., 2 : 2 + a.shape[-2]], 0, -1)
+    return {
+        "C": a,
+        "F": np.moveaxis(np.ascontiguousarray(time_major), 0, -1),
+        "tile": tile,
+    }
+
+
 def _assert_fields_equal(out, ref):
     for field in type(ref)._fields:
         got, want = getattr(out, field), getattr(ref, field)
@@ -163,13 +177,17 @@ def test_trend_exact_on_every_window(window, seed):
         "repeated": np.floor(np.arange(window) / 2.0),  # dx == 0 pairs
         "ring-clock": np.roll(np.arange(window, dtype=float), 3)[::-1],
     }
-    for name, x in axes.items():
-        _assert_fields_equal(batched_detect_trend(x, y), _trend_reference(x, y))
     per_row = rng.choice([0.0, 1.0, 2.0, 5.0, np.nan], size=(rows, window))
     per_row[1::2] = np.arange(window, dtype=float)
-    _assert_fields_equal(
-        batched_detect_trend(per_row, y), _trend_reference(per_row, y)
-    )
+    for layout, y_in in _layouts(y).items():
+        for name, x in axes.items():
+            _assert_fields_equal(
+                batched_detect_trend(x, y_in), _trend_reference(x, y)
+            )
+        for x_in in _layouts(per_row).values():
+            _assert_fields_equal(
+                batched_detect_trend(x_in, y_in), _trend_reference(per_row, y)
+            )
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -198,17 +216,33 @@ def test_trend_handles_non_finite_shared_axis():
 
 
 def test_trend_leaves_inputs_untouched():
-    """A one-row matrix transposes to a contiguous view of the input."""
+    """Contiguous views of the input must be copied before a NaN write.
+
+    A one-row matrix transposes to a contiguous view, and so does the
+    F-order transpose of a time-major buffer; ±inf samples (and samples
+    paired with a non-finite x) are the entries the kernels overwrite.
+    """
     rng = np.random.default_rng(8)
     y = rng.normal(size=(1, 8))
     y[0, 5] = np.nan
     x = np.arange(8, dtype=float)[None, :]
     x[0, 2] = np.inf
-    y_before, x_before = y.copy(), x.copy()
-    batched_detect_trend(x, y)
-    batched_spearman(x, y)
-    assert np.array_equal(y, y_before, equal_nan=True)
-    assert np.array_equal(x, x_before, equal_nan=True)
+    time_major = rng.normal(size=(8, 6))
+    time_major[1, 0], time_major[4, 3], time_major[6, 5] = np.inf, -np.inf, np.nan
+    clock = rng.normal(size=(8, 6))
+    clock[3, 2], clock[5, 4] = np.nan, -np.inf
+    cases = [
+        (x, y),
+        (np.arange(8.0), time_major.T),  # ascending axis: read in place
+        (clock.T, time_major.T),
+    ]
+    for x_in, y_in in cases:
+        y_before, x_before = y_in.copy(), x_in.copy()
+        batched_detect_trend(x_in, y_in)
+        batched_spearman(x_in, y_in)
+        batched_tail_median(y_in, 3)
+        assert np.array_equal(y_in, y_before, equal_nan=True)
+        assert np.array_equal(x_in, x_before, equal_nan=True)
 
 
 def test_trend_chunking_does_not_change_values(monkeypatch):
@@ -273,10 +307,45 @@ def test_spearman_exact_on_every_window(window, monkeypatch):
     y = _messy_matrix(rng, 30, window)
     y[5] = x[5]  # rho = 1 with ties
     ref = _spearman_reference(x, y)
-    _assert_fields_equal(batched_spearman(x, y), ref)
+    for x_in, y_in in zip(_layouts(x).values(), _layouts(y).values()):
+        _assert_fields_equal(batched_spearman(x_in, y_in), ref)
     for limit in (0, 10**6):  # force each rank method in turn
         monkeypatch.setattr(batched, "PAIRWISE_RANK_MAX_WINDOW", limit)
         _assert_fields_equal(batched_spearman(x, y), ref)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_spearman_ranks_broadcast_x_once(window):
+    """x ``(m, W)`` against stacked y ``(K, m, W)`` equals each 2-D call.
+
+    y-only exclusions send x to the pair-mask re-rank; x-only exclusions
+    and ties take the rank-once path.
+    """
+    rng = np.random.default_rng(200 + window)
+    n_kinds, rows = 3, 24
+    x = _messy_matrix(rng, rows, window)
+    x[2] = np.round(x[2])  # ties
+    y = rng.normal(size=(n_kinds, rows, window))
+    y[1, :, ::3] = np.round(y[1, :, ::3])
+    drop = rng.random(y.shape) < 0.15
+    y[drop] = rng.choice([np.nan, np.inf, -np.inf], size=int(drop.sum()))
+    y[0, 7:] = np.where(np.isfinite(x[7:]), y[0, 7:], np.nan)  # x-only drops
+    rerank = (np.isfinite(x)[None] & ~np.isfinite(y)).any(axis=-1)
+    assert rerank.any() and not rerank.all()
+    for x_in, y_in in zip(_layouts(x).values(), _layouts(y).values()):
+        out = batched_spearman(x_in, y_in)
+        assert out.rho.shape == out.n_points.shape == (n_kinds, rows)
+        for k in range(n_kinds):
+            pair = batched_spearman(x, y[k])
+            _assert_fields_equal(BatchedCorrelation(out.rho[k], out.n_points[k]), pair)
+            _assert_fields_equal(pair, _spearman_reference(x, y[k]))
+
+
+def test_spearman_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        batched_spearman(np.zeros((3, 5)), np.zeros((2, 4, 5)))
+    with pytest.raises(ValueError):
+        batched_spearman(np.zeros(5), np.zeros(5))
 
 
 def test_batched_spearman_bit_identical_to_incremental():
@@ -318,12 +387,12 @@ def test_tail_median_exact_with_infinities_and_ties(k):
     values[1, -k:] = np.inf
     values[2, -k:] = [np.inf, -np.inf] * (k // 2) + [np.nan] * (k % 2)
     values[3, -k:] = 1.5e308  # a middle pair's sum overflows
+    values[4, -1], values[5, -1] = -0.0, -np.inf  # a one-sample tail selects
     for default in (0.0, np.nan):
-        assert np.array_equal(
-            batched_tail_median(values, k, default=default),
-            _median_reference(values, k, default),
-            equal_nan=True,
-        )
+        ref = _median_reference(values, k, default)
+        for layout in _layouts(values).values():
+            out = batched_tail_median(layout, k, default=default)
+            assert np.array_equal(out, ref, equal_nan=True)
 
 
 def test_fractional_ranks_are_doubled_tie_averaged_ranks():
