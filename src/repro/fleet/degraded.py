@@ -10,9 +10,11 @@ with per-tenant objects (:class:`~repro.core.telemetry_guard.TelemetryGuard`,
 *same* degraded control loop for the whole fleet at once:
 
 * :class:`DegradedVectorizedAutoScaler` — guard admission verdicts,
-  safe-mode gating, budget settlement with refund drain, the balloon and
-  damper state machines, and the resize executor's retry / backoff /
-  circuit-breaker state, all as ``(T,)`` / ``(T, W)`` numpy arrays.
+  safe-mode gating, budget settlement with refund drain, and the resize
+  executor's retry / backoff / circuit-breaker state, all as ``(T,)`` /
+  ``(T, W)`` numpy arrays.  The decision itself (balloon, scaling,
+  damper, budget enforcement) is the healthy engine's one body, run
+  over each wave's row mask.
 * **Waves** — one billing interval delivers 0..3 counters per tenant
   (held + fresh + duplicate).  :meth:`decide_wave` consumes one delivery
   *wave*: a boolean ``present`` mask plus per-tenant field arrays.  Each
@@ -60,7 +62,6 @@ from repro.engine.telemetry import IntervalCounters
 from repro.engine.waits import RESOURCE_WAIT_CLASS
 from repro.errors import (
     ActuationError,
-    BudgetError,
     ConfigurationError,
     PermanentActuationError,
     TransientActuationError,
@@ -74,15 +75,11 @@ from repro.faults.vectorized import (
 )
 from repro.fleet.vectorized import (
     _B_COOLDOWN,
-    _B_IDLE,
     _B_PROBING,
-    _DISK,
     K,
-    LAT_UNKNOWN,
-    FleetSignals,
     MaskedVectorizedTelemetry,
     VectorizedAutoScaler,
-    estimate_fleet,
+    estimate_fleet,  # noqa: F401 - kept importable here; perfbench wraps it
     synthesize_fleet_telemetry,
 )
 from repro.harness.experiment import ExperimentConfig
@@ -166,9 +163,9 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
 
     Drive it with :meth:`decide_wave` (one call per delivery wave, plus
     the wave-0 gap mask) and :meth:`execute_interval` (once per billing
-    interval); the inherited :meth:`decide_batch` remains for lock-step
-    healthy input but must not be mixed with wave driving (the degraded
-    path keeps per-row disk-window cursors).
+    interval).  Both engines run one shared decision body; the healthy
+    entry points :meth:`decide_batch` and :meth:`attach_recorder` raise
+    here.
     """
 
     def __init__(
@@ -274,6 +271,27 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
 
     def telemetry_degraded(self) -> np.ndarray:
         return self.g_consecutive >= self._g_degraded_after
+
+    # -- the healthy entry points do not apply -----------------------------
+
+    def decide_batch(self, *args, **kwargs):
+        """Refused: lock-step input would bypass the guard and ledger.
+
+        The healthy path writes the shared disk-read cursor (waves keep
+        one per row) and settles without the refund drain or the
+        per-row death a wave applies.
+        """
+        raise ConfigurationError(
+            "the degraded engine is driven by decide_wave(); decide_batch() "
+            "would desynchronize its per-row disk windows and budget ledger"
+        )
+
+    def attach_recorder(self, recorder) -> None:
+        """Refused: waves do not feed a columnar trace recorder."""
+        raise ConfigurationError(
+            "decide_wave() does not record intervals; attach_recorder() is "
+            "only supported on the healthy VectorizedAutoScaler"
+        )
 
     # -- the wave loop -----------------------------------------------------
 
@@ -435,138 +453,34 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         gap_alive = gap & alive
         safe_admit = admit & alive & self._safe
         full = admit & alive & ~self._safe
-        degraded_rows = quar_alive | gap_alive
-        ds = degraded_rows | safe_admit
+        # Degraded and safe-mode decisions hold the container (subject to
+        # the budget) and advance only the balloon's COOLDOWN clock.
+        held = quar_alive | gap_alive | safe_admit
+        self._tick_balloon_cooldown(held & (self._b_phase == _B_COOLDOWN))
 
-        previous = self.level
-        target = previous.copy()
-        forced_ds = np.zeros(n, dtype=bool)
-        if np.any(ds):
-            # balloon.tick_cooldown(): degraded and safe-mode decisions
-            # advance only the COOLDOWN clock.
-            tick = ds & (self._b_phase == _B_COOLDOWN)
-            if np.any(tick):
-                self._b_cooldown[tick] -= 1
-                done = tick & (self._b_cooldown <= 0)
-                self._b_phase[done] = _B_IDLE
-                self._b_cooldown[done] = 0
-            forced_ds = ds & ~(self._costs[previous] <= self._tokens + 1e-9)
-
-        # The full body, masked to the admitted healthy rows.
-        up_clipped = np.zeros(n, dtype=bool)
-        hold_help = np.zeros(n, dtype=bool)
-        probe_started = np.zeros(n, dtype=bool)
-        shrink = np.zeros(n, dtype=bool)
-        suppressed = np.zeros(n, dtype=bool)
-        forced_full = np.zeros(n, dtype=bool)
-        tripped = np.zeros(n, dtype=bool)
-        wants_up = np.zeros(n, dtype=bool)
-        balloon_aborted = np.zeros(n, dtype=bool)
-        balloon_confirmed = np.zeros(n, dtype=bool)
-        steps = np.zeros((K, n), dtype=np.int8)
-        if np.any(full):
-            rows_full = np.flatnonzero(full)
-            signals = _scatter_signals(
-                self.telemetry.signals_rows(rows_full), rows_full, n
-            )
-            demand = estimate_fleet(
-                signals,
-                self.thresholds,
-                use_waits=self.use_waits,
-                use_trends=self.use_trends,
-                use_correlation=self.use_correlation,
-            )
-            steps = demand.steps
-            needs_help = self._latency_needs_help(signals) & full
-            balloon_aborted, balloon_confirmed = self._handle_balloon_rows(
-                full,
-                demand,
-                needs_help,
-                np.asarray(util_pct, dtype=float),
-                np.asarray(disk_physical_reads, dtype=float),
-            )
-            if self.goal is None:
-                wants_up = demand.any_high & full
-            else:
-                wants_up = demand.any_high & needs_help & full
-            hold_help = full & ~wants_up & needs_help
-            down_path = full & ~wants_up & ~needs_help
-            if np.any(wants_up):
-                up_target, up_clipped = self._scale_up_targets(
-                    previous, demand.steps
-                )
-                target = np.where(wants_up, up_target, target)
-                up_clipped &= wants_up
-                self._low_streak[wants_up] = 0
-            self._low_streak[hold_help] = 0
-            if np.any(down_path):
-                down_target, probe_started, shrink = self._maybe_scale_down(
-                    previous,
-                    signals,
-                    demand,
-                    balloon_confirmed,
-                    down_path,
-                    np.asarray(memory_used_gb, dtype=float),
-                )
-                target = np.where(down_path, down_target, target)
-            if self._damper is not None:
-                suppressed = full & (self._d_cooldown > 0) & (target != previous)
-                target = np.where(suppressed, previous, target)
-            forced_full = full & ~(self._costs[target] <= self._tokens + 1e-9)
-
-        forced = forced_ds | forced_full
-        if np.any(forced):
-            forced_level = (
-                np.searchsorted(self._costs, self._tokens + 1e-9, side="right")
-                - 1
-            )
-            if np.any(forced_level[forced] < 0):
-                raise BudgetError(
-                    "no container affordable for some tenant (budget "
-                    "invariant violated)"
-                )
-            target = np.where(forced, forced_level, target)
-
-        if self._damper is not None and np.any(full):
-            tripped = self._damper_observe_rows(full, previous, target)
-
-        deciders = ds | full
-        resized = deciders & (target != previous)
-        if np.any(resized):
-            # _on_resize: cancel probes keyed to the stale size.
-            self._b_phase[resized] = _B_IDLE
-            self._b_limit[resized] = np.nan
-            self._b_cooldown[resized] = 0
-            self.balloon_limit_gb[resized] = np.nan
-            self._low_streak[resized] = 0
-        self.level = np.where(deciders, target, previous)
-
-        participants = (present | gap) & ~self._dead
+        signals = self.telemetry.signals_rows(np.flatnonzero(full))
+        participants = (present | gap) & alive
+        decided = self._decide(
+            signals,
+            self._estimate(signals),
+            np.asarray(util_pct, dtype=float),
+            np.asarray(disk_physical_reads, dtype=float),
+            np.asarray(memory_used_gb, dtype=float),
+            rows=full,
+            held=held,
+            prefix=[
+                (ActionKind.TELEMETRY_DISCARDED.value, discard),
+                (ActionKind.TELEMETRY_LATE.value, late),
+                (ActionKind.TELEMETRY_QUARANTINED.value, quar_alive),
+                (ActionKind.TELEMETRY_GAP.value, gap_alive),
+                (
+                    ActionKind.SAFE_MODE.value,
+                    ((quar_alive | gap_alive) & self._safe) | safe_admit,
+                ),
+            ],
+            participants=participants,
+        )
         died = self._dead & ~was_dead
-
-        actions = None
-        if self._record_actions:
-            actions = self._assemble_wave_actions(
-                participants,
-                discard,
-                late,
-                quar_alive,
-                gap_alive,
-                safe_admit,
-                forced_ds,
-                full,
-                balloon_aborted,
-                balloon_confirmed,
-                wants_up,
-                steps,
-                up_clipped,
-                hold_help,
-                probe_started,
-                shrink,
-                suppressed,
-                forced_full,
-                tripped,
-            )
 
         c = self.metrics.counter
         for name, mask in (
@@ -586,9 +500,9 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         return WaveDecisions(
             participants=participants,
             level=self.level.copy(),
-            resized=resized,
+            resized=decided["resized"],
             balloon_limit_gb=self.balloon_limit_gb.copy(),
-            actions=actions,
+            actions=decided["actions"],
             died=died,
         )
 
@@ -646,173 +560,6 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
             after + self._fill[mask], self._depth[mask]
         )
 
-    def _handle_balloon_rows(
-        self,
-        mask: np.ndarray,
-        demand,
-        needs_help: np.ndarray,
-        util_pct: np.ndarray,
-        disk_reads: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The parent's ``_handle_balloon`` restricted to ``mask`` rows.
-
-        Rows outside the mask (degraded / safe / passive this wave) must
-        not advance their probe or cooldown clocks here — the degraded
-        decision path ticks its own rows.
-        """
-        probing = mask & (self._b_phase == _B_PROBING)
-        was_cooling = mask & (self._b_phase == _B_COOLDOWN)
-
-        cancel = probing & (needs_help | demand.any_high)
-        if np.any(cancel):
-            self._b_phase[cancel] = _B_IDLE
-            self._b_limit[cancel] = np.nan
-            self._b_cooldown[cancel] = 0
-            self.balloon_limit_gb[cancel] = np.nan
-
-        observe = probing & ~cancel
-        confirmed = np.zeros(self.n_tenants, dtype=bool)
-        aborted = np.zeros(self.n_tenants, dtype=bool)
-        if np.any(observe):
-            with np.errstate(invalid="ignore"):
-                spiked = disk_reads > self._b_baseline * self._io_spike_ratio
-                aborted = (
-                    observe
-                    & spiked
-                    & (util_pct[_DISK] >= self._disk_pressure_pct)
-                )
-            if np.any(aborted):
-                self._b_phase[aborted] = _B_COOLDOWN
-                self._b_cooldown[aborted] = self._balloon_cooldown
-                self._b_failed[aborted] = self._b_target[aborted]
-                self._b_limit[aborted] = np.nan
-                self.balloon_limit_gb[aborted] = np.nan
-            live = observe & ~aborted
-            with np.errstate(invalid="ignore"):
-                confirmed = live & (self._b_limit <= self._b_target + 1e-9)
-            if np.any(confirmed):
-                self._b_phase[confirmed] = _B_IDLE
-                self._b_limit[confirmed] = np.nan
-                self.balloon_limit_gb[confirmed] = np.nan
-            shrinking = live & ~confirmed
-            if np.any(shrinking):
-                new_limit = self._next_limits(
-                    self._b_limit[shrinking], self._b_target[shrinking]
-                )
-                self._b_limit[shrinking] = new_limit
-                self.balloon_limit_gb[shrinking] = new_limit
-
-        if np.any(was_cooling):
-            self._b_cooldown[was_cooling] -= 1
-            done = was_cooling & (self._b_cooldown <= 0)
-            self._b_phase[done] = _B_IDLE
-            self._b_cooldown[done] = 0
-        return cancel | aborted, confirmed
-
-    def _damper_observe_rows(
-        self, mask: np.ndarray, previous: np.ndarray, target: np.ndarray
-    ) -> np.ndarray:
-        """The parent's ``_damper_observe`` restricted to ``mask`` rows."""
-        damper = self._damper
-        assert damper is not None
-        cooling = mask & (self._d_cooldown > 0)
-        self._d_cooldown[cooling] -= 1
-        finished = cooling & (self._d_cooldown == 0)
-        self._d_len[finished] = 0
-        self._d_moves[finished] = 0
-
-        moved = mask & ~cooling & (target != previous)
-        if np.any(moved):
-            full = moved & (self._d_len == damper.window)
-            if np.any(full):
-                self._d_moves[full, :-1] = self._d_moves[full, 1:]
-            move = np.where(target > previous, np.int8(1), np.int8(-1))
-            slot = np.where(full, damper.window - 1, self._d_len)
-            rows = np.flatnonzero(moved)
-            self._d_moves[rows, slot[rows]] = move[rows]
-            self._d_len[moved & ~full] += 1
-        prev_m = self._d_moves[:, :-1]
-        next_m = self._d_moves[:, 1:]
-        reversals = np.count_nonzero((prev_m != 0) & (next_m == -prev_m), axis=1)
-        tripped = moved & (reversals > damper.max_reversals)
-        if np.any(tripped):
-            self._d_cooldown[tripped] = damper.cooldown_intervals
-            self._d_len[tripped] = 0
-            self._d_moves[tripped] = 0
-            self.damper_trips += int(np.count_nonzero(tripped))
-        return tripped
-
-    def _assemble_wave_actions(
-        self,
-        participants,
-        discard,
-        late,
-        quar_alive,
-        gap_alive,
-        safe_admit,
-        forced_ds,
-        full,
-        balloon_aborted,
-        balloon_confirmed,
-        wants_up,
-        steps,
-        up_clipped,
-        hold_help,
-        probe_started,
-        shrink,
-        suppressed,
-        forced_full,
-        tripped,
-    ) -> tuple:
-        """Per-tenant action values in the scalar append order.
-
-        Degraded / passive / safe groups first (their masks are disjoint
-        from the full-body masks), then the parent's full-body slot order.
-        """
-        slots: list[tuple[str, np.ndarray]] = [
-            (ActionKind.TELEMETRY_DISCARDED.value, discard),
-            (ActionKind.TELEMETRY_LATE.value, late),
-            (ActionKind.TELEMETRY_QUARANTINED.value, quar_alive),
-            (ActionKind.TELEMETRY_GAP.value, gap_alive),
-            (
-                ActionKind.SAFE_MODE.value,
-                ((quar_alive | gap_alive) & self._safe) | safe_admit,
-            ),
-            (ActionKind.BUDGET_CONSTRAINED.value, forced_ds),
-            (ActionKind.BALLOON_ABORT.value, balloon_aborted),
-            (ActionKind.BALLOON_CONFIRM.value, balloon_confirmed),
-        ]
-        for k in range(K):
-            slots.append(
-                (ActionKind.SCALE_UP.value, wants_up & (steps[k] > 0))
-            )
-        slots.extend(
-            [
-                (ActionKind.BUDGET_CONSTRAINED.value, up_clipped),
-                (ActionKind.NO_CHANGE.value, hold_help),
-                (ActionKind.BALLOON_START.value, probe_started),
-                (ActionKind.SCALE_DOWN.value, shrink),
-                (ActionKind.OSCILLATION_DAMPED.value, suppressed),
-                (ActionKind.BUDGET_CONSTRAINED.value, forced_full),
-                (ActionKind.OSCILLATION_DAMPED.value, tripped),
-            ]
-        )
-        rows: list[list[str]] = [[] for _ in range(self.n_tenants)]
-        for value, mask in slots:
-            for i in np.flatnonzero(mask):
-                rows[i].append(value)
-        no_change = (ActionKind.NO_CHANGE.value,)
-        out = []
-        for i in range(self.n_tenants):
-            if not participants[i]:
-                out.append(None)
-            elif rows[i]:
-                out.append(tuple(rows[i]))
-            else:
-                # Only a full-body decision can end empty-handed.
-                out.append(no_change)
-        return tuple(out)
-
     # -- actuation ---------------------------------------------------------
 
     def execute_interval(self, actuator) -> FleetActuationReports:
@@ -820,10 +567,13 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
 
         ``actuator`` supplies ``current_levels() -> (T,) int64``,
         ``current_level(r) -> int``, ``try_resize(r, level)`` (raising
-        the actuation errors), and ``set_balloon_limit(r, limit_gb)``.
+        the actuation errors), and ``set_balloon_limits(limits, active)
+        -> (T,) bool`` (NaN clears a cap; returns the rows whose cap was
+        rejected).
         """
         n = self.n_tenants
         alive = ~self._dead
+        self.action_counts["intervals"] += 1
         requested = self.level.copy()
         # The decision's balloon cap, captured before any adoption below
         # cancels the scaler-side probe (the scalar executor applies the
@@ -835,7 +585,8 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         succeeded = np.zeros(n, dtype=bool)
         refunds = np.zeros(n)
         applied = current.copy()
-        explanations: list[list[tuple[str, str]]] = [[] for _ in range(n)]
+        # Ordered (action, reason) pairs, kept only for rows that have one.
+        explained: dict[int, list[tuple[str, str]]] = {}
 
         opened = alive & (self._x_state == _C_OPEN)
         if np.any(opened):
@@ -851,7 +602,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
                 refunds[r] = self._schedule_refund_row(
                     r, int(requested[r]), int(current[r])
                 )
-                explanations[r].append(
+                explained.setdefault(r, []).append(
                     (
                         ActionKind.SAFE_MODE.value,
                         f"circuit open ({max(int(self._x_open_left[r]), 0)} "
@@ -912,36 +663,35 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
                         f"{self._names[req_lvl]} applied partially: "
                         f"running {self._names[app_lvl]}"
                     )
-                explanations[r].append(
-                    (ActionKind.ACTUATION_FAILED.value, reason)
-                )
+                notes = explained.setdefault(r, [])
+                notes.append((ActionKind.ACTUATION_FAILED.value, reason))
                 if app_lvl != int(self.level[r]):
                     self._adopt_level(r, app_lvl)
-                self._on_failure_row(r, explanations[r])
+                self._on_failure_row(r, notes)
 
         # The balloon cap is applied every interval, even under an open
         # circuit or a no-op resize (the scalar always calls
         # _apply_balloon), and its failure can re-open an open breaker.
-        for r in np.flatnonzero(alive):
-            limit = None if np.isnan(limits[r]) else float(limits[r])
-            try:
-                actuator.set_balloon_limit(r, limit)
-            except ActuationError as exc:
-                explanations[r].append(
-                    (
-                        ActionKind.ACTUATION_FAILED.value,
-                        f"balloon adjustment failed ({exc}); probe cancelled",
-                    )
+        for r in np.flatnonzero(actuator.set_balloon_limits(limits, alive)):
+            notes = explained.setdefault(r, [])
+            notes.append(
+                (
+                    ActionKind.ACTUATION_FAILED.value,
+                    f"balloon adjustment failed "
+                    f"({_balloon_rejection(limits[r])}); probe cancelled",
                 )
-                # notify_balloon_actuation_failed: cancel the probe but
-                # keep the scale-down streak.
-                self._b_phase[r] = _B_IDLE
-                self._b_limit[r] = np.nan
-                self._b_cooldown[r] = 0
-                self.balloon_limit_gb[r] = np.nan
-                self.x_total_failures[r] += 1
-                self._on_failure_row(r, explanations[r])
+            )
+            # notify_balloon_actuation_failed: cancel the probe but keep
+            # the scale-down streak.
+            self._cancel_probe(r)
+            self.x_total_failures[r] += 1
+            self._on_failure_row(r, notes)
 
+        explanations: list = [()] * n
+        for r in np.flatnonzero(~alive):
+            explanations[r] = None
+        for r, notes in explained.items():
+            explanations[r] = tuple(notes)
         return FleetActuationReports(
             participants=alive,
             requested_level=requested,
@@ -951,20 +701,13 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
             succeeded=succeeded & alive,
             refund_scheduled=refunds,
             circuit=self._x_state.copy(),
-            explanations=tuple(
-                tuple(e) if alive[r] else None
-                for r, e in enumerate(explanations)
-            ),
+            explanations=tuple(explanations),
         )
 
     def _adopt_level(self, r: int, level: int) -> None:
         """``notify_actuation``: adopt ground truth, cancel stale probes."""
         self.level[r] = level
-        self._b_phase[r] = _B_IDLE
-        self._b_limit[r] = np.nan
-        self._b_cooldown[r] = 0
-        self.balloon_limit_gb[r] = np.nan
-        self._low_streak[r] = 0
+        self._on_resize(r)
 
     def _schedule_refund_row(self, r: int, requested: int, applied: int) -> float:
         extra = float(self._costs[applied] - self._costs[requested])
@@ -1011,10 +754,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         self._safe[r] = True
         self._safe_reason[r] = reason
         if self._b_phase[r] == _B_PROBING:
-            self._b_phase[r] = _B_IDLE
-            self._b_limit[r] = np.nan
-            self._b_cooldown[r] = 0
-            self.balloon_limit_gb[r] = np.nan
+            self._cancel_probe(r)
         self._low_streak[r] = 0
 
     # -- checkpointing -----------------------------------------------------
@@ -1156,32 +896,6 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         ]
 
 
-def _scatter_signals(
-    compact: FleetSignals, rows: np.ndarray, n_tenants: int
-) -> FleetSignals:
-    """Widen a compact row-subset signal set back to fleet width.
-
-    Non-selected rows get inert defaults (NaN latency, UNKNOWN status,
-    zeros elsewhere); every consumer masks with the selected rows, so the
-    filler never reaches a decision.
-    """
-    out = {}
-    for name, value in compact._asdict().items():
-        if value.ndim == 1:
-            if name == "latency_ms":
-                fleet = np.full(n_tenants, np.nan)
-            elif name == "latency_status":
-                fleet = np.full(n_tenants, LAT_UNKNOWN, dtype=np.int8)
-            else:
-                fleet = np.zeros(n_tenants, dtype=value.dtype)
-            fleet[rows] = value
-        else:
-            fleet = np.zeros((value.shape[0], n_tenants), dtype=value.dtype)
-            fleet[:, rows] = value
-        out[name] = fleet
-    return FleetSignals(**out)
-
-
 # -- the fault boundary: compiled masks over an array of engines --------------
 
 
@@ -1281,40 +995,79 @@ class MaskedFaultDataPlane:
         return self.servers[r].container.level
 
     def try_resize(self, r: int, level: int) -> None:
-        i = self._index
-        m = self.masks
-        current = self.servers[r].container
-        spec = self.catalog.at_level(level)
-        if m.permanent[r, i]:
-            self.failed_resizes[r] += 1
-            raise PermanentActuationError(
-                f"placement service rejected resize to {spec.name}"
+        current = self.servers[r].container.level
+        name = self.catalog.at_level(level).name
+        try:
+            reached = _faulty_resize(
+                self.masks, self._transient_left, r, self._index, current, level, name
             )
-        if self._transient_left[r] > 0:
-            self._transient_left[r] -= 1
+        except ActuationError:
             self.failed_resizes[r] += 1
-            raise TransientActuationError(
-                f"placement service busy; resize to {spec.name} not applied"
-            )
-        if m.partial[r, i] and spec.level != current.level:
+            raise
+        if reached != level:
             self.partial_resizes[r] += 1
-            direction = 1 if spec.level > current.level else -1
-            stalled_level = spec.level - direction
-            if stalled_level != current.level:
-                self.servers[r].set_container(
-                    self.catalog.at_level(stalled_level)
-                )
-            # A one-level resize that stalls "one short" does not move.
-            return
-        self.servers[r].set_container(spec)
+            if reached == current:
+                return  # A one-level resize that stalls "one short" does not move.
+        self.servers[r].set_container(self.catalog.at_level(reached))
+
+    def set_balloon_limits(
+        self, limits: np.ndarray, active: np.ndarray
+    ) -> np.ndarray:
+        """Cap every ``active`` server at ``limits`` (NaN clears the cap).
+
+        Returns the rows whose cap the broker rejected; those servers
+        keep their previous cap, as ``FaultyServer`` leaves them.
+        """
+        failed = (
+            active & ~np.isnan(limits) & self.masks.balloon_fail[:, self._index]
+        )
+        self.failed_balloons += failed
+        for r in np.flatnonzero(active & ~failed):
+            limit = limits[r]
+            self.servers[r].set_balloon_limit(
+                None if np.isnan(limit) else float(limit)
+            )
+        return failed
 
     def set_balloon_limit(self, r: int, limit_gb: float | None) -> None:
+        """One server's cap, raising as ``FaultyServer.set_balloon_limit``."""
         if limit_gb is not None and self.masks.balloon_fail[r, self._index]:
             self.failed_balloons[r] += 1
-            raise TransientActuationError(
-                f"memory broker rejected balloon cap {limit_gb:g} GB"
-            )
+            raise TransientActuationError(_balloon_rejection(limit_gb))
         self.servers[r].set_balloon_limit(limit_gb)
+
+
+def _faulty_resize(
+    masks: CompiledFaultMasks,
+    transient_left: np.ndarray,
+    r: int,
+    i: int,
+    current: int,
+    level: int,
+    name: str,
+) -> int:
+    """``FaultyServer.set_container``'s fault chain for row ``r``, interval ``i``.
+
+    A permanent rejection, then the interval's transient budget (both
+    raise), then a partial stall one level short of ``level``.  Returns
+    the level the resize reaches.
+    """
+    if masks.permanent[r, i]:
+        raise PermanentActuationError(
+            f"placement service rejected resize to {name}"
+        )
+    if transient_left[r] > 0:
+        transient_left[r] -= 1
+        raise TransientActuationError(
+            f"placement service busy; resize to {name} not applied"
+        )
+    if masks.partial[r, i] and level != current:
+        return level - (1 if level > current else -1)
+    return level
+
+
+def _balloon_rejection(limit_gb: float) -> str:
+    return f"memory broker rejected balloon cap {float(limit_gb):g} GB"
 
 
 # -- chaos drivers ------------------------------------------------------------
@@ -1684,33 +1437,26 @@ class _ArrayActuator:
         return int(self.level[r])
 
     def try_resize(self, r: int, level: int) -> None:
-        i = self._index
-        m = self.masks
-        current = int(self.level[r])
-        if m.permanent[r, i]:
-            raise PermanentActuationError(
-                f"placement service rejected resize to {self.names[level]}"
-            )
-        if self._transient_left[r] > 0:
-            self._transient_left[r] -= 1
-            raise TransientActuationError(
-                f"placement service busy; resize to {self.names[level]} "
-                f"not applied"
-            )
-        if m.partial[r, i] and level != current:
-            direction = 1 if level > current else -1
-            stalled = level - direction
-            if stalled != current:
-                self.level[r] = stalled
-            return
-        self.level[r] = level
+        self.level[r] = _faulty_resize(
+            self.masks,
+            self._transient_left,
+            r,
+            self._index,
+            int(self.level[r]),
+            level,
+            self.names[level],
+        )
 
-    def set_balloon_limit(self, r: int, limit_gb: float | None) -> None:
-        if limit_gb is not None and self.masks.balloon_fail[r, self._index]:
-            raise TransientActuationError(
-                f"memory broker rejected balloon cap {limit_gb:g} GB"
-            )
-        self.balloon_limit_gb[r] = np.nan if limit_gb is None else limit_gb
+    def set_balloon_limits(
+        self, limits: np.ndarray, active: np.ndarray
+    ) -> np.ndarray:
+        """Cap the ``active`` rows (NaN clears); returns the rejected rows."""
+        failed = (
+            active & ~np.isnan(limits) & self.masks.balloon_fail[:, self._index]
+        )
+        applied = active & ~failed
+        self.balloon_limit_gb[applied] = limits[applied]
+        return failed
 
     def state_dict(self) -> dict:
         return {
@@ -1830,13 +1576,10 @@ class DegradedSyntheticFleet:
             present = present & ~scaler.dead
             if w > 0 and not np.any(present):
                 break
-            fields = {}
-            for name, fresh_col in fresh.items():
-                held_col = self._held_fields[name]
-                if fresh_col.ndim == 2:
-                    fields[name] = np.where(use_held, held_col, fresh_col)
-                else:
-                    fields[name] = np.where(use_held, held_col, fresh_col)
+            fields = {
+                name: np.where(use_held, self._held_fields[name], fresh_col)
+                for name, fresh_col in fresh.items()
+            }
             index = np.where(use_held, self._held_index, i)
             anomalous = corrupt & ~use_held
             reasons = [
@@ -1864,10 +1607,7 @@ class DegradedSyntheticFleet:
             self._held_index[late] = i
             self._held_billed[late] = billed[late]
             for name, fresh_col in fresh.items():
-                if fresh_col.ndim == 2:
-                    self._held_fields[name][:, late] = fresh_col[:, late]
-                else:
-                    self._held_fields[name][late] = fresh_col[late]
+                self._held_fields[name][..., late] = fresh_col[..., late]
 
         self.scaler.execute_interval(self.actuator)
         self.interval += 1

@@ -31,10 +31,12 @@ Scope and contracts:
   signal values match the scalar incremental path to 1e-9 (Spearman is
   bit-identical by the shared integer-rank formulation).  Held by
   ``tests/test_fleet_vectorized.py`` and the golden replay test.
-* **The scalar path remains the reference** — and the only path for
-  degraded modes: telemetry guards, safe mode, resize executors and fault
-  injection (``harness.chaos``) stay per-tenant objects.  The vectorized
-  engine covers the healthy-telemetry fleet sweep, which is the hot path.
+* **The scalar path remains the reference.**  This engine covers the
+  healthy-telemetry fleet sweep, the hot path;
+  :mod:`repro.fleet.degraded` extends it with telemetry guards, safe
+  mode, the resize executor and fault injection, and drives the same
+  decision body (:meth:`VectorizedAutoScaler._decide`) masked to each
+  delivery wave's rows.
 * **Lock-step catalogs only.**  Dimension-scaled variants break the
   level⇔cost monotonicity the ``searchsorted`` searches rely on;
   constructing with such a catalog raises.
@@ -112,6 +114,7 @@ K = len(SCALABLE_KINDS)  # resource dimensions, in SCALABLE_KINDS order
 #: Telemetry rings, checkpointed under these keys with the time axis last.
 _RINGS = ("t", "lat", "util", "wait", "wpct")
 _CPU, _MEM, _DISK, _LOG = range(K)
+_KINDS = np.arange(K)[:, None]
 
 #: Latency-status codes (integer mirror of LatencyStatus).
 LAT_GOOD, LAT_BAD, LAT_UNKNOWN = 0, 1, 2
@@ -256,61 +259,72 @@ def _sign8(values: np.ndarray) -> np.ndarray:
     return np.sign(values).astype(np.int8)
 
 
-def _empty_fleet_signals(n: int) -> FleetSignals:
-    """Uninitialized fleet-wide signal outputs, filled tile by tile.
+def _empty_fleet_signals(n: int, inert: bool = False) -> FleetSignals:
+    """Fleet-wide signal outputs, filled tile by tile.
+
+    Uninitialized by default, for callers that write every row.  With
+    ``inert`` the rows start at the inert defaults (NaN latency, UNKNOWN
+    status, zeros elsewhere) that a row-subset fill leaves in place;
+    every consumer masks with the selected rows, so the filler never
+    reaches a decision.
 
     Signal outputs are always float64 regardless of the ring storage
     dtype: the batched kernels promote on entry, so only the *stored*
     samples are tiered.
     """
-    return FleetSignals(
-        latency_ms=np.empty(n),
-        latency_status=np.empty(n, dtype=np.int8),
-        lat_slope=np.empty(n),
-        lat_significant=np.empty(n, dtype=bool),
-        lat_agreement=np.empty(n),
-        lat_n_points=np.empty(n, dtype=np.int64),
-        lat_direction=np.empty(n, dtype=np.int8),
-        util_pct=np.empty((K, n)),
-        util_level=np.empty((K, n), dtype=np.int8),
-        wait_ms=np.empty((K, n)),
-        wait_level=np.empty((K, n), dtype=np.int8),
-        wait_pct=np.empty((K, n)),
-        wait_significant=np.empty((K, n), dtype=bool),
-        util_slope=np.empty((K, n)),
-        util_significant=np.empty((K, n), dtype=bool),
-        util_agreement=np.empty((K, n)),
-        util_direction=np.empty((K, n), dtype=np.int8),
-        wait_slope=np.empty((K, n)),
-        wait_trend_significant=np.empty((K, n), dtype=bool),
-        wait_agreement=np.empty((K, n)),
-        wait_direction=np.empty((K, n), dtype=np.int8),
-        rho=np.empty((K, n)),
-        corr_n_points=np.empty((K, n), dtype=np.int64),
+    alloc = np.zeros if inert else np.empty
+    out = FleetSignals(
+        latency_ms=alloc(n),
+        latency_status=alloc(n, dtype=np.int8),
+        lat_slope=alloc(n),
+        lat_significant=alloc(n, dtype=bool),
+        lat_agreement=alloc(n),
+        lat_n_points=alloc(n, dtype=np.int64),
+        lat_direction=alloc(n, dtype=np.int8),
+        util_pct=alloc((K, n)),
+        util_level=alloc((K, n), dtype=np.int8),
+        wait_ms=alloc((K, n)),
+        wait_level=alloc((K, n), dtype=np.int8),
+        wait_pct=alloc((K, n)),
+        wait_significant=alloc((K, n), dtype=bool),
+        util_slope=alloc((K, n)),
+        util_significant=alloc((K, n), dtype=bool),
+        util_agreement=alloc((K, n)),
+        util_direction=alloc((K, n), dtype=np.int8),
+        wait_slope=alloc((K, n)),
+        wait_trend_significant=alloc((K, n), dtype=bool),
+        wait_agreement=alloc((K, n)),
+        wait_direction=alloc((K, n), dtype=np.int8),
+        rho=alloc((K, n)),
+        corr_n_points=alloc((K, n), dtype=np.int64),
     )
+    if inert:
+        out.latency_ms.fill(np.nan)
+        out.latency_status.fill(LAT_UNKNOWN)
+    return out
 
 
-def _trend_into(out: FleetSignals, lo: int, hi: int, trend: BatchedTrend) -> None:
-    """Scatter one stacked latency + K util + K wait trend into a tile."""
-    series = (1 + 2 * K, hi - lo)
+def _trend_into(out: FleetSignals, idx, trend: BatchedTrend) -> None:
+    """Scatter one stacked latency + K util + K wait trend into ``out[idx]``."""
+    series = (1 + 2 * K, -1)
     slope = trend.slope.reshape(series)
     sig = trend.significant.reshape(series)
     agree = trend.agreement.reshape(series)
     # TrendResult.direction: sign of the slope iff significant.
     direction = np.where(sig, _sign8(slope), np.int8(0)).astype(np.int8)
-    out.lat_slope[lo:hi] = slope[0]
-    out.lat_significant[lo:hi] = sig[0]
-    out.lat_agreement[lo:hi] = agree[0]
-    out.lat_n_points[lo:hi] = trend.n_points.reshape(series)[0]
-    out.lat_direction[lo:hi] = direction[0]
-    out.util_slope[:, lo:hi] = slope[1 : 1 + K]
-    out.util_significant[:, lo:hi] = sig[1 : 1 + K]
-    out.util_agreement[:, lo:hi] = agree[1 : 1 + K]
-    out.util_direction[:, lo:hi] = direction[1 : 1 + K]
-    out.wait_slope[:, lo:hi] = slope[1 + K :]
-    out.wait_trend_significant[:, lo:hi] = sig[1 + K :]
-    out.wait_agreement[:, lo:hi] = agree[1 + K :]
-    out.wait_direction[:, lo:hi] = direction[1 + K :]
+    out.lat_slope[idx] = slope[0]
+    out.lat_significant[idx] = sig[0]
+    out.lat_agreement[idx] = agree[0]
+    out.lat_n_points[idx] = trend.n_points.reshape(series)[0]
+    out.lat_direction[idx] = direction[0]
+    out.util_slope[:, idx] = slope[1 : 1 + K]
+    out.util_significant[:, idx] = sig[1 : 1 + K]
+    out.util_agreement[:, idx] = agree[1 : 1 + K]
+    out.util_direction[:, idx] = direction[1 : 1 + K]
+    out.wait_slope[:, idx] = slope[1 + K :]
+    out.wait_trend_significant[:, idx] = sig[1 + K :]
+    out.wait_agreement[:, idx] = agree[1 + K :]
+    out.wait_direction[:, idx] = direction[1 + K :]
 
 
 class VectorizedTelemetry:
@@ -472,17 +486,26 @@ class VectorizedTelemetry:
         self._cursor = int(state["cursor"])
         self._count = int(state["count"])
 
-    def _tail_cols(self, k: int) -> np.ndarray:
+    def _tail_slots(self, k: int, idx) -> np.ndarray:
         """Ring indices of the last ``min(k, window)`` written slots.
 
         Oldest first, so the shared clock read through them ascends and
         the trend kernel takes the stack in place.  When fewer than ``k``
         slots are written the extra slots are the NaN-initialized ones,
         which every consumer drops — the surviving sample set is exactly
-        the scalar window's.
+        the scalar window's.  One vector serves every column ``idx``.
         """
         k = min(k, self._window)
         return (self._cursor - k + np.arange(k)) % self._window
+
+    def _gather(self, dst: np.ndarray, ring: np.ndarray, slots, idx) -> None:
+        """Copy ``ring``'s ``slots`` for columns ``idx`` into ``dst`` (k, ..., m)."""
+        for row, c in zip(dst, slots):
+            row[...] = ring[c][..., idx]
+
+    def _trend_x(self, slots, idx, shape: tuple[int, ...]) -> np.ndarray:
+        """The trend kernel's x axis: the shared clock at ``slots``."""
+        return self._t[slots]
 
     def signals(self) -> FleetSignals:
         """The categorized fleet signal set for the current interval.
@@ -500,57 +523,64 @@ class VectorizedTelemetry:
         out = _empty_fleet_signals(n)
         tile = self._tile if self._tile is not None else n
         for lo in range(0, n, tile):
-            self._signals_into(out, lo, min(lo + tile, n))
+            hi = min(lo + tile, n)
+            self._signals_into(out, slice(lo, hi), hi - lo)
         return out
 
-    def _signals_into(self, out: FleetSignals, lo: int, hi: int) -> None:
-        """Fill ``out[..., lo:hi]`` from the ring slice ``[lo, hi)``."""
+    def _signals_into(self, out: FleetSignals, idx, m: int) -> None:
+        """Fill ``out[..., idx]`` from the ``m`` ring columns ``idx``.
+
+        ``idx`` is a column slice (the shared-cursor tiles) or an array
+        of row indices (a masked wave's tile); only :meth:`_tail_slots`,
+        :meth:`_gather` and :meth:`_trend_x` differ between the two.
+        """
         cfg = self.thresholds
-        m = hi - lo
-        lat = self._lat[:, lo:hi]
-        util = self._util[:, :, lo:hi]
-        wait = self._wait[:, :, lo:hi]
-        wpct = self._wpct[:, :, lo:hi]
 
         # Trends: one kernel call for latency + K utilization + K wait
         # series over the trend sub-window, stacked (tw, series, m) so its
         # transpose is the kernel's (series, tw) input without a copy.
-        tcols = self._tail_cols(cfg.trend_window)
-        stack = self._buf("trend", (tcols.size, 1 + 2 * K, m))
-        for row, c in zip(stack, tcols):
-            row[0] = lat[c]
-            row[1 : 1 + K] = util[c]
-            row[1 + K :] = wait[c]
+        tslots = self._tail_slots(cfg.trend_window, idx)
+        tw = len(tslots)
+        stack = self._buf("trend", (tw, 1 + 2 * K, m))
+        self._gather(stack[:, 0], self._lat, tslots, idx)
+        self._gather(stack[:, 1 : 1 + K], self._util, tslots, idx)
+        self._gather(stack[:, 1 + K :], self._wait, tslots, idx)
         trend = batched_detect_trend(
-            self._t[tcols], stack.reshape(tcols.size, -1).T, alpha=cfg.trend_alpha
+            self._trend_x(tslots, idx, stack.shape),
+            stack.reshape(tw, -1).T,
+            alpha=cfg.trend_alpha,
         )
-        _trend_into(out, lo, hi, trend)
+        _trend_into(out, idx, trend)
 
         # Correlation: latency vs each resource's waits over the full
         # window (order-invariant; non-finite pairs drop per row).  The
         # kernel ranks each latency window once for all K resources.
-        corr = batched_spearman(lat.T, wait.transpose(1, 2, 0))
-        out.rho[:, lo:hi] = corr.rho
-        out.corr_n_points[:, lo:hi] = corr.n_points
+        corr = batched_spearman(
+            self._lat[:, idx].T, self._wait[..., idx].transpose(1, 2, 0)
+        )
+        out.rho[:, idx] = corr.rho
+        out.corr_n_points[:, idx] = corr.n_points
 
         # Smoothed "current" values: tail medians (defaults: latency NaN,
         # resources 0.0 — the scalar TailMedian defaults).
-        scols = self._tail_cols(self._smooth)
-        out.latency_ms[lo:hi] = batched_tail_median(
-            lat[scols].T, scols.size, default=np.nan
+        sslots = self._tail_slots(self._smooth, idx)
+        sw = len(sslots)
+        lat_stack = self._buf("smooth_lat", (sw, m))
+        self._gather(lat_stack, self._lat, sslots, idx)
+        out.latency_ms[idx] = batched_tail_median(
+            lat_stack.T, sw, default=np.nan
         )
-        res_stack = self._buf("smooth", (scols.size, 3 * K, m))
-        for row, c in zip(res_stack, scols):
-            row[:K] = util[c]
-            row[K : 2 * K] = wait[c]
-            row[2 * K :] = wpct[c]
+        res_stack = self._buf("smooth", (sw, 3 * K, m))
+        self._gather(res_stack[:, :K], self._util, sslots, idx)
+        self._gather(res_stack[:, K : 2 * K], self._wait, sslots, idx)
+        self._gather(res_stack[:, 2 * K :], self._wpct, sslots, idx)
         smoothed = batched_tail_median(
-            res_stack.reshape(scols.size, -1).T, scols.size, default=0.0
+            res_stack.reshape(sw, -1).T, sw, default=0.0
         ).reshape(3 * K, m)
-        self._categorize_into(out, lo, hi, smoothed)
+        self._categorize_into(out, idx, smoothed)
 
     def _categorize_into(
-        self, out: FleetSignals, lo: int, hi: int, smoothed: np.ndarray
+        self, out: FleetSignals, idx, smoothed: np.ndarray
     ) -> None:
         """Threshold the smoothed medians into levels/status for a tile."""
         cfg = self.thresholds
@@ -559,24 +589,24 @@ class VectorizedTelemetry:
             smoothed[K : 2 * K],
             smoothed[2 * K :],
         )
-        out.util_pct[:, lo:hi] = util_s
-        out.wait_ms[:, lo:hi] = wait_s
-        out.wait_pct[:, lo:hi] = wpct_s
-        out.util_level[:, lo:hi] = (
+        out.util_pct[:, idx] = util_s
+        out.wait_ms[:, idx] = wait_s
+        out.wait_pct[:, idx] = wpct_s
+        out.util_level[:, idx] = (
             (util_s >= cfg.util_low_pct).astype(np.int8)
             + (util_s >= cfg.util_high_pct)
         ).astype(np.int8)
-        out.wait_level[:, lo:hi] = (
+        out.wait_level[:, idx] = (
             (wait_s >= self._wait_low).astype(np.int8)
             + (wait_s >= self._wait_high)
         ).astype(np.int8)
-        out.wait_significant[:, lo:hi] = wpct_s >= cfg.wait_pct_significant
+        out.wait_significant[:, idx] = wpct_s >= cfg.wait_pct_significant
 
-        latency_ms = out.latency_ms[lo:hi]
+        latency_ms = out.latency_ms[idx]
         if self.goal is None:
-            out.latency_status[lo:hi] = np.int8(LAT_UNKNOWN)
+            out.latency_status[idx] = np.int8(LAT_UNKNOWN)
         else:
-            out.latency_status[lo:hi] = np.where(
+            out.latency_status[idx] = np.where(
                 np.isnan(latency_ms),
                 np.int8(LAT_UNKNOWN),
                 np.where(
@@ -665,11 +695,25 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
             wait_pct,
         )
 
-    def _tail_cols_rows(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """Per-row ring indices of the last ``min(k, window)`` slots, (n, k)."""
+    def _tail_slots(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Per-row ring indices of the last ``min(k, window)`` slots, (k, m)."""
         k = min(k, self._window)
         cur = self._cursor_rows[rows]
-        return (cur[:, None] - 1 - np.arange(k)) % self._window
+        return (cur - 1 - np.arange(k)[:, None]) % self._window
+
+    def _gather(self, dst: np.ndarray, ring: np.ndarray, slots, rows) -> None:
+        # Rings index as [slot, row] and [slot, kind, row], so each gather
+        # lands in (k, [K,] m) order.
+        if ring.ndim == 2:
+            dst[...] = ring[slots, rows]
+        else:
+            dst[...] = ring[slots[:, None], _KINDS, rows]
+
+    def _trend_x(self, slots, rows, shape: tuple[int, ...]) -> np.ndarray:
+        """Each row's own clock, repeated across its stacked series."""
+        x_rep = self._buf("trend_x", shape)
+        x_rep[:] = self._t[slots, rows][:, None]
+        return x_rep.reshape(shape[0], -1).T
 
     def signals(self) -> FleetSignals:
         if self._count == 0:
@@ -680,64 +724,23 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
         return self.signals_rows(np.arange(self.n_tenants))
 
     def signals_rows(self, rows: np.ndarray) -> FleetSignals:
-        """Compact signal set (width ``len(rows)``) for the ``rows`` subset.
+        """Fleet-width signal set with only the ``rows`` subset computed.
 
-        Every row must have at least one observed sample (in the degraded
-        sweep only tenants whose delivery was *admitted* this interval
-        reach the full decision body, which guarantees it).  Rows are
-        processed in tiles of ``tile`` (all at once when unset); every
-        kernel is row-independent so tiling cannot change a value.
+        Every other row holds the inert defaults (NaN latency, UNKNOWN
+        status, zeros elsewhere).  Every selected row must have at least
+        one observed sample (in the degraded sweep only tenants whose
+        delivery was *admitted* this interval reach the full decision
+        body, which guarantees it).  Rows are processed in tiles of
+        ``tile`` (all at once when unset); every kernel is
+        row-independent so tiling cannot change a value.
         """
+        out = _empty_fleet_signals(self.n_tenants, inert=True)
         n = rows.size
-        out = _empty_fleet_signals(n)
         tile = self._tile if self._tile is not None else max(n, 1)
         for lo in range(0, n, tile):
-            self._signals_rows_into(out, rows[lo : min(lo + tile, n)], lo)
+            tile_rows = rows[lo : lo + tile]
+            self._signals_into(out, tile_rows, tile_rows.size)
         return out
-
-    def _signals_rows_into(
-        self, out: FleetSignals, rows: np.ndarray, lo: int
-    ) -> None:
-        """Fill ``out[..., lo:lo+len(rows)]`` for one tile of rows."""
-        cfg = self.thresholds
-        m = rows.size
-        hi = lo + m
-        kinds = np.arange(K)[:, None]
-
-        # Per-row ring slots, (tw, m): rings index as [slot, row] and
-        # [slot, kind, row], so each gather lands in (tw, series, m) order.
-        tcols = self._tail_cols_rows(rows, cfg.trend_window).T
-        tw = tcols.shape[0]
-        stack = self._buf("rows_trend", (tw, 1 + 2 * K, m))
-        stack[:, 0] = self._lat[tcols, rows]
-        stack[:, 1 : 1 + K] = self._util[tcols[:, None], kinds, rows]
-        stack[:, 1 + K :] = self._wait[tcols[:, None], kinds, rows]
-        x_rep = self._buf("rows_x_rep", (tw, 1 + 2 * K, m))
-        x_rep[:] = self._t[tcols, rows][:, None]
-        trend = batched_detect_trend(
-            x_rep.reshape(tw, -1).T, stack.reshape(tw, -1).T, alpha=cfg.trend_alpha
-        )
-        _trend_into(out, lo, hi, trend)
-
-        corr = batched_spearman(
-            self._lat[:, rows].T, self._wait[:, :, rows].transpose(1, 2, 0)
-        )
-        out.rho[:, lo:hi] = corr.rho
-        out.corr_n_points[:, lo:hi] = corr.n_points
-
-        scols = self._tail_cols_rows(rows, self._smooth).T
-        sw = scols.shape[0]
-        out.latency_ms[lo:hi] = batched_tail_median(
-            self._lat[scols, rows].T, sw, default=np.nan
-        )
-        res_stack = self._buf("rows_smooth", (sw, 3 * K, m))
-        res_stack[:, :K] = self._util[scols[:, None], kinds, rows]
-        res_stack[:, K : 2 * K] = self._wait[scols[:, None], kinds, rows]
-        res_stack[:, 2 * K :] = self._wpct[scols[:, None], kinds, rows]
-        smoothed = batched_tail_median(
-            res_stack.reshape(sw, -1).T, sw, default=0.0
-        ).reshape(3 * K, m)
-        self._categorize_into(out, lo, hi, smoothed)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -865,8 +868,8 @@ class VectorizedAutoScaler:
     thresholds, goal, sensitivity and ablation switches are fleet-wide.
 
     Degraded modes (telemetry guard, safe mode, resize-executor coupling)
-    are deliberately out of scope — faulty tenants belong on the scalar
-    path (see module docstring).
+    live in :class:`repro.fleet.degraded.DegradedVectorizedAutoScaler`,
+    which runs this class's decision body over each wave's row mask.
 
     Args:
         catalog: a pure lock-step catalog (dimension-scaled variants raise).
@@ -1212,11 +1215,10 @@ class VectorizedAutoScaler:
         ``billed_cost`` defaults to the engine's own container belief,
         which is what a healthy closed loop bills.
         """
-        n = self.n_tenants
-        level = self.level
         clock = self._clock
         t_start = clock() if clock is not None else 0.0
         latency_ms = np.asarray(latency_ms, dtype=float)
+        memory_used_gb = np.asarray(memory_used_gb, dtype=float)
         disk_physical_reads = np.asarray(disk_physical_reads, dtype=float)
 
         self.telemetry.observe(t, latency_ms, util_pct, wait_ms, wait_pct)
@@ -1224,126 +1226,18 @@ class VectorizedAutoScaler:
         self._disk_cursor = (self._disk_cursor + 1) % self._disk_reads.shape[1]
 
         if billed_cost is None:
-            billed_cost = self._costs[level]
+            billed_cost = self._costs[self.level]
         billed_cost = np.asarray(billed_cost, dtype=float)
         self._settle_budget(billed_cost)
 
         signals = self.telemetry.signals()
         t_signals = clock() if clock is not None else 0.0
-        demand = estimate_fleet(
-            signals,
-            self.thresholds,
-            use_waits=self.use_waits,
-            use_trends=self.use_trends,
-            use_correlation=self.use_correlation,
-        )
+        demand = self._estimate(signals)
         t_estimate = clock() if clock is not None else 0.0
-        needs_help = self._latency_needs_help(signals)
-
-        balloon = self._handle_balloon(
-            signals, demand, needs_help, util_pct, disk_physical_reads
+        decided = self._decide(
+            signals, demand, util_pct, disk_physical_reads, memory_used_gb
         )
-        balloon_aborted, balloon_confirmed = balloon
-
-        # Without a latency goal, scaling is driven by demand alone.
-        if self.goal is None:
-            wants_up = demand.any_high
-        else:
-            wants_up = demand.any_high & needs_help
-        hold_help = ~wants_up & needs_help
-        down_path = ~wants_up & ~needs_help
-
-        target = level.copy()
-        # -- scale-up ------------------------------------------------------
-        up_clipped = np.zeros(n, dtype=bool)
-        if np.any(wants_up):
-            up_target, up_clipped = self._scale_up_targets(level, demand.steps)
-            target = np.where(wants_up, up_target, target)
-            up_clipped &= wants_up
-            self._low_streak[wants_up] = 0
-        # -- explained hold (latency bad, no resource demand) --------------
-        self._low_streak[hold_help] = 0
-        # -- scale-down ----------------------------------------------------
-        probe_started = np.zeros(n, dtype=bool)
-        shrink = np.zeros(n, dtype=bool)
-        if np.any(down_path):
-            down = self._maybe_scale_down(
-                level,
-                signals,
-                demand,
-                balloon_confirmed,
-                down_path,
-                np.asarray(memory_used_gb, dtype=float),
-            )
-            down_target, probe_started, shrink = down
-            target = np.where(down_path, down_target, target)
-
-        previous = level
-        # -- damper cool-down suppresses discretionary moves ---------------
-        suppressed = np.zeros(n, dtype=bool)
-        if self._damper is not None:
-            suppressed = (self._d_cooldown > 0) & (target != previous)
-            target = np.where(suppressed, previous, target)
-
-        # -- the hard budget constraint ------------------------------------
-        affordable = self._costs[target] <= self._tokens + 1e-9
-        if not np.all(affordable):
-            forced_level = (
-                np.searchsorted(self._costs, self._tokens + 1e-9, side="right")
-                - 1
-            )
-            if np.any(forced_level[~affordable] < 0):
-                raise BudgetError(
-                    "no container affordable for some tenant (budget "
-                    "invariant violated)"
-                )
-            target = np.where(affordable, target, forced_level)
-        budget_forced = ~affordable
-
-        # -- damper observes the applied move ------------------------------
-        tripped = np.zeros(n, dtype=bool)
-        if self._damper is not None:
-            tripped = self._damper_observe(previous, target)
-
-        resized = target != previous
-        if np.any(resized):
-            # _on_resize: cancel probes keyed to the stale size.
-            self._b_phase[resized] = _B_IDLE
-            self._b_limit[resized] = np.nan
-            self._b_cooldown[resized] = 0
-            self.balloon_limit_gb[resized] = np.nan
-            self._low_streak[resized] = 0
-        self.level = target
-
-        c = self.action_counts
-        c["intervals"] += 1
-        c["resizes"] += int(np.count_nonzero(resized))
-        c["scale_up"] += int(np.count_nonzero(resized & (target > previous)))
-        c["scale_down"] += int(np.count_nonzero(resized & (target < previous)))
-        c["hold_latency"] += int(np.count_nonzero(hold_help))
-        c["up_clipped"] += int(np.count_nonzero(up_clipped))
-        c["probe_started"] += int(np.count_nonzero(probe_started))
-        c["balloon_aborted"] += int(np.count_nonzero(balloon_aborted))
-        c["balloon_confirmed"] += int(np.count_nonzero(balloon_confirmed))
-        c["damper_suppressed"] += int(np.count_nonzero(suppressed))
-        c["budget_forced"] += int(np.count_nonzero(budget_forced))
-        c["damper_tripped"] += int(np.count_nonzero(tripped))
-
-        actions = None
-        if self._record_actions:
-            actions = self._assemble_actions(
-                balloon_aborted,
-                balloon_confirmed,
-                wants_up,
-                demand.steps,
-                up_clipped,
-                hold_help,
-                probe_started,
-                shrink,
-                suppressed,
-                budget_forced,
-                tripped,
-            )
+        self.action_counts["intervals"] += 1
 
         if clock is not None:
             t_end = clock()
@@ -1362,39 +1256,187 @@ class VectorizedAutoScaler:
                 util_pct=np.asarray(util_pct, dtype=float),
                 wait_ms=np.asarray(wait_ms, dtype=float),
                 wait_pct=np.asarray(wait_pct, dtype=float),
-                memory_used_gb=np.asarray(memory_used_gb, dtype=float),
+                memory_used_gb=memory_used_gb,
                 disk_physical_reads=disk_physical_reads,
                 billed_cost=billed_cost,
-                level_before=previous,
-                level_after=target,
-                resized=resized,
                 steps=demand.steps,
                 rules=demand.rules,
-                needs_help=needs_help,
-                wants_up=wants_up,
-                hold_help=hold_help,
-                up_clipped=up_clipped,
-                probe_started=probe_started,
-                shrink=shrink,
-                suppressed=suppressed,
-                budget_forced=budget_forced,
-                tripped=tripped,
-                balloon_aborted=balloon_aborted,
-                balloon_confirmed=balloon_confirmed,
                 clamp_zero=self._clamp_zero,
                 clamp_depth=self._clamp_depth,
                 tokens=self._tokens,
                 spent=self._spent,
                 balloon_limit_gb=self.balloon_limit_gb,
-                actions=actions,
+                **decided,
             )
 
         return FleetDecisions(
-            level=target.copy(),
-            resized=resized,
+            level=decided["level_after"].copy(),
+            resized=decided["resized"],
             balloon_limit_gb=self.balloon_limit_gb.copy(),
             steps=demand.steps.copy(),
             rules=demand.rules.copy(),
+            actions=decided["actions"],
+        )
+
+    def _estimate(self, signals: FleetSignals) -> FleetDemand:
+        return estimate_fleet(
+            signals,
+            self.thresholds,
+            use_waits=self.use_waits,
+            use_trends=self.use_trends,
+            use_correlation=self.use_correlation,
+        )
+
+    def _decide(
+        self,
+        signals: FleetSignals,
+        demand: FleetDemand,
+        util_pct: np.ndarray,
+        disk_reads: np.ndarray,
+        memory_used_gb: np.ndarray,
+        *,
+        rows: np.ndarray | None = None,
+        held: np.ndarray | None = None,
+        prefix: Sequence[tuple[str, np.ndarray]] = (),
+        participants: np.ndarray | None = None,
+    ) -> dict:
+        """The decision body, after budget settlement and signals.
+
+        Latency gate, balloon step, scale-up / explained hold /
+        scale-down, damper suppression, budget enforcement, damper
+        observe, ``_on_resize`` and the action tally, in scalar-source
+        order.  Without ``rows`` every tenant decides and nothing is
+        masked.  A delivery wave passes ``rows``, the tenants that run
+        the whole body, and ``held``, the degraded and safe-mode tenants
+        that keep their container unless the budget forces it down;
+        every other tenant is left untouched.  ``prefix`` slots lead
+        each tenant's action list, and tenants outside ``participants``
+        get ``None`` there.  Returns the interval's level arrays, masks and
+        actions, keyed as the trace recorder's columns.
+        """
+        n = self.n_tenants
+        previous = self.level
+        needs_help = self._latency_needs_help(signals)
+        if rows is not None:
+            needs_help &= rows
+        balloon_aborted, balloon_confirmed = self._handle_balloon(
+            demand, needs_help, util_pct, disk_reads, rows
+        )
+
+        # Without a latency goal, scaling is driven by demand alone.
+        if self.goal is None:
+            wants_up = demand.any_high
+        else:
+            wants_up = demand.any_high & needs_help
+        if rows is not None:
+            wants_up = wants_up & rows  # not in place: may alias any_high
+        hold_help = ~wants_up & needs_help
+        down_path = ~wants_up & ~needs_help
+        if rows is not None:
+            down_path &= rows
+
+        # From here on ``target`` differs from ``previous`` only on
+        # deciding rows, so the damper and resize steps need no mask.
+        target = previous.copy()
+        # -- scale-up ------------------------------------------------------
+        up_clipped = np.zeros(n, dtype=bool)
+        if np.any(wants_up):
+            up_target, up_clipped = self._scale_up_targets(previous, demand.steps)
+            target = np.where(wants_up, up_target, target)
+            up_clipped &= wants_up
+            self._low_streak[wants_up] = 0
+        # -- explained hold (latency bad, no resource demand) --------------
+        self._low_streak[hold_help] = 0
+        # -- scale-down ----------------------------------------------------
+        probe_started = np.zeros(n, dtype=bool)
+        shrink = np.zeros(n, dtype=bool)
+        if np.any(down_path):
+            down = self._maybe_scale_down(
+                previous, signals, demand, balloon_confirmed, down_path, memory_used_gb
+            )
+            down_target, probe_started, shrink = down
+            target = np.where(down_path, down_target, target)
+
+        # -- damper cool-down suppresses discretionary moves ---------------
+        suppressed = np.zeros(n, dtype=bool)
+        if self._damper is not None:
+            suppressed = (self._d_cooldown > 0) & (target != previous)
+            target = np.where(suppressed, previous, target)
+
+        # -- the hard budget constraint ------------------------------------
+        budget_forced = ~(self._costs[target] <= self._tokens + 1e-9)
+        if rows is not None:
+            budget_forced &= rows | held
+        if np.any(budget_forced):
+            forced_level = (
+                np.searchsorted(self._costs, self._tokens + 1e-9, side="right")
+                - 1
+            )
+            if np.any(forced_level[budget_forced] < 0):
+                raise BudgetError(
+                    "no container affordable for some tenant (budget "
+                    "invariant violated)"
+                )
+            target = np.where(budget_forced, forced_level, target)
+
+        # -- damper observes the applied move ------------------------------
+        tripped = np.zeros(n, dtype=bool)
+        if self._damper is not None:
+            tripped = self._damper_observe(previous, target, rows)
+
+        resized = target != previous
+        if np.any(resized):
+            self._on_resize(resized)
+        self.level = target
+
+        c = self.action_counts
+        c["resizes"] += int(np.count_nonzero(resized))
+        c["scale_up"] += int(np.count_nonzero(resized & (target > previous)))
+        c["scale_down"] += int(np.count_nonzero(resized & (target < previous)))
+        c["hold_latency"] += int(np.count_nonzero(hold_help))
+        c["up_clipped"] += int(np.count_nonzero(up_clipped))
+        c["probe_started"] += int(np.count_nonzero(probe_started))
+        c["balloon_aborted"] += int(np.count_nonzero(balloon_aborted))
+        c["balloon_confirmed"] += int(np.count_nonzero(balloon_confirmed))
+        c["damper_suppressed"] += int(np.count_nonzero(suppressed))
+        c["budget_forced"] += int(np.count_nonzero(budget_forced))
+        c["damper_tripped"] += int(np.count_nonzero(tripped))
+
+        actions = None
+        if self._record_actions:
+            scale_up = ActionKind.SCALE_UP.value
+            actions = self._assemble_actions(
+                [
+                    *prefix,
+                    (ActionKind.BALLOON_ABORT.value, balloon_aborted),
+                    (ActionKind.BALLOON_CONFIRM.value, balloon_confirmed),
+                    *((scale_up, wants_up & (demand.steps[k] > 0)) for k in range(K)),
+                    (ActionKind.BUDGET_CONSTRAINED.value, up_clipped),
+                    (ActionKind.NO_CHANGE.value, hold_help),
+                    (ActionKind.BALLOON_START.value, probe_started),
+                    (ActionKind.SCALE_DOWN.value, shrink),
+                    (ActionKind.OSCILLATION_DAMPED.value, suppressed),
+                    (ActionKind.BUDGET_CONSTRAINED.value, budget_forced),
+                    (ActionKind.OSCILLATION_DAMPED.value, tripped),
+                ],
+                participants,
+            )
+
+        return dict(
+            level_before=previous,
+            level_after=target,
+            resized=resized,
+            needs_help=needs_help,
+            wants_up=wants_up,
+            hold_help=hold_help,
+            up_clipped=up_clipped,
+            probe_started=probe_started,
+            shrink=shrink,
+            suppressed=suppressed,
+            budget_forced=budget_forced,
+            tripped=tripped,
+            balloon_aborted=balloon_aborted,
+            balloon_confirmed=balloon_confirmed,
             actions=actions,
         )
 
@@ -1434,22 +1476,25 @@ class VectorizedAutoScaler:
 
     def _handle_balloon(
         self,
-        signals: FleetSignals,
         demand: FleetDemand,
         needs_help: np.ndarray,
         util_pct: np.ndarray,
         disk_reads: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance active probes; returns (aborted/cancelled, confirmed)."""
+        """Advance active probes; returns (aborted/cancelled, confirmed).
+
+        With ``rows`` only those tenants' probes and cooldown clocks move.
+        """
         probing = self._b_phase == _B_PROBING
         was_cooling = self._b_phase == _B_COOLDOWN
+        if rows is not None:
+            probing &= rows
+            was_cooling &= rows
 
         cancel = probing & (needs_help | demand.any_high)
         if np.any(cancel):
-            self._b_phase[cancel] = _B_IDLE
-            self._b_limit[cancel] = np.nan
-            self._b_cooldown[cancel] = 0
-            self.balloon_limit_gb[cancel] = np.nan
+            self._cancel_probe(cancel)
 
         observe = probing & ~cancel
         confirmed = np.zeros(self.n_tenants, dtype=bool)
@@ -1457,11 +1502,15 @@ class VectorizedAutoScaler:
         if np.any(observe):
             # The balloon judges disk pressure on the *raw* interval
             # utilization, not the smoothed signal (scalar: observe()
-            # reads counters.utilization_median directly).
-            spiked = disk_reads > self._b_baseline * self._io_spike_ratio
-            aborted = (
-                observe & spiked & (util_pct[_DISK] >= self._disk_pressure_pct)
-            )
+            # reads counters.utilization_median directly).  A wave's
+            # absent rows carry NaN reads; they are never observed.
+            with np.errstate(invalid="ignore"):
+                spiked = disk_reads > self._b_baseline * self._io_spike_ratio
+                aborted = (
+                    observe
+                    & spiked
+                    & (util_pct[_DISK] >= self._disk_pressure_pct)
+                )
             if np.any(aborted):
                 self._b_phase[aborted] = _B_COOLDOWN
                 self._b_cooldown[aborted] = self._balloon_cooldown
@@ -1469,7 +1518,8 @@ class VectorizedAutoScaler:
                 self._b_limit[aborted] = np.nan
                 self.balloon_limit_gb[aborted] = np.nan
             live = observe & ~aborted
-            confirmed = live & (self._b_limit <= self._b_target + 1e-9)
+            with np.errstate(invalid="ignore"):
+                confirmed = live & (self._b_limit <= self._b_target + 1e-9)
             if np.any(confirmed):
                 self._b_phase[confirmed] = _B_IDLE
                 self._b_limit[confirmed] = np.nan
@@ -1483,13 +1533,28 @@ class VectorizedAutoScaler:
                 self.balloon_limit_gb[shrinking] = new_limit
 
         # Idle/cooldown tenants tick their cooldown clock.
-        tick = was_cooling
+        self._tick_balloon_cooldown(was_cooling)
+        return cancel | aborted, confirmed
+
+    def _tick_balloon_cooldown(self, tick: np.ndarray) -> None:
+        """``BalloonController.tick_cooldown`` for the COOLDOWN rows ``tick``."""
         if np.any(tick):
             self._b_cooldown[tick] -= 1
             done = tick & (self._b_cooldown <= 0)
             self._b_phase[done] = _B_IDLE
             self._b_cooldown[done] = 0
-        return cancel | aborted, confirmed
+
+    def _cancel_probe(self, rows) -> None:
+        """Drop ``rows``' probes and caps: IDLE, no cooldown."""
+        self._b_phase[rows] = _B_IDLE
+        self._b_limit[rows] = np.nan
+        self._b_cooldown[rows] = 0
+        self.balloon_limit_gb[rows] = np.nan
+
+    def _on_resize(self, rows) -> None:
+        """Cancel probes keyed to the stale size; restart the down streak."""
+        self._cancel_probe(rows)
+        self._low_streak[rows] = 0
 
     def _next_limits(self, current_gb: np.ndarray, target_gb: np.ndarray):
         gap = current_gb - target_gb
@@ -1646,11 +1711,17 @@ class VectorizedAutoScaler:
         return batched_tail_median(reads, reads.shape[1], default=1.0)
 
     def _damper_observe(
-        self, previous: np.ndarray, target: np.ndarray
+        self,
+        previous: np.ndarray,
+        target: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
+        """Feed the applied moves to the damper; only ``rows`` when given."""
         damper = self._damper
         assert damper is not None
         cooling = self._d_cooldown > 0
+        if rows is not None:
+            cooling &= rows
         self._d_cooldown[cooling] -= 1
         finished = cooling & (self._d_cooldown == 0)
         # Leaving cool-down with a clean slate.
@@ -1658,14 +1729,16 @@ class VectorizedAutoScaler:
         self._d_moves[finished] = 0
 
         moved = ~cooling & (target != previous)
+        if rows is not None:
+            moved &= rows
         if np.any(moved):
             full = moved & (self._d_len == damper.window)
             if np.any(full):
                 self._d_moves[full, :-1] = self._d_moves[full, 1:]
             move = np.where(target > previous, np.int8(1), np.int8(-1))
             slot = np.where(full, damper.window - 1, self._d_len)
-            rows = np.flatnonzero(moved)
-            self._d_moves[rows, slot[rows]] = move[rows]
+            moved_rows = np.flatnonzero(moved)
+            self._d_moves[moved_rows, slot[moved_rows]] = move[moved_rows]
             self._d_len[moved & ~full] += 1
         # Reversals: adjacent opposite-sign pairs (zero-padded tail never
         # matches, so no length masking is needed).
@@ -1684,43 +1757,25 @@ class VectorizedAutoScaler:
 
     def _assemble_actions(
         self,
-        balloon_aborted,
-        balloon_confirmed,
-        wants_up,
-        steps,
-        up_clipped,
-        hold_help,
-        probe_started,
-        shrink,
-        suppressed,
-        budget_forced,
-        tripped,
-    ) -> tuple[tuple[str, ...], ...]:
-        """Per-tenant explanation actions, in the scalar append order."""
-        slots: list[tuple[str, np.ndarray]] = [
-            (ActionKind.BALLOON_ABORT.value, balloon_aborted),
-            (ActionKind.BALLOON_CONFIRM.value, balloon_confirmed),
-        ]
-        for k in range(K):
-            slots.append((ActionKind.SCALE_UP.value, wants_up & (steps[k] > 0)))
-        slots.extend(
-            [
-                (ActionKind.BUDGET_CONSTRAINED.value, up_clipped),
-                (ActionKind.NO_CHANGE.value, hold_help),
-                (ActionKind.BALLOON_START.value, probe_started),
-                (ActionKind.SCALE_DOWN.value, shrink),
-                (ActionKind.OSCILLATION_DAMPED.value, suppressed),
-                (ActionKind.BUDGET_CONSTRAINED.value, budget_forced),
-                (ActionKind.OSCILLATION_DAMPED.value, tripped),
-            ]
-        )
-        no_change = (ActionKind.NO_CHANGE.value,)
-        columns = [(value, np.flatnonzero(mask)) for value, mask in slots]
+        slots: Sequence[tuple[str, np.ndarray]],
+        participants: np.ndarray | None = None,
+    ) -> tuple[tuple[str, ...] | None, ...]:
+        """Per-tenant explanation actions, in the scalar append order.
+
+        ``slots`` pairs each action value with its row mask, in append
+        order.  A tenant that collected none reports NO_CHANGE; tenants
+        outside ``participants`` (when given) report ``None``.
+        """
         rows: list[list[str]] = [[] for _ in range(self.n_tenants)]
-        for value, idx in columns:
-            for i in idx:
+        for value, mask in slots:
+            for i in np.flatnonzero(mask):
                 rows[i].append(value)
-        return tuple(tuple(r) if r else no_change for r in rows)
+        no_change = (ActionKind.NO_CHANGE.value,)
+        actions: list = [tuple(r) if r else no_change for r in rows]
+        if participants is not None:
+            for i in np.flatnonzero(~participants):
+                actions[i] = None
+        return tuple(actions)
 
 
 # -- replay: drive the vectorized loop from recorded IntervalCounters ---------

@@ -31,6 +31,7 @@ from repro.core.latency import LatencyGoal
 from repro.core.damper import OscillationDamper
 from repro.engine.containers import default_catalog
 from repro.engine.server import EngineConfig
+from repro.errors import ConfigurationError
 from repro.faults.schedule import (
     ACTUATION_KINDS,
     TELEMETRY_KINDS,
@@ -447,3 +448,158 @@ class TestHealthyIdentity:
         assert not deg.safe_mode.any()
         assert not deg.dead.any()
         assert float(deg.budget_refunded.sum()) == 0.0
+        # Both engines run one decision body, so its tallies agree;
+        # "intervals" counts execute_interval calls on the degraded side.
+        for key, value in base.action_counts.items():
+            if key != "intervals":
+                assert deg.action_counts[key] == value, key
+
+
+# -- a wave touches only its participants -------------------------------------
+
+WAVE_N = 23  # distinct from K, the ring window and the damper window
+
+
+def _tenant_columns(state, n, path=""):
+    """Every per-tenant column of a ``state_dict``, tenant axis first."""
+    if isinstance(state, dict):
+        for key, value in state.items():
+            yield from _tenant_columns(value, n, f"{path}/{key}")
+    elif isinstance(state, np.ndarray) and state.ndim:
+        # Resource rings are (K, T, W) on the wire: tenants on axis 1.
+        axis = 0 if state.shape[0] == n else 1
+        if state.ndim > axis and state.shape[axis] == n:
+            yield path, np.moveaxis(state, axis, 0)
+    elif isinstance(state, list) and len(state) == n:
+        yield path, state
+
+
+def _wave(scaler, arrays, i, present, anomalous):
+    n = scaler.n_tenants
+    return scaler.decide_wave(
+        present=present,
+        index=np.full(n, i, dtype=np.int64),
+        start_s=np.full(n, i * 60.0),
+        end_s=np.full(n, (i + 1) * 60.0),
+        anomalous=anomalous,
+        anomaly_reasons=[("planted anomaly",)] * n,
+        latency_ms=arrays.latency_ms[i],
+        util_pct=arrays.util_pct[i],
+        wait_ms=arrays.wait_ms[i],
+        wait_pct=arrays.wait_pct[i],
+        memory_used_gb=arrays.memory_used_gb[i],
+        disk_physical_reads=arrays.disk_physical_reads[i],
+        billed_cost=scaler._costs[scaler.level].copy(),
+    )
+
+
+def _planted_scaler(seed):
+    """A warmed degraded scaler whose per-row control state is scrambled.
+
+    Every balloon phase, damper cooldown, scale-down streak, safe-mode
+    flag and token balance the body could step is present somewhere, so
+    a mask that leaks onto a non-participant row changes its bytes.
+    """
+    n, warm = WAVE_N, 12
+    arrays = synthesize_fleet_telemetry(n, warm + 1, seed=seed)
+    catalog = default_catalog()
+    scaler = DegradedVectorizedAutoScaler(
+        catalog, n, goal=LatencyGoal(100.0), damper=OscillationDamper()
+    )
+    clean = np.zeros(n, dtype=bool)
+    for i in range(warm):
+        _wave(scaler, arrays, i, np.ones(n, dtype=bool), clean)
+
+    rng = np.random.default_rng(seed)
+    state = scaler.state_dict()
+    n_levels = state["n_levels"]
+    mem = scaler._mem
+    level = rng.integers(1, n_levels, n)
+    phase = rng.integers(0, 3, n).astype(np.int8)
+    probing = phase == 1
+    target = np.where(probing, mem[level - 1], np.nan)
+    limit = np.where(probing, (mem[level] + mem[level - 1]) / 2, np.nan)
+    state["level"] = level
+    state["balloon"].update(
+        phase=phase,
+        target=target,
+        limit=limit,
+        limit_gb=limit.copy(),
+        baseline=np.where(probing, rng.uniform(1.0, 500.0, n), np.nan),
+        cooldown=np.where(phase == 2, rng.integers(1, 4, n), 0),
+    )
+    state["low_streak"] = rng.integers(0, 4, n)
+    # Some rows cannot afford their container (a participant among them
+    # dies at settlement); the rest can, with the cheapest one to spare.
+    costs = scaler._costs
+    state["budget"]["tokens"] = np.where(
+        rng.random(n) < 0.3,
+        0.9 * costs[level],
+        costs[level] + costs[0] + rng.uniform(0.0, 50.0, n),
+    )
+    damper = state["damper"]
+    damper["moves"] = rng.integers(-1, 2, damper["moves"].shape).astype(np.int8)
+    damper["len"] = np.full(n, damper["window"])
+    damper["cooldown"] = rng.integers(0, 3, n)
+    state["degraded"]["safe_mode"] = rng.random(n) < 0.3
+    scaler.load_state_dict(state)
+    return scaler, arrays, warm
+
+
+class TestWaveMasking:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(min_value=0, max_value=2**20))
+    def test_partial_wave_leaves_non_participants_untouched(self, seed):
+        scaler, arrays, i = _planted_scaler(seed)
+        rng = np.random.default_rng(seed + 1)
+        present = rng.random(WAVE_N) < 0.5
+        anomalous = present & (rng.random(WAVE_N) < 0.3)
+        before = dict(_tenant_columns(scaler.state_dict(), WAVE_N))
+        wave = _wave(scaler, arrays, i, present, anomalous)
+        after = dict(_tenant_columns(scaler.state_dict(), WAVE_N))
+
+        assert np.array_equal(wave.participants, present & ~wave.died)
+        assert before.keys() == after.keys()
+        for r in np.flatnonzero(~present):
+            assert wave.actions[r] is None
+            assert not wave.resized[r]
+            for path, column in before.items():
+                if isinstance(column, list):
+                    assert after[path][r] == column[r], (path, r)
+                else:
+                    assert after[path][r].tobytes() == column[r].tobytes(), (
+                        path,
+                        r,
+                    )
+
+
+class TestHealthyEntryPoints:
+    def _scaler(self):
+        return DegradedVectorizedAutoScaler(
+            default_catalog(), 4, goal=LatencyGoal(100.0)
+        )
+
+    def test_decide_batch_refuses(self):
+        arrays = synthesize_fleet_telemetry(4, 1, seed=1)
+        scaler = self._scaler()
+        with pytest.raises(ConfigurationError, match="decide_wave"):
+            scaler.decide_batch(
+                0.0,
+                arrays.latency_ms[0],
+                arrays.util_pct[0],
+                arrays.wait_ms[0],
+                arrays.wait_pct[0],
+                arrays.memory_used_gb[0],
+                arrays.disk_physical_reads[0],
+            )
+
+    def test_attach_recorder_refuses(self):
+        from repro.obs.fleet import FleetTraceRecorder
+
+        with pytest.raises(ConfigurationError, match="decide_wave"):
+            self._scaler().attach_recorder(FleetTraceRecorder())
