@@ -33,8 +33,9 @@ non-NaN tail.
 Memory order: callers may pass any layout.  Every kernel works on the
 time-major ``(W, rows)`` transpose, so a caller holding time-major
 buffers (the fleet's telemetry rings) passes ``buf.T`` and the kernel
-reads the buffer in place; other layouts are copied once.  No kernel
-writes its inputs: a sentinel write goes to a private copy.
+reads the buffer in place; other layouts are copied one block at a
+time.  No kernel writes its inputs: a sentinel write goes to a private
+copy.
 
 How each kernel stays exact without the per-row reference's work:
 
@@ -44,10 +45,12 @@ How each kernel stays exact without the per-row reference's work:
   comparisons.  Quotients are formed only for the rows whose trend was
   accepted, and only to take their median.  The one case where a
   quotient's sign differs from its operands' (underflow to zero, or
-  ``inf/inf``) needs magnitudes beyond ~1e±300; such inputs are routed
-  to the scalar reference instead.
+  ``inf/inf``) needs magnitudes beyond ~1e±300; each block bounds every
+  row's magnitudes and routes only the rows that fail to the scalar
+  reference.  When every clock in a block runs one way (a shared axis,
+  or rings read oldest or newest first) only y is compared.
 * Medians are a sort (NaN sorts last) followed by a gather of the middle
-  pair at positions chosen from each row's non-NaN count — the same
+  pair at positions chosen from each series' non-NaN count — the same
   order statistics ``np.median`` selects, and the same ``(lo + hi) / 2``.
 * Spearman's doubled ranks come from one ``(W, W, T)`` comparison cube
   for windows of at most :data:`PAIRWISE_RANK_MAX_WINDOW` and from a sort
@@ -58,15 +61,20 @@ How each kernel stays exact without the per-row reference's work:
 * A one-column tail median is a select: the sample itself, or the
   default where it is NaN — the entry the sort-and-gather would pick.
 
-Memory: the pairwise stages (the accepted rows' slope matrix, Spearman's
-rank comparisons) materialise ``(chunk, W(W-1)/2)`` and ``(W, W,
-chunk)`` scratch, so tenants are processed in chunks bounded by
-:data:`SLOPE_CHUNK_ELEMENTS` elements rather than all at once.
+Memory: each kernel walks its rows in blocks and runs its whole per-row
+pipeline on one block before it starts the next: masks, exclusions, the
+magnitude check, counts and the accepted rows' slope medians for the
+trend; ranks, the pair-mask re-rank and the integer sums for Spearman;
+the sort and middle gather for a tail median.  A block's widest scratch
+(the trend's ``(W(W-1)/2, block)`` slopes, Spearman's boolean ``(W, W,
+K·block)`` comparison cube, the tail's ``(block, k)`` sort) is bounded by
+:data:`SLOPE_CHUNK_ELEMENTS` float64 elements, so it stays in a core's
+L2 cache instead of streaming fleet-wide temporaries through memory.
+Rows are independent, so the block size moves only time, never a value.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -84,13 +92,19 @@ __all__ = [
     "fractional_ranks",
 ]
 
-#: Upper bound on elements in one pairwise scratch matrix.  The trend
-#: then holds at most two float64 ``(pairs, chunk)`` matrices at once
-#: (the accepted columns' slopes plus their transposed copy, or plus the
-#: per-row dx): 64 MB, e.g. at window 64 (2016 pairs, ~2000 tenants per
-#: chunk).  Spearman's boolean ``(W, W, chunk)`` comparison cube stays
-#: within 4 MB.
-SLOPE_CHUNK_ELEMENTS = 4_000_000
+#: Budget of one row block, in float64 elements (2 MiB).  Every kernel
+#: walks its rows in blocks and runs its whole per-row pipeline on one
+#: block before it starts the next, so a block's scratch stays in a
+#: core's L2 cache instead of streaming fleet-wide temporaries through
+#: memory.  A block's widest scratch fits the budget: the trend's
+#: ``W(W-1)/2`` float64 pair slopes per row, Spearman's ``K·W²``
+#: one-byte rank comparisons per tenant, the tail median's ``k`` samples
+#: per row.  On a 2-core x86 VM (2 MiB L2 per core), over the fleet's
+#: steady-state inputs (90k trend series at W = 8; 10k tenants, K = 4,
+#: W = 10), the trend was fastest at 2-4 MiB, taking a quarter less time
+#: than one whole-fleet block; 0.5 MiB blocks took 38% more.  Spearman
+#: was flat from 0.5 MiB up.
+SLOPE_CHUNK_ELEMENTS = 262_144
 
 #: Longest window whose Spearman ranks are counted pairwise.  Counting
 #: costs O(W²) per row against the sort's O(W log W) plus its fixed
@@ -99,7 +113,7 @@ SLOPE_CHUNK_ELEMENTS = 4_000_000
 PAIRWISE_RANK_MAX_WINDOW = 32
 
 #: Slope signs equal the comparison signs while every finite magnitude is
-#: at most this (differences stay finite) — see ``_quotient_signs_exact``.
+#: at most this (differences stay finite) — see ``_inexact_columns``.
 _MAGNITUDE_CAP = 2.0**1022
 
 
@@ -120,60 +134,117 @@ class BatchedCorrelation(NamedTuple):
 
 
 def _as_matrix_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y, dtype=float)
+    """``y`` as a ``(T, W)`` array and ``x`` as a float ``(W,)`` axis or ``(T, W)``.
+
+    Neither is converted or copied beyond that: the kernels read blocks
+    of them and convert each block (see :func:`_cols`).
+    """
+    y = np.asarray(y)
     if y.ndim != 2:
         raise ValueError(f"y must be (tenants, window), got shape {y.shape}")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.ndim == 1:
-        x = np.broadcast_to(x, y.shape)
+        return np.broadcast_to(x.astype(float, copy=False), y.shape[1:]), y
     if x.shape != y.shape:
         raise ValueError(f"x shape {x.shape} does not match y shape {y.shape}")
     return x, y
 
 
-def _middle(sorted_rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``np.median`` of each row's first ``counts`` entries (rows sorted).
+def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive row slices whose scratch fits the block budget.
+
+    ``row_bytes`` is one row's share of the kernel's widest scratch; a
+    block holds at most :data:`SLOPE_CHUNK_ELEMENTS` float64 elements'
+    worth of it, and at least one row.
+    """
+    step = max(1, 8 * SLOPE_CHUNK_ELEMENTS // max(1, row_bytes))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _cols(values_t: np.ndarray, cols: slice, order=None) -> np.ndarray:
+    """Columns ``cols`` of a time-major array as float64 with unit-stride rows.
+
+    A view of the caller's buffer when it already is one (read in place);
+    otherwise a private copy.  ``order`` first gathers the samples (axis 0).
+    """
+    block = values_t[..., cols]
+    if order is not None:
+        block = block[order]
+    if block.dtype != np.float64 or block.strides[-1] != block.itemsize:
+        block = np.array(block, dtype=np.float64, order="C")
+    return block
+
+
+def _middle(sorted_t: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.median`` of each column's first ``counts`` entries (columns sorted).
 
     Odd counts return the middle entry itself, even counts the mean of the
     middle pair, exactly as ``np.median`` does.  ``counts`` must be >= 1.
     """
-    flat = sorted_rows.ravel()
-    base = np.arange(0, flat.size, sorted_rows.shape[1])
-    lo = flat[base + ((counts - 1) >> 1)]
-    hi = flat[base + (counts >> 1)]
+    n = sorted_t.shape[1]
+    flat = sorted_t.ravel()  # a view when C-contiguous
+    cols = np.arange(n)
+    lo = flat[((counts - 1) >> 1) * n + cols]
+    hi = flat[(counts >> 1) * n + cols]
     with np.errstate(invalid="ignore", over="ignore"):
         mean = (lo + hi) / 2
     return np.where(counts & 1 == 1, lo, mean)
 
 
-def _quotient_signs_exact(x_t: np.ndarray, y_t: np.ndarray) -> bool:
-    """Whether every valid pair's ``dy/dx`` has the sign of ``dy·dx``.
+def _count(mask: np.ndarray) -> np.ndarray:
+    """True entries down each column of a boolean ``(rows, n)`` matrix.
 
-    ``x_t``/``y_t`` hold NaN at every excluded sample.  With all
+    Summed as bytes in the narrowest type that holds ``rows``: a reduce
+    that casts each boolean to a wide integer costs several times more.
+    """
+    return np.add.reduce(
+        mask.view(np.uint8), axis=0, dtype=np.min_scalar_type(mask.shape[0])
+    )
+
+
+def _inexact_columns(x_span, y_t: np.ndarray, lo=None, hi=None) -> np.ndarray | None:
+    """Columns of ``y_t`` where some ``dy/dx`` may lack the sign of ``dy·dx``.
+
+    ``y_t`` holds NaN at every excluded sample; ``x_span`` bounds each
+    column's x span (one value for all, or one per column); ``lo``/``hi``
+    are ``y_t``'s least and greatest non-NaN entries, if known.  With all
     magnitudes at most 2^1022 the differences are finite, so no quotient
     is ``inf/inf``.  A nonzero ``dy`` is at least ``m·2^-53`` for the
     smallest nonzero ``|y|`` ``m`` (both operands are multiples of that
-    value's ulp), and ``|dx|`` is at most the x span, so ``m·2^1021 >=
+    value's ulp), and ``|dx|`` is at most the span, so ``m·2^1021 >=
     span`` keeps every nonzero quotient at or above the smallest
-    subnormal: none rounds to zero.
+    subnormal: none rounds to zero.  Returns ``None`` when every column
+    passes; a block whose samples share one sign settles that from
+    ``lo`` and ``hi`` alone.
     """
-    x_span = float(np.fmax.reduce(x_t, axis=None)) - float(np.fmin.reduce(x_t, axis=None))
+    if lo is None:
+        lo, hi = np.fmin.reduce(y_t, axis=None), np.fmax.reduce(y_t, axis=None)
+    if np.isnan(lo):
+        return None  # no finite sample: no valid pair either
+    # The smallest nonzero |y| each span allows, rounded up so the test
+    # stays conservative; a NaN span (no finite x) admits everything.
+    tiny = np.nextafter(np.multiply(x_span, 2.0**-1021), np.inf)
+    tiny_max = np.fmax.reduce(tiny, axis=None)
+    if (
+        max(-lo, hi) <= _MAGNITUDE_CAP
+        and not np.any(x_span > _MAGNITUDE_CAP)
+        and (lo >= tiny_max or hi <= -tiny_max)
+    ):
+        return None
     abs_y = np.abs(y_t)
-    y_max = float(np.fmax.reduce(abs_y, axis=None))
-    y_min = float(np.fmin.reduce(abs_y, axis=None, where=abs_y > 0, initial=np.inf))
-    if math.isnan(x_span) or math.isnan(y_max):
-        return True  # no finite sample at all: no valid pair either
-    return (
-        x_span <= _MAGNITUDE_CAP
-        and y_max <= _MAGNITUDE_CAP
-        and y_min * 2.0**1021 >= x_span
-    )
+    small = abs_y < tiny
+    small &= y_t != 0
+    bad = small.any(axis=0)
+    bad |= (abs_y > _MAGNITUDE_CAP).any(axis=0)
+    bad |= x_span > _MAGNITUDE_CAP
+    cols = np.flatnonzero(bad)
+    return cols if cols.size else None
 
 
 def _trend_by_rows(
     x: np.ndarray, y: np.ndarray, alpha: float, min_points: int
 ) -> BatchedTrend:
-    """The scalar reference, row by row (inputs of extreme magnitude)."""
+    """The scalar reference, row by row (rows of extreme magnitude)."""
     rows = [detect_trend(xr, yr, alpha, min_points) for xr, yr in zip(x, y)]
     return BatchedTrend(
         np.array([r.slope for r in rows], dtype=float),
@@ -181,24 +252,6 @@ def _trend_by_rows(
         np.array([r.agreement for r in rows], dtype=float),
         np.array([r.n_points for r in rows], dtype=np.intp),
     )
-
-
-def _nan_where(values_t: np.ndarray, finite: np.ndarray, caller) -> np.ndarray:
-    """``values_t`` with NaN wherever ``finite`` is false, ``caller`` untouched.
-
-    Only entries that are not NaN already are written, so a window whose
-    exclusions are all NaN (idle intervals, cold ring slots) is used as
-    it is.  A write goes to a private copy whenever ``values_t`` may
-    share memory with the caller's array.
-    """
-    keep = np.isnan(values_t)
-    keep |= finite
-    if keep.all():
-        return values_t
-    if np.may_share_memory(values_t, caller):
-        values_t = values_t.copy()
-    np.copyto(values_t, np.nan, where=~keep)
-    return values_t
 
 
 def batched_detect_trend(
@@ -219,126 +272,177 @@ def batched_detect_trend(
     """
     if not 0.5 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0.5, 1.0], got {alpha}")
-    shared_x = np.asarray(x, dtype=float).ndim == 1
-    x_in, y_in = x, y
     x, y = _as_matrix_pair(x, y)
     n_tenants, window = y.shape
 
-    # Work transposed: a (W, T) matrix makes every sample a contiguous
-    # row, so each pair block below is one broadcast op over all tenants.
+    # Work transposed: a (W, block) matrix makes every sample a contiguous
+    # row, so each pair block below is one broadcast op over the block.
     # A shared axis is first sorted ascending (non-finite last): Theil–Sen
     # does not depend on the order of the points and a swapped pair has
     # the same slope, so afterwards every pair i < j has dx >= 0, and the
     # pairs with dx > 0 are j >= first_right[i].  An axis that is already
-    # ascending needs no gather, and y.T of a time-major buffer is already
-    # contiguous.
+    # ascending needs no gather.  An axis whose finite span exceeds the
+    # magnitude cap is treated as per-row, so each row's own span decides
+    # whether it needs the scalar reference.
+    shared_x = x.ndim == 1
     if shared_x:
-        x_row = np.where(np.isfinite(x[0]), x[0], np.nan)
+        x_row = np.where(np.isfinite(x), x, np.nan)
         order = np.argsort(x_row, kind="stable")
-        x_t = x_row[order][:, None]
+        xs = x_row[order]
+        n_finite_x = int(np.count_nonzero(np.isfinite(xs)))
+        x_span = xs[n_finite_x - 1] - xs[0] if n_finite_x else np.nan
+        if x_span > _MAGNITUDE_CAP:
+            shared_x, x = False, np.broadcast_to(x, y.shape)
+    if shared_x:
         if np.array_equal(order, np.arange(window)):
-            y_t = np.ascontiguousarray(y.T)
-        else:
-            y_t = y.T[order]
-        first_right = np.searchsorted(x_t[:, 0], x_t[:, 0], side="right")
+            order = None
+        x_finite = None if n_finite_x == window else np.isfinite(xs)[:, None]
+        # With distinct finite x every pair of valid samples has dx > 0.
+        distinct = bool(np.all(xs[1:n_finite_x] > xs[: n_finite_x - 1]))
+        first_right = np.searchsorted(xs, xs, side="right")
         blocks = [(i, int(j0)) for i, j0 in enumerate(first_right) if j0 < window]
+        if blocks:
+            dx_pairs = np.concatenate([xs[j0:] - xs[i] for i, j0 in blocks])[:, None]
     else:
-        x_t = np.ascontiguousarray(x.T)
-        y_t = np.ascontiguousarray(y.T)
+        order = None
         blocks = [(i, i + 1) for i in range(window - 1)]
-    finite_t = np.isfinite(y_t)
-    finite_t &= np.isfinite(x_t)
-    n_points = np.add.reduce(finite_t, axis=0, dtype=np.intp)
 
     slope = np.zeros(n_tenants)
     agreement = np.zeros(n_tenants)
     significant = np.zeros(n_tenants, dtype=bool)
-    if not blocks:  # fewer than two distinct x: no pair has a slope
-        return BatchedTrend(slope, significant, agreement, n_points)
-    if not finite_t.all():
-        # Excluded samples become NaN: they compare false both ways, so
-        # pairs touching them count nowhere and their slopes are NaN.
-        y_t = _nan_where(y_t, finite_t, y_in)
-        if not shared_x:
-            x_t = _nan_where(x_t, finite_t, x_in)
-    if not _quotient_signs_exact(x_t, y_t):
-        return _trend_by_rows(x, y, alpha, min_points)
-
+    n_points = np.zeros(n_tenants, dtype=np.intp)
     n_pairs = sum(window - j0 for _, j0 in blocks)
-    count_t = np.min_scalar_type(n_pairs)
-    if shared_x:
-        xs = x_t[:, 0]
-        dx_pairs = np.concatenate([xs[j0:] - xs[i] for i, j0 in blocks])[:, None]
-    chunk = max(1, SLOPE_CHUNK_ELEMENTS // max(1, n_pairs))
-    for start in range(0, n_tenants, chunk):
-        stop = min(start + chunk, n_tenants)
-        yc, fc = y_t[:, start:stop], finite_t[:, start:stop]
-        if not shared_x:
-            xc = x_t[:, start:stop]
-        pos = np.zeros(stop - start, dtype=count_t)
-        neg = np.zeros_like(pos)
-        n_valid = np.zeros_like(pos)
+    row_blocks = _row_blocks(n_tenants, 8 * n_pairs)
+    # One scratch set per call, reused by every block: the comparison
+    # masks (y up/down, plus x right/left for per-row x) and the accepted
+    # columns' pair-major slopes (plus their dx for per-row x).
+    width = row_blocks[0].stop if row_blocks else 0
+    n_masks = 2 if shared_x else 4
+    mask_buf = np.empty(n_masks * n_pairs * width, dtype=bool)
+    slope_buf = np.empty((1 if shared_x else 2) * n_pairs * width)
+    for rows in row_blocks:
+        yb = _cols(y.T, rows, order)
+        m = yb.shape[1]
+        finite = np.isfinite(yb)
         if shared_x:
-            # after[j]: finite samples at positions >= j, per column.
-            after = [np.zeros_like(pos)]
-            for row in fc[::-1]:
-                after.append(after[-1] + row)
-            after.reverse()
-        # A slope is positive exactly when dy and dx share a sign, and
-        # for finite values sign(y_j - y_i) is the comparison's sign.
+            # Every pair i < j has dx >= 0; with distinct x, dx > 0.
+            direction = 1
+            if x_finite is not None:
+                finite &= x_finite
+        else:
+            xb = _cols(x.T, rows)
+            x_fin = np.isfinite(xb)
+            finite &= x_fin
+            # A block whose clocks all run one way (rings read oldest or
+            # newest first) has one dx sign for every pair i < j.
+            direction = 0
+            if blocks and x_fin.all():
+                if (xb[1:] > xb[:-1]).all():
+                    direction = 1
+                elif (xb[1:] < xb[:-1]).all():
+                    direction = -1
+        n_b = _count(finite).astype(np.intp)
+        n_points[rows] = n_b
+        if not blocks:  # fewer than two distinct x: no pair has a slope
+            continue
+        # Excluded samples become NaN (in a private copy): they compare
+        # false both ways, so pairs touching them count nowhere and their
+        # slopes are NaN.  With one dx sign only y is compared, and a NaN
+        # sample is excluded already: infinities and excluded x remain.
+        lo = hi = None
+        if direction:
+            lo, hi = np.fmin.reduce(yb, axis=None), np.fmax.reduce(yb, axis=None)
+            if (shared_x and x_finite is not None) or lo == -np.inf or hi == np.inf:
+                yb = np.where(finite, yb, np.nan)
+                lo = hi = None
+        elif not finite.all():
+            xb = np.where(finite, xb, np.nan)
+            yb = np.where(finite, yb, np.nan)
+        if not shared_x:
+            x_span = np.fmax.reduce(xb, axis=0) - np.fmin.reduce(xb, axis=0)
+        inexact = _inexact_columns(x_span, yb, lo, hi)
+
+        # A slope is positive exactly when dy and dx share a sign, and for
+        # finite values sign(y_j - y_i) is the comparison's sign.  Each
+        # pair block writes its comparisons into one (pairs, block) mask.
+        masks = mask_buf[: n_masks * n_pairs * m].reshape(n_masks, n_pairs, m)
+        up, down = masks[0], masks[1]
+        offset = 0
         for i, j0 in blocks:
-            up, down = yc[j0:] > yc[i], yc[j0:] < yc[i]
-            if shared_x:
-                pos += np.add.reduce(up, axis=0, dtype=count_t)
-                neg += np.add.reduce(down, axis=0, dtype=count_t)
-                n_valid += fc[i] * after[j0]
+            pairs = slice(offset, offset + window - j0)
+            offset = pairs.stop
+            np.greater(yb[j0:], yb[i], out=up[pairs])
+            np.less(yb[j0:], yb[i], out=down[pairs])
+            if not direction:
+                np.greater(xb[j0:], xb[i], out=masks[2, pairs])
+                np.less(xb[j0:], xb[i], out=masks[3, pairs])
+        if direction:
+            pos, neg = _count(up), _count(down)
+            if direction < 0:
+                pos, neg = neg, pos
+            if not shared_x or distinct:
+                n_valid = n_b * (n_b - 1) // 2
             else:
-                right, left = xc[j0:] > xc[i], xc[j0:] < xc[i]
-                pos += np.add.reduce(
-                    (up & right) | (down & left), axis=0, dtype=count_t
-                )
-                neg += np.add.reduce(
-                    (up & left) | (down & right), axis=0, dtype=count_t
-                )
-                n_valid += np.add.reduce(right | left, axis=0, dtype=count_t)
-        n_valid = n_valid.astype(np.intp)
+                # after[j]: valid samples at positions >= j, per column.
+                after = np.zeros((window + 1, m), dtype=np.intp)
+                np.cumsum(finite[::-1], axis=0, out=after[-2::-1])
+                n_valid = sum(finite[i] * after[j0] for i, j0 in blocks)
+        else:
+            right, left = masks[2], masks[3]
+            concordant = up & right
+            concordant |= down & left
+            up &= left
+            down &= right
+            up |= down
+            right |= left
+            pos, neg = _count(concordant), _count(up)
+            n_valid = _count(right).astype(np.intp)
         # Columns with too few finite samples (or no valid pairs) report
         # the scalar early-return shape: slope 0, agreement 0, and never
         # significant.
-        usable = (n_points[start:stop] >= min_points) & (n_valid > 0)
+        usable = (n_b >= min_points) & (n_valid > 0)
         majority = np.maximum(pos, neg).astype(np.intp)
         agree = np.where(usable, majority / np.maximum(n_valid, 1), 0.0)
         sig = usable & (agree >= alpha)
-        agreement[start:stop] = agree
-        significant[start:stop] = sig
+        if inexact is not None:
+            sig[inexact] = False
+        agreement[rows] = agree
+        significant[rows] = sig
 
         # Medians only where a trend was accepted: those columns' pair
-        # slopes (NaN where excluded), sorted per tenant.
+        # slopes (NaN where excluded), sorted down each column.
         cols = np.flatnonzero(sig)
-        if not cols.size:
-            continue
-        yw = yc[:, cols]
-        slopes = np.empty((n_pairs, cols.size))
-        if not shared_x:
-            xw = xc[:, cols]
-            dx = np.empty_like(slopes)
-        offset = 0
-        for i, j0 in blocks:
-            block = slice(offset, offset + window - j0)
-            offset = block.stop
-            np.subtract(yw[j0:], yw[i], out=slopes[block])
+        if cols.size:
+            size = n_pairs * cols.size
+            slopes_t = slope_buf[:size].reshape(n_pairs, cols.size)
+            yw = np.take(yb, cols, axis=1)
             if not shared_x:
-                np.subtract(xw[j0:], xw[i], out=dx[block])
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if shared_x:
-                slopes /= dx_pairs
-            else:
-                dx[dx == 0.0] = np.nan
-                slopes /= dx
-                del dx
-        slopes = np.ascontiguousarray(slopes.T)
-        slopes.sort(axis=1)
-        slope[start + cols] = _middle(slopes, n_valid[cols])
+                xw = np.take(xb, cols, axis=1)
+                dx = slope_buf[size : 2 * size].reshape(n_pairs, cols.size)
+            offset = 0
+            for i, j0 in blocks:
+                pairs = slice(offset, offset + window - j0)
+                offset = pairs.stop
+                np.subtract(yw[j0:], yw[i], out=slopes_t[pairs])
+                if not shared_x:
+                    np.subtract(xw[j0:], xw[i], out=dx[pairs])
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                if shared_x:
+                    slopes_t /= dx_pairs
+                else:
+                    dx[dx == 0.0] = np.nan
+                    slopes_t /= dx
+            slopes_t.sort(axis=0)
+            slope[rows.start + cols] = _middle(slopes_t, n_valid[cols])
+
+        if inexact is not None:
+            # Only these rows risk a quotient whose sign differs from its
+            # operands': the scalar reference decides them.
+            at = rows.start + inexact
+            x_at = np.broadcast_to(x, y.shape)[at]
+            (
+                slope[at], significant[at], agreement[at], n_points[at]
+            ) = _trend_by_rows(x_at, y[at], alpha, min_points)
     return BatchedTrend(slope, significant, agreement, n_points)
 
 
@@ -382,19 +486,15 @@ def _pairwise_ranks(values_t: np.ndarray) -> np.ndarray:
     """:func:`fractional_ranks` of a NaN-free ``(W, T)`` matrix, by counting.
 
     ``u_i = #{j: v_j < v_i} + #{j: v_j <= v_i} = W + #{v_j < v_i} -
-    #{v_j > v_i}``, read off one ``(W, W, T)`` comparison cube; entries
-    stay below ``2W`` so ``uint8`` holds them for ``W <= 127``.
+    #{v_j > v_i}``, read off one ``(W, W, T)`` comparison cube.  Entries
+    stay below ``2W``; the count type is the narrowest that holds that.
     """
-    window, n_tenants = values_t.shape
-    u = np.empty((window, n_tenants), dtype=np.uint8)
-    chunk = max(1, SLOPE_CHUNK_ELEMENTS // (window * window))
-    for start in range(0, n_tenants, chunk):
-        v = values_t[:, start : start + chunk]
-        below = v[:, None, :] < v[None, :, :]  # [j, i] = v_j < v_i
-        out = u[:, start : start + chunk]
-        np.add.reduce(below, axis=0, dtype=np.uint8, out=out)
-        out += np.uint8(window)
-        out -= np.add.reduce(below, axis=1, dtype=np.uint8)
+    window = values_t.shape[0]
+    count_t = np.min_scalar_type(2 * window)
+    below = (values_t[:, None, :] < values_t[None, :, :]).view(np.uint8)  # [j, i]
+    u = np.add.reduce(below, axis=0, dtype=count_t)
+    u += count_t.type(window)
+    u -= np.add.reduce(below, axis=1, dtype=count_t)
     return u
 
 
@@ -433,8 +533,8 @@ def batched_spearman(
     re-ranks its ``x`` over the pair mask, since ranks depend on which
     samples survive.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.asarray(x)
+    y = np.asarray(y)
     if y.ndim < 2 or x.ndim < 1 or x.shape != y.shape[y.ndim - x.ndim :]:
         raise ValueError(
             f"x shape {x.shape} must be a trailing part of y shape {y.shape}"
@@ -443,20 +543,45 @@ def batched_spearman(
     if window == 0:
         zeros = np.zeros(y.shape[:-1], dtype=np.intp)
         return BatchedCorrelation(zeros.astype(float), zeros)
+    if x.ndim == 1:  # one axis for every row: block over the rows
+        x = np.broadcast_to(x, y.shape[-2:])
     # Time-major views, one row per sample: x (W, N), y (W, G, N).
     x_t = x.reshape(-1, window).T
     y_t = y.reshape(-1, x_t.shape[1], window).transpose(2, 0, 1)
+    rho = np.empty(y_t.shape[1:])
+    n_points = np.empty(y_t.shape[1:], dtype=np.intp)
+    # The widest scratch is the boolean (W, W, K·block) rank comparison cube.
+    for cols in _row_blocks(x_t.shape[1], y_t.shape[1] * window * window):
+        rho[:, cols], n_points[:, cols] = _spearman_block(
+            _cols(x_t, cols), _cols(y_t, cols), min_points
+        )
+    out_shape = y.shape[:-1]
+    return BatchedCorrelation(rho.reshape(out_shape), n_points.reshape(out_shape))
+
+
+def _sentinel(valid: np.ndarray, values_t: np.ndarray) -> np.ndarray:
+    """``values_t`` with ``+inf`` wherever ``valid`` is false (a copy if so)."""
+    return values_t if valid.all() else np.where(valid, values_t, np.inf)
+
+
+def _spearman_block(
+    x_t: np.ndarray, y_t: np.ndarray, min_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spearman's ``(rho, n_points)`` for x ``(W, n)`` against y ``(W, G, n)``."""
+    window = x_t.shape[0]
     x_valid = np.isfinite(x_t)
     valid = np.isfinite(y_t)
     valid &= x_valid[:, None, :]
-    n_points = np.add.reduce(valid, axis=0, dtype=np.intp)
+    n_points = _count(valid).astype(np.intp)
 
     # Excluded entries become +inf sentinels: they sort after every finite
     # value, so the valid entries' fractional ranks are exactly the ranks
     # they would get in the compacted row.  Their own ranks are zeroed.
-    ux = _ranks_t(np.where(x_valid, x_t, np.inf)) * x_valid
-    uy = _ranks_t(np.where(valid, y_t, np.inf).reshape(window, -1))
-    uy = uy.reshape(valid.shape) * valid
+    ux = _ranks_t(_sentinel(x_valid, x_t))
+    ux *= x_valid
+    uy = _ranks_t(_sentinel(valid, y_t).reshape(window, -1))
+    uy = uy.reshape(valid.shape)
+    uy *= valid
     # Doubled ranks stay below 2W, so the W-term sums fit this type.
     acc = np.promote_types(ux.dtype, np.min_scalar_type(window * (2 * window) ** 2))
     a = np.einsum("wn,wn->n", ux, ux, dtype=acc)
@@ -465,10 +590,11 @@ def batched_spearman(
     c = np.einsum("wn,wgn->gn", ux, uy, dtype=acc)
     # The valid pairs are a subset of x's finite samples, so a pair with
     # fewer of them than x has lost one to y: re-rank that x over the pair.
-    g, r = np.nonzero(n_points < np.add.reduce(x_valid, axis=0, dtype=np.intp))
+    g, r = np.nonzero(n_points < _count(x_valid))
     if g.size:
         pair = valid[:, g, r]
-        ur = _ranks_t(np.where(pair, x_t[:, r], np.inf)) * pair
+        ur = _ranks_t(_sentinel(pair, x_t[:, r]))
+        ur *= pair
         a[g, r] = np.einsum("wn,wn->n", ur, ur, dtype=acc)
         c[g, r] = np.einsum("wn,wn->n", ur, uy[:, g, r], dtype=acc)
     n3 = n_points.astype(np.int64) ** 3
@@ -479,8 +605,7 @@ def batched_spearman(
     compute = (n_points >= min_points) & (ab > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(compute, c / np.sqrt(np.where(compute, ab, 1)), 0.0)
-    out_shape = y.shape[:-1]
-    return BatchedCorrelation(rho.reshape(out_shape), n_points.reshape(out_shape))
+    return rho, n_points
 
 
 def batched_tail_median(
@@ -503,10 +628,11 @@ def batched_tail_median(
     if min(k, values.shape[1]) == 1:
         last = values[:, -1]
         return np.where(np.isnan(last), default, last)
-    tail = np.sort(values[:, -k:], axis=1)  # NaN sorts last
-    counts = tail.shape[1] - np.count_nonzero(np.isnan(tail), axis=1)
     out = np.full(values.shape[0], default, dtype=float)
-    rows = np.flatnonzero(counts)
-    if rows.size:
-        out[rows] = _middle(tail[rows], counts[rows])
+    for rows in _row_blocks(values.shape[0], 8 * k):
+        tail = np.sort(values[rows, -k:], axis=1)  # NaN sorts last
+        counts = tail.shape[1] - np.count_nonzero(np.isnan(tail), axis=1)
+        kept = np.flatnonzero(counts)
+        if kept.size:
+            out[rows.start + kept] = _middle(tail[kept].T, counts[kept])
     return out

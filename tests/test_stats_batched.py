@@ -14,6 +14,7 @@ Pearson reference, which sums in a different order.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -451,3 +452,116 @@ def test_kernels_match_scalar_references_exactly(inputs, alpha, k):
         _median_reference(y, k, -1.0),
         equal_nan=True,
     )
+
+
+def test_trend_routes_only_extreme_rows_to_the_scalar_reference(monkeypatch):
+    """One 1e308 row and one 1e-320 row in a wide matrix.
+
+    Outputs equal the reference exactly, and the scalar reference runs
+    for those two rows only, under every layout, shared and per-row x,
+    and with the rows split over many blocks.
+    """
+    rng = np.random.default_rng(41)
+    rows, window = 3000, 8
+    y = _random_matrix(rng, rows, window, nan_fraction=0.05)
+    extreme = {123: (3, 1e308), 2777: (5, 1e-320)}
+    for r, (c, value) in extreme.items():
+        y[r, c] = value
+    shared = np.arange(window, dtype=float)
+    clocks = np.tile(shared[::-1], (rows, 1))  # rings read newest first
+    messy = clocks.copy()
+    messy[::7, 2] = np.nan  # no common clock direction
+    row_of = {y[r].tobytes(): r for r in range(rows)}
+    calls = []
+
+    def counting(xr, yr, *args):
+        calls.append(row_of[np.asarray(yr).tobytes()])
+        return detect_trend(xr, yr, *args)
+
+    monkeypatch.setattr(batched, "detect_trend", counting)
+    for budget in (batched.SLOPE_CHUNK_ELEMENTS, 50 * 28):
+        monkeypatch.setattr(batched, "SLOPE_CHUNK_ELEMENTS", budget)
+        for x in (shared, clocks, messy):
+            ref = _trend_reference(x, y)
+            for layout in _layouts(y).values():
+                calls.clear()
+                _assert_fields_equal(batched_detect_trend(x, layout), ref)
+                assert sorted(calls) == sorted(extreme)
+
+
+@pytest.mark.parametrize("window", [127, 128, 129, 130])
+def test_spearman_exact_past_the_byte_count_range(window, monkeypatch):
+    """Counted ranks reach 2W - 1 > 255 from W = 129 on; both rank
+    methods must still give the exact rho."""
+    rng = np.random.default_rng(window)
+    x = _messy_matrix(rng, 12, window)
+    y = _messy_matrix(rng, 12, window)
+    y[5] = x[5]  # rho = 1 with ties
+    x[6] = np.arange(window)  # no exclusions: every rank up to 2W - 1
+    y[6] = -x[6]
+    ref = _spearman_reference(x, y)
+    assert ref.rho[6] == -1.0
+    for limit in (0, 10**6):  # force each rank method in turn
+        monkeypatch.setattr(batched, "PAIRWISE_RANK_MAX_WINDOW", limit)
+        _assert_fields_equal(batched_spearman(x, y), ref)
+    counted = batched._pairwise_ranks(np.ascontiguousarray(x[6:7].T)).T
+    assert np.array_equal(counted, fractional_ranks(x[6:7]))
+
+
+def _assert_bytes_equal(out, ref):
+    for got, want in zip(out, ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _blocked_inputs(draw):
+    """Kernel inputs plus a block budget from 1 element to past the whole call."""
+    window = draw(st.sampled_from(WINDOWS))
+    rows = draw(st.integers(1, 30))
+    n_kinds = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = _messy_matrix(rng, rows, window)
+    x_kind = draw(st.sampled_from(["shared", "repeated", "clocks", "per-row"]))
+    if x_kind == "shared":
+        x = np.arange(window, dtype=float)[:: draw(st.sampled_from([1, -1]))]
+    elif x_kind == "repeated":
+        x = np.floor(np.arange(window) / 2.0)
+    elif x_kind == "clocks":  # one clock direction per block: y-only counts
+        clock = np.arange(window, dtype=float)[:: draw(st.sampled_from([1, -1]))]
+        x = np.tile(clock, (rows, 1))
+    else:
+        x = rng.choice(np.array([0.0, 1.0, 2.0, 3.0, np.nan]), (rows, window))
+    # Spearman: a latency-like x against K stacked y; row 0's y drops a
+    # sample its x keeps, which forces the pair-mask re-rank.
+    x_sp = _messy_matrix(rng, rows, window)
+    x_sp[0] = np.arange(window)
+    y_sp = rng.normal(size=(n_kinds, rows, window))
+    y_sp[rng.random(y_sp.shape) < 0.2] = np.nan
+    y_sp[:, 0, 0] = np.nan
+    k = draw(st.integers(2, window))
+    whole = rows * window * window * n_kinds  # past every kernel's scratch
+    budget = draw(st.integers(1, whole + 1))
+    return x, y, x_sp, y_sp, k, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blocked_inputs())
+def test_block_budget_never_changes_a_byte(inputs):
+    """Every kernel's output under any block budget and any input layout
+    is byte-equal to its single-block call."""
+    x, y, x_sp, y_sp, k, budget = inputs
+    with mock.patch.object(batched, "SLOPE_CHUNK_ELEMENTS", 2**40):
+        trend = batched_detect_trend(x, y)
+        corr = batched_spearman(x_sp, y_sp)
+        median = batched_tail_median(y, k, default=-1.0)
+    x_layouts = _layouts(x).values() if x.ndim == 2 else [x]
+    with mock.patch.object(batched, "SLOPE_CHUNK_ELEMENTS", budget):
+        for y_in in _layouts(y).values():
+            for x_in in x_layouts:
+                _assert_bytes_equal(batched_detect_trend(x_in, y_in), trend)
+            _assert_bytes_equal(
+                [batched_tail_median(y_in, k, default=-1.0)], [median]
+            )
+        for x_in, y_in in zip(_layouts(x_sp).values(), _layouts(y_sp).values()):
+            _assert_bytes_equal(batched_spearman(x_in, y_in), corr)
