@@ -4,11 +4,8 @@ Unlike the figure-reproduction benchmarks, this one tracks the *speed* of
 the per-interval control path.  :meth:`TelemetryManager.signals` and
 :meth:`AutoScaler.decide` run every billing interval for every tenant, so
 at the paper's fleet scale (§2, thousands of tenants) the estimation layer
-itself must be cheap.  Four measurements:
+itself must be cheap.  Measurements:
 
-* **fleet** — per-tenant-interval cost of ``observe() + signals()``
-  through the incremental path vs. the batch reference path, at the
-  default window geometry (10) and a large one (64).
 * **fleet_vectorized** — the headline: one scalar ``AutoScaler.decide``
   loop over every tenant vs. one :class:`VectorizedAutoScaler.decide_batch`
   sweep, on identical pre-built streams, with every decision asserted
@@ -19,14 +16,14 @@ itself must be cheap.  Four measurements:
   vs. the healthy vectorized sweep at the same scale; the fault-handling
   machinery (guard verdicts, held deliveries, masked injection) must stay
   within ``CHAOS_DEGRADED_MAX_RATIO`` of the healthy path.
-* **primitives** — steady-state per-append+query cost of each statistical
-  primitive, incremental vs. batch, windows 10 and 64.
+* **tracing**, **fleet_observability**, **checkpoint** and **fleet_1m** —
+  instrumentation and checkpoint overheads, and the closed-loop
+  fleet-scale sweep.
 
 All timed sections separate warm-up from measurement: the first
 ``signal_window`` intervals fill the rings untimed (cold-window appends
 are cheaper than steady-state ones, so timing them *understates* the
-per-interval cost), and primitive microbenchmarks report best-of-repeats
-over a pre-warmed window.  Results are emitted machine-readable to
+per-interval cost).  Results are emitted machine-readable to
 ``BENCH_perf_telemetry.json`` at the repository root;
 ``benchmarks/check_perf_gate.py`` gates CI on the committed numbers.
 
@@ -48,8 +45,7 @@ import numpy as np
 
 from repro.core.autoscaler import AutoScaler
 from repro.core.latency import LatencyGoal
-from repro.core.telemetry_manager import TelemetryManager
-from repro.core.thresholds import ThresholdConfig, default_thresholds
+from repro.core.thresholds import default_thresholds
 from repro.engine.containers import default_catalog
 from repro.engine.resources import SCALABLE_KINDS, ResourceKind
 from repro.engine.server import EngineConfig
@@ -65,25 +61,10 @@ from repro.obs.events import TraceLevel
 from repro.obs.tracer import Tracer
 from repro.policies.auto import AutoPolicy
 from repro.workloads import Trace, cpuio_workload
-from repro.stats.incremental import (
-    IncrementalSpearman,
-    IncrementalTheilSen,
-    SlidingMedian,
-)
-from repro.stats.robust import median as batch_median
-from repro.stats.spearman import spearman
-from repro.stats.theil_sen import detect_trend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_perf_telemetry.json"
 
-TARGET_SPEEDUP = 5.0  # incremental vs batch signal extraction (window 10)
-#: Per-window incremental-vs-batch targets for the fleet signal arm.  The
-#: window-64 geometry amortizes differently (the batch path's relative cost
-#: grows slower than the incremental path's ring bookkeeping), so holding
-#: it to the window-10 target recorded a perpetual 3.8x-vs-5.0x miss; the
-#: committed artifact must be self-consistent with what the gate enforces.
-FLEET_WINDOW_TARGETS = {10: TARGET_SPEEDUP, 64: 3.0}
 VECTORIZED_TARGET_SPEEDUP = 10.0  # vectorized sweep vs scalar decide loop
 
 #: Ceilings for the 1M-tenant closed-loop sweep arm (laptop-class budget).
@@ -141,91 +122,6 @@ def make_stream(seed: int, n_intervals: int) -> list[IntervalCounters]:
             )
         )
     return counters
-
-
-def run_fleet(
-    streams: list[list[IntervalCounters]],
-    tenant_ids: range,
-    incremental: bool,
-    thresholds: ThresholdConfig,
-    warmup: int,
-) -> float:
-    """Steady-state seconds for observe()+signals() over the given tenants.
-
-    The first ``warmup`` intervals per tenant fill the rings untimed;
-    only the remaining (steady-state) intervals are measured.
-    """
-    goal = LatencyGoal(100.0)
-    managers = [
-        TelemetryManager(thresholds, goal, incremental=incremental)
-        for _ in tenant_ids
-    ]
-    elapsed = 0.0
-    for tenant, manager in zip(tenant_ids, managers):
-        stream = streams[tenant % len(streams)]
-        for counters in stream[:warmup]:
-            manager.observe(counters)
-            manager.signals()
-        start = time.perf_counter()
-        for counters in stream[warmup:]:
-            manager.observe(counters)
-            manager.signals()
-        elapsed += time.perf_counter() - start
-    return elapsed
-
-
-def verify_equivalence(stream: list[IntervalCounters]) -> int:
-    """Cross-check incremental vs. batch signals on one stream; returns #intervals."""
-    manager = TelemetryManager(
-        default_thresholds(), LatencyGoal(100.0), cross_check=True
-    )
-    for counters in stream:
-        manager.observe(counters)
-        manager.signals()  # raises AssertionError on any mismatch
-    return len(stream)
-
-
-def bench_fleet_signals(
-    streams: list[list[IntervalCounters]],
-    n_tenants: int,
-    n_batch_tenants: int,
-    thresholds: ThresholdConfig,
-) -> dict:
-    """Incremental vs batch signal extraction at one window geometry."""
-    n_intervals = len(streams[0])
-    # Smoke-sized runs may be shorter than a 64-wide window; cap the
-    # warm-up so at least half the stream is measured (the committed
-    # full-mode numbers always measure a fully warmed window).
-    warmup = min(thresholds.signal_window, n_intervals // 2)
-    measured = n_intervals - warmup
-    incremental_s = run_fleet(
-        streams, range(n_tenants), incremental=True,
-        thresholds=thresholds, warmup=warmup,
-    )
-    # The batch path is ~an order of magnitude slower; time it on enough
-    # tenants for a stable per-tenant-interval figure and compare rates.
-    batch_s = run_fleet(
-        streams, range(n_batch_tenants), incremental=False,
-        thresholds=thresholds, warmup=warmup,
-    )
-    inc_rate_us = 1e6 * incremental_s / (n_tenants * measured)
-    batch_rate_us = 1e6 * batch_s / (n_batch_tenants * measured)
-    target = FLEET_WINDOW_TARGETS.get(thresholds.signal_window, TARGET_SPEEDUP)
-    return {
-        "tenants": n_tenants,
-        "batch_tenants": n_batch_tenants,
-        "intervals": n_intervals,
-        "warmup_intervals": warmup,
-        "measured_intervals": measured,
-        "signal_window": thresholds.signal_window,
-        "trend_window": thresholds.trend_window,
-        "incremental_s": round(incremental_s, 4),
-        "batch_s": round(batch_s, 4),
-        "incremental_us_per_tenant_interval": round(inc_rate_us, 2),
-        "batch_us_per_tenant_interval": round(batch_rate_us, 2),
-        "speedup": round(batch_rate_us / inc_rate_us, 2),
-        "target_speedup": target,
-    }
 
 
 # -- the vectorized sweep vs. the scalar decide loop --------------------------
@@ -489,102 +385,6 @@ def bench_chaos_degraded(
         "degraded_over_healthy": round(degraded_mean / healthy_mean, 2),
         "max_ratio": CHAOS_DEGRADED_MAX_RATIO,
     }
-
-
-# -- primitive microbenchmarks ------------------------------------------------
-
-
-def bench_primitives(
-    window: int, n_appends: int, seed: int = 7, repeats: int = 3
-) -> dict:
-    """Steady-state per-append+query cost (µs), incremental vs. batch.
-
-    Each arm first fills the window untimed, then times ``n_appends``
-    steady-state appends; best of ``repeats`` fresh runs is reported so a
-    scheduler hiccup in one round cannot masquerade as a regression.
-    """
-    rng = np.random.default_rng(seed)
-    total = window + n_appends
-    xs = np.arange(total, dtype=float)
-    ys = rng.normal(100.0, 15.0, size=total)
-    zs = ys * 0.7 + rng.normal(0.0, 5.0, size=total)
-    out: dict[str, dict[str, float]] = {}
-
-    def us(elapsed: float) -> float:
-        return 1e6 * elapsed / n_appends
-
-    def best(run) -> float:
-        return min(run() for _ in range(repeats))
-
-    def inc_median() -> float:
-        sliding = SlidingMedian(window)
-        for value in ys[:window]:
-            sliding.append(value)
-            sliding.median()
-        start = time.perf_counter()
-        for value in ys[window:]:
-            sliding.append(value)
-            sliding.median()
-        return time.perf_counter() - start
-
-    def batch_median_run() -> float:
-        start = time.perf_counter()
-        for i in range(window, total):
-            batch_median(ys[i + 1 - window : i + 1])
-        return time.perf_counter() - start
-
-    out["median"] = {
-        "incremental_us": us(best(inc_median)),
-        "batch_us": us(best(batch_median_run)),
-    }
-
-    def inc_trend() -> float:
-        trend = IncrementalTheilSen(window)
-        for x, y in zip(xs[:window], ys[:window]):
-            trend.append(x, y)
-            trend.result()
-        start = time.perf_counter()
-        for x, y in zip(xs[window:], ys[window:]):
-            trend.append(x, y)
-            trend.result()
-        return time.perf_counter() - start
-
-    def batch_trend() -> float:
-        start = time.perf_counter()
-        for i in range(window, total):
-            detect_trend(xs[i + 1 - window : i + 1], ys[i + 1 - window : i + 1])
-        return time.perf_counter() - start
-
-    out["theil_sen"] = {
-        "incremental_us": us(best(inc_trend)),
-        "batch_us": us(best(batch_trend)),
-    }
-
-    def inc_corr() -> float:
-        corr = IncrementalSpearman(window)
-        for y, z in zip(ys[:window], zs[:window]):
-            corr.append(y, z)
-            corr.result()
-        start = time.perf_counter()
-        for y, z in zip(ys[window:], zs[window:]):
-            corr.append(y, z)
-            corr.result()
-        return time.perf_counter() - start
-
-    def batch_corr() -> float:
-        start = time.perf_counter()
-        for i in range(window, total):
-            spearman(ys[i + 1 - window : i + 1], zs[i + 1 - window : i + 1])
-        return time.perf_counter() - start
-
-    out["spearman"] = {
-        "incremental_us": us(best(inc_corr)),
-        "batch_us": us(best(batch_corr)),
-    }
-
-    for entry in out.values():
-        entry["speedup"] = entry["batch_us"] / entry["incremental_us"]
-    return out
 
 
 # -- tracing overhead ---------------------------------------------------------
@@ -887,15 +687,9 @@ def run_benchmark(
     n_intervals = (40 if smoke else 200) if intervals is None else intervals
     if n_tenants < 1 or n_intervals < 1:
         raise ValueError("tenants and intervals must be >= 1")
-    n_batch_tenants = min(n_tenants, 8 if smoke else 50)
-    # window=64 geometry is slower per tenant; fewer tenants give the same
-    # per-tenant-interval rate.
-    n_w64_tenants = min(n_tenants, 8 if smoke else 200)
-
     streams = [
         make_stream(seed, n_intervals) for seed in range(min(STREAM_POOL, n_tenants))
     ]
-    checked = verify_equivalence(streams[0])
 
     def between_arms() -> None:
         # Each arm scopes its own large synthetic arrays; a collect at the
@@ -903,38 +697,14 @@ def run_benchmark(
         # allocations reuse the memory instead of stacking on top.
         gc.collect()
 
-    w64 = ThresholdConfig(signal_window=64, trend_window=64)
     result: dict = {
         "benchmark": "perf_telemetry",
         "mode": "smoke" if smoke else "full",
     }
-    result["fleet"] = {
-        "window_10": bench_fleet_signals(
-            streams, n_tenants, n_batch_tenants, default_thresholds()
-        ),
-        "window_64": bench_fleet_signals(
-            streams,
-            n_w64_tenants,
-            min(n_w64_tenants, 8 if smoke else 25),
-            w64,
-        ),
-    }
-    between_arms()
     result["fleet_vectorized"] = bench_fleet_vectorized(streams, n_tenants)
     between_arms()
     result["chaos_degraded"] = bench_chaos_degraded(n_tenants, n_intervals)
     between_arms()
-    # window=10 is the default telemetry geometry (signal_window); 64
-    # shows the asymptotic gap on larger history windows.
-    result["primitives"] = {
-        f"window_{window}": {
-            name: {key: round(value, 3) for key, value in entry.items()}
-            for name, entry in bench_primitives(
-                window=window, n_appends=400 if smoke else 4000
-            ).items()
-        }
-        for window in (10, 64)
-    }
     result["tracing"] = bench_tracing_overhead(smoke=smoke)
     between_arms()
     result["fleet_observability"] = bench_fleet_observability(
@@ -943,10 +713,6 @@ def run_benchmark(
     between_arms()
     result["checkpoint"] = bench_checkpoint(n_tenants, n_intervals)
     between_arms()
-    result["equivalence"] = {
-        "cross_checked_intervals": checked,
-        "identical_signals": True,
-    }
     if smoke:
         # Truncated fleet-scale arm: same closed-loop machinery and keys,
         # CI-sized geometry (the committed full-mode numbers carry the
@@ -963,20 +729,8 @@ def run_benchmark(
 
 
 def report(result: dict) -> str:
-    lines = []
-    for window_key, fleet in result["fleet"].items():
-        lines += [
-            f"fleet signals {window_key} ({fleet['tenants']} tenants x "
-            f"{fleet['measured_intervals']} measured intervals, batch timed on "
-            f"{fleet['batch_tenants']} tenants):",
-            f"  incremental: {fleet['incremental_us_per_tenant_interval']:8.1f} us/tenant-interval"
-            f"  ({fleet['incremental_s']:.2f}s total)",
-            f"  batch:       {fleet['batch_us_per_tenant_interval']:8.1f} us/tenant-interval"
-            f"  ({fleet['batch_s']:.2f}s total)",
-            f"  speedup:     {fleet['speedup']:.1f}x (target >= {fleet['target_speedup']:.0f}x)",
-        ]
     vec = result["fleet_vectorized"]
-    lines += [
+    lines = [
         f"vectorized sweep ({vec['tenants']} tenants x {vec['measured_intervals']} "
         "measured intervals, decisions byte-identical):",
         f"  scalar loop: {vec['scalar_us_per_tenant_interval']:8.1f} us/tenant-interval"
@@ -1005,13 +759,6 @@ def report(result: dict) -> str:
             f"(max {sweep['max_interval_s']:.2f}s, {sweep['intervals']} intervals, "
             f"{sweep['resizes']} resizes)"
         )
-    for window_key, primitives in result["primitives"].items():
-        lines.append(f"primitives ({window_key}, steady-state, per append+query):")
-        for name, entry in primitives.items():
-            lines.append(
-                f"  {name:10s} incremental {entry['incremental_us']:7.2f} us"
-                f"  batch {entry['batch_us']:7.2f} us  ({entry['speedup']:.1f}x)"
-            )
     tracing = result["tracing"]
     lines.append(
         f"tracing overhead ({tracing['intervals']} intervals, DECISION level, "
@@ -1067,10 +814,6 @@ def report(result: dict) -> str:
             f"budget spent {big['budget_spent']:.0f}, "
             f"{big['balloon_transitions']} balloon transitions"
         )
-    lines.append(
-        f"equivalence: {result['equivalence']['cross_checked_intervals']} intervals "
-        "cross-checked, incremental == batch signals"
-    )
     return "\n".join(lines)
 
 
@@ -1109,9 +852,7 @@ def test_perf_telemetry(benchmark):
     """pytest-benchmark entry: smoke-sized run with the speedup assertion."""
     result = benchmark.pedantic(run_benchmark, kwargs={"smoke": True}, rounds=1, iterations=1)
     print(report(result))
-    assert result["fleet"]["window_10"]["speedup"] >= 2.0
     assert result["fleet_vectorized"]["decisions_identical"]
-    assert result["equivalence"]["identical_signals"]
     assert result["chaos_degraded"]["degraded_over_healthy"] > 0
 
 

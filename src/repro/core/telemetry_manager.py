@@ -13,16 +13,18 @@ demand estimator consumes:
   series and each resource's wait series, identifying the bottleneck
   independently of scale or linearity.
 
-Signal extraction runs every billing interval for every tenant, so it is
-the fleet-simulation hot path.  By default the manager serves
-:meth:`signals` from *incrementally maintained* statistics
-(:mod:`repro.stats.incremental`): each :meth:`observe` pays an O(W)
-update and queries are then O(1)/O(W) instead of recomputing O(W²)
-pairwise slopes and full re-ranks per resource per interval.  The batch
-implementations remain available (``incremental=False``) as the
-cross-checked reference; constructing with ``cross_check=True`` evaluates
-both paths on every query and asserts they agree, which the differential
-tests and benchmarks use to prove equivalence.
+The window is one time ring and one sample ring of ``1 + 3K`` columns
+(latency, then utilization, wait ms and wait % per resource), sharing a
+cursor.  :meth:`TelemetryManager.signals` reads the retained slots
+oldest first and evaluates every signal with the width-1 batched
+kernels of :mod:`repro.stats.batched` (one call each for the trends,
+the correlations and the tail medians), the same kernels the fleet
+engine runs over all tenants.  Those kernels equal the scalar
+references in :mod:`repro.stats.theil_sen`, :mod:`repro.stats.spearman`
+and ``np.median`` exactly, so the scalar control loop stays the
+reference oracle for the fleet engines while sharing only the kernels
+with them: the rings, gathers and tiles of :mod:`repro.fleet` are not
+used here.
 """
 
 from __future__ import annotations
@@ -40,17 +42,27 @@ from repro.engine.waits import RESOURCE_WAIT_CLASS
 from repro.core.latency import LatencyGoal
 from repro.obs.events import EventKind, TraceLevel
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.stats.incremental import IncrementalSpearman, TailMedian
-from repro.stats.rolling import TimestampedWindow
-from repro.stats.spearman import CorrelationResult, spearman
-from repro.stats.theil_sen import TrendResult, detect_trend
+from repro.stats.batched import (
+    batched_detect_trend,
+    batched_spearman,
+    batched_tail_median,
+)
+from repro.stats.spearman import CorrelationResult
+from repro.stats.theil_sen import TrendResult
 
 __all__ = ["TelemetryManager"]
 
-#: Absolute tolerance for cross-checking incremental vs. batch signals.
-#: The two paths evaluate identical formulas; only floating-point
-#: summation order differs (numpy pairwise/BLAS vs. sequential).
-CROSS_CHECK_ATOL = 1e-9
+_KINDS = tuple(ResourceKind)
+_WAIT_CLASSES = tuple(RESOURCE_WAIT_CLASS[kind] for kind in _KINDS)
+_K = len(_KINDS)
+# Sample ring columns: latency, then one block of K per resource series.
+_UTIL = 1
+_WAIT = 1 + _K
+_WPCT = 1 + 2 * _K
+_COLUMNS = 1 + 3 * _K
+#: Tail-median value of a column whose smoothing tail is all NaN: latency
+#: is unknown (NaN), the resource series read as idle (0.0).
+_SMOOTH_DEFAULT = np.array([math.nan] + [0.0] * (3 * _K))
 
 
 class TelemetryManager:
@@ -59,50 +71,23 @@ class TelemetryManager:
     Args:
         thresholds: categorization thresholds and window geometry.
         goal: optional latency goal defining the latency metric.
-        incremental: serve :meth:`signals` from incrementally maintained
-            statistics (the default) instead of batch recomputation.
-        cross_check: additionally run the batch reference on every
-            :meth:`signals` call and assert both paths agree (slow;
-            intended for differential tests and benchmark validation).
     """
 
     def __init__(
         self,
         thresholds: ThresholdConfig,
         goal: LatencyGoal | None = None,
-        *,
-        incremental: bool = True,
-        cross_check: bool = False,
     ) -> None:
         self.thresholds = thresholds
         self.goal = goal
-        self.incremental = incremental
-        self.cross_check = cross_check
         window = thresholds.signal_window
-        trend_window = thresholds.trend_window
-        # The batch reference smooths over values()[-smooth_intervals:], so
-        # the smoothing tail can never reach past the signal window.
-        smooth = min(thresholds.smooth_intervals, window)
-        self._latency = TimestampedWindow(window, trend_window=trend_window)
-        self._utilization = {
-            kind: TimestampedWindow(window, trend_window=trend_window)
-            for kind in ResourceKind
-        }
-        self._wait_ms = {
-            kind: TimestampedWindow(window, trend_window=trend_window)
-            for kind in ResourceKind
-        }
-        self._wait_pct = {
-            kind: TimestampedWindow(window, trend_window=trend_window)
-            for kind in ResourceKind
-        }
-        # Incremental state: smoothed "current" values per series and the
-        # latency-vs-wait correlation per resource, updated on observe().
-        self._latency_smooth = TailMedian(smooth)
-        self._utilization_smooth = {kind: TailMedian(smooth) for kind in ResourceKind}
-        self._wait_ms_smooth = {kind: TailMedian(smooth) for kind in ResourceKind}
-        self._wait_pct_smooth = {kind: TailMedian(smooth) for kind in ResourceKind}
-        self._correlation = {kind: IncrementalSpearman(window) for kind in ResourceKind}
+        self._window = window
+        # The smoothing tail can never reach past the signal window.
+        self._smooth = min(thresholds.smooth_intervals, window)
+        self._t = np.full(window, math.nan)
+        self._samples = np.full((window, _COLUMNS), math.nan)
+        self._cursor = 0
+        self._count = 0  # retained samples, at most ``window``
         self._last: IntervalCounters | None = None
         #: Attached by :meth:`AutoScaler.attach_tracer`; DEBUG-level events
         #: record each observation and the trend/correlation evidence behind
@@ -113,29 +98,24 @@ class TelemetryManager:
 
     def observe(self, counters: IntervalCounters) -> None:
         """Absorb one billing interval of telemetry."""
-        t = float(counters.interval_index)
         latency = self._interval_latency(counters)
-        self._latency.append(t, latency)
-        self._latency_smooth.append(latency)
-        for kind in ResourceKind:
-            utilization = counters.utilization_percent(kind)
-            wait_class = RESOURCE_WAIT_CLASS[kind]
-            wait_ms = counters.wait_ms(wait_class)
-            wait_pct = counters.wait_percent(wait_class)
-            self._utilization[kind].append(t, utilization)
-            self._wait_ms[kind].append(t, wait_ms)
-            self._wait_pct[kind].append(t, wait_pct)
-            self._utilization_smooth[kind].append(utilization)
-            self._wait_ms_smooth[kind].append(wait_ms)
-            self._wait_pct_smooth[kind].append(wait_pct)
-            self._correlation[kind].append(latency, wait_ms)
+        c = self._cursor
+        self._t[c] = float(counters.interval_index)
+        self._samples[c] = [
+            latency,
+            *[counters.utilization_percent(kind) for kind in _KINDS],
+            *[counters.wait_ms(wait_class) for wait_class in _WAIT_CLASSES],
+            *[counters.wait_percent(wait_class) for wait_class in _WAIT_CLASSES],
+        ]
+        self._cursor = (c + 1) % self._window
+        self._count = min(self._count + 1, self._window)
         self._last = counters
         if self.tracer.enabled_for(TraceLevel.DEBUG):
             self.tracer.emit(
                 "telemetry", EventKind.TELEMETRY, level=TraceLevel.DEBUG,
                 interval=counters.interval_index,
                 latency_ms=latency, completions=counters.completions,
-                window_len=len(self._latency),
+                window_len=self._count,
                 signal_window=self.thresholds.signal_window,
                 trend_window=self.thresholds.trend_window,
             )
@@ -150,6 +130,11 @@ class TelemetryManager:
             counters.latency_percentile(95.0)
         )  # default metric when no goal is set
 
+    def _slots(self) -> np.ndarray:
+        """Ring slots of the retained samples, oldest first."""
+        n = self._count
+        return (self._cursor - n + np.arange(n)) % self._window
+
     # -- signal extraction ---------------------------------------------------------
 
     def signals(self) -> WorkloadSignals:
@@ -161,17 +146,73 @@ class TelemetryManager:
                 returning NaN-filled signals would poison downstream
                 categorization.
         """
-        if self._last is None:
+        counters = self._last
+        if counters is None:
             raise InsufficientDataError(
                 "no telemetry observed yet: observe() at least one interval "
                 "before requesting signals()"
             )
-        if not self.incremental:
-            result = self._signals_batch()
-        else:
-            result = self._signals_incremental()
-            if self.cross_check:
-                _assert_signals_close(result, self._signals_batch())
+        cfg = self.thresholds
+        slots = self._slots()
+        samples = self._samples[slots]  # (n, columns), oldest first
+
+        # Trends over the trend tail: latency, K utilization, K wait ms.
+        tail = slots[-cfg.trend_window :]
+        trend = batched_detect_trend(
+            self._t[tail],
+            samples[-len(tail) :, :_WPCT].T,
+            alpha=cfg.trend_alpha,
+        )
+        slope = trend.slope.tolist()
+        significant = trend.significant.tolist()
+        agreement = trend.agreement.tolist()
+        n_points = trend.n_points.tolist()
+        trends = [
+            TrendResult(slope[i], significant[i], agreement[i], n_points[i])
+            for i in range(_WPCT)
+        ]
+        # Latency against each resource's wait ms over the full window,
+        # shaped as a one-tenant fleet: x (1, n), y (K, 1, n).
+        corr = batched_spearman(
+            samples[None, :, 0], samples[:, _WAIT:_WPCT].T[:, None, :]
+        )
+        rho = corr.rho.ravel().tolist()
+        corr_points = corr.n_points.ravel().tolist()
+        # Smoothed "current" value of every column: its tail median.
+        smoothed = batched_tail_median(
+            samples.T, self._smooth, default=_SMOOTH_DEFAULT
+        ).tolist()
+
+        resources: dict[ResourceKind, ResourceSignals] = {}
+        for k, kind in enumerate(_KINDS):
+            utilization = smoothed[_UTIL + k]
+            wait_ms = smoothed[_WAIT + k]
+            wait_pct = smoothed[_WPCT + k]
+            resources[kind] = ResourceSignals(
+                kind=kind,
+                utilization_pct=utilization,
+                utilization_level=cfg.categorize_utilization(utilization),
+                wait_ms=wait_ms,
+                wait_level=cfg.categorize_wait(kind, wait_ms),
+                wait_pct=wait_pct,
+                wait_significant=cfg.is_wait_significant(wait_pct),
+                utilization_trend=trends[_UTIL + k],
+                wait_trend=trends[_WAIT + k],
+                latency_correlation=CorrelationResult(rho[k], corr_points[k]),
+            )
+        latency_ms = smoothed[0]
+        result = WorkloadSignals(
+            interval_index=counters.interval_index,
+            latency_ms=latency_ms,
+            latency_status=self._latency_status(latency_ms),
+            latency_trend=trends[0],
+            resources=resources,
+            wait_percentages=counters.waits.percentages(),
+            dominant_wait=counters.waits.dominant_class(),
+            memory_used_gb=counters.memory_used_gb,
+            container_level=counters.container.level,
+            throughput_per_s=counters.throughput_per_s,
+        )
         if self.tracer.enabled_for(TraceLevel.DEBUG):
             self._trace_signals(result)
         return result
@@ -206,115 +247,6 @@ class TelemetryManager:
             resources=per_resource,
         )
 
-    def _signals_incremental(self) -> WorkloadSignals:
-        """Signals served from the incrementally maintained statistics."""
-        counters = self._last
-        cfg = self.thresholds
-        alpha = cfg.trend_alpha
-
-        latency_ms = self._latency_smooth.median(default=math.nan)
-        resources: dict[ResourceKind, ResourceSignals] = {}
-        for kind in ResourceKind:
-            utilization = self._utilization_smooth[kind].median()
-            wait_ms = self._wait_ms_smooth[kind].median()
-            wait_pct = self._wait_pct_smooth[kind].median()
-            resources[kind] = ResourceSignals(
-                kind=kind,
-                utilization_pct=utilization,
-                utilization_level=cfg.categorize_utilization(utilization),
-                wait_ms=wait_ms,
-                wait_level=cfg.categorize_wait(kind, wait_ms),
-                wait_pct=wait_pct,
-                wait_significant=cfg.is_wait_significant(wait_pct),
-                utilization_trend=self._utilization[kind].trend(alpha=alpha),
-                wait_trend=self._wait_ms[kind].trend(alpha=alpha),
-                latency_correlation=self._correlation[kind].result(),
-            )
-        return self._assemble(
-            counters,
-            latency_ms=latency_ms,
-            latency_trend=self._latency.trend(alpha=alpha),
-            resources=resources,
-        )
-
-    def _signals_batch(self) -> WorkloadSignals:
-        """The original from-scratch signal computation (reference path)."""
-        counters = self._last
-        cfg = self.thresholds
-
-        latency_ms = self._smoothed_latency()
-        latency_series = self._latency.values()
-        resources: dict[ResourceKind, ResourceSignals] = {}
-        for kind in ResourceKind:
-            utilization = self._smoothed(self._utilization[kind])
-            wait_ms = self._smoothed(self._wait_ms[kind])
-            wait_pct = self._smoothed(self._wait_pct[kind])
-            wait_series = self._wait_ms[kind].values()
-            n = min(latency_series.size, wait_series.size)
-            correlation: CorrelationResult = spearman(
-                latency_series[-n:], wait_series[-n:]
-            )
-            resources[kind] = ResourceSignals(
-                kind=kind,
-                utilization_pct=utilization,
-                utilization_level=cfg.categorize_utilization(utilization),
-                wait_ms=wait_ms,
-                wait_level=cfg.categorize_wait(kind, wait_ms),
-                wait_pct=wait_pct,
-                wait_significant=cfg.is_wait_significant(wait_pct),
-                utilization_trend=self._trend(self._utilization[kind]),
-                wait_trend=self._trend(self._wait_ms[kind]),
-                latency_correlation=correlation,
-            )
-        return self._assemble(
-            counters,
-            latency_ms=latency_ms,
-            latency_trend=self._trend(self._latency),
-            resources=resources,
-        )
-
-    def _assemble(
-        self,
-        counters: IntervalCounters,
-        *,
-        latency_ms: float,
-        latency_trend: TrendResult,
-        resources: dict[ResourceKind, ResourceSignals],
-    ) -> WorkloadSignals:
-        return WorkloadSignals(
-            interval_index=counters.interval_index,
-            latency_ms=latency_ms,
-            latency_status=self._latency_status(latency_ms),
-            latency_trend=latency_trend,
-            resources=resources,
-            wait_percentages=counters.waits.percentages(),
-            dominant_wait=counters.waits.dominant_class(),
-            memory_used_gb=counters.memory_used_gb,
-            container_level=counters.container.level,
-            throughput_per_s=counters.throughput_per_s,
-        )
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _smoothed(self, window: TimestampedWindow) -> float:
-        """Median of the last few intervals — the robust 'current' value."""
-        values = window.values()
-        if values.size == 0:
-            return 0.0
-        tail = values[-self.thresholds.smooth_intervals:]
-        finite = tail[~np.isnan(tail)]
-        if finite.size == 0:
-            return 0.0
-        return float(np.median(finite))
-
-    def _smoothed_latency(self) -> float:
-        values = self._latency.values()
-        tail = values[-self.thresholds.smooth_intervals:]
-        finite = tail[~np.isnan(tail)]
-        if finite.size == 0:
-            return math.nan
-        return float(np.median(finite))
-
     def _latency_status(self, latency_ms: float) -> LatencyStatus:
         if self.goal is None or math.isnan(latency_ms):
             return LatencyStatus.UNKNOWN
@@ -324,60 +256,29 @@ class TelemetryManager:
             else LatencyStatus.BAD
         )
 
-    def _trend(self, window: TimestampedWindow) -> TrendResult:
-        cfg = self.thresholds
-        times = window.times()[-cfg.trend_window :]
-        values = window.values()[-cfg.trend_window :]
-        return detect_trend(times, values, alpha=cfg.trend_alpha)
-
     # -- checkpointing -----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Exact serializable state of every window and smoother.
+        """Exact serializable state: both rings, the cursor and the count.
 
-        Windows are captured as their retained samples in arrival order;
-        the incremental statistics they back (Theil–Sen slope caches,
-        Spearman rank windows, tail medians) are pure functions of those
-        samples, so :meth:`load_state_dict` rebuilds them by replay.
+        Every signal is a pure function of the retained samples, so the
+        rings are the whole state.  Arrays are copies, safe to serialize
+        while the next :meth:`observe` writes the live rings.
         """
         return {
             "signal_window": self.thresholds.signal_window,
             "trend_window": self.thresholds.trend_window,
             "smooth_intervals": self.thresholds.smooth_intervals,
-            "latency": self._latency.state_dict(),
-            "utilization": {
-                kind.value: self._utilization[kind].state_dict()
-                for kind in ResourceKind
-            },
-            "wait_ms": {
-                kind.value: self._wait_ms[kind].state_dict()
-                for kind in ResourceKind
-            },
-            "wait_pct": {
-                kind.value: self._wait_pct[kind].state_dict()
-                for kind in ResourceKind
-            },
-            "latency_smooth": self._latency_smooth.state_dict(),
-            "utilization_smooth": {
-                kind.value: self._utilization_smooth[kind].state_dict()
-                for kind in ResourceKind
-            },
-            "wait_ms_smooth": {
-                kind.value: self._wait_ms_smooth[kind].state_dict()
-                for kind in ResourceKind
-            },
-            "wait_pct_smooth": {
-                kind.value: self._wait_pct_smooth[kind].state_dict()
-                for kind in ResourceKind
-            },
-            "correlation": {
-                kind.value: self._correlation[kind].state_dict()
-                for kind in ResourceKind
-            },
+            "t": self._t.copy(),
+            "samples": self._samples.copy(),
+            "cursor": self._cursor,
+            "count": self._count,
             "last": None if self._last is None else self._last.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore from :meth:`state_dict`; a malformed state is refused
+        with :class:`ConfigurationError` before anything is replaced."""
         geometry = (
             int(state["signal_window"]),
             int(state["trend_window"]),
@@ -393,88 +294,47 @@ class TelemetryManager:
                 f"telemetry window geometry mismatch: checkpoint has "
                 f"{geometry}, live manager has {live}"
             )
-        self._latency.load_state_dict(state["latency"])
-        self._latency_smooth.load_state_dict(state["latency_smooth"])
-        for kind in ResourceKind:
-            self._utilization[kind].load_state_dict(state["utilization"][kind.value])
-            self._wait_ms[kind].load_state_dict(state["wait_ms"][kind.value])
-            self._wait_pct[kind].load_state_dict(state["wait_pct"][kind.value])
-            self._utilization_smooth[kind].load_state_dict(
-                state["utilization_smooth"][kind.value]
+        t = np.array(state["t"], dtype=float)
+        samples = np.array(state["samples"], dtype=float)
+        for name, ring, live_ring in (
+            ("t", t, self._t),
+            ("samples", samples, self._samples),
+        ):
+            if ring.shape != live_ring.shape:
+                raise ConfigurationError(
+                    f"telemetry checkpoint ring {name!r} has shape "
+                    f"{ring.shape}, expected {live_ring.shape}"
+                )
+        cursor, count = int(state["cursor"]), int(state["count"])
+        window = self._window
+        if not (
+            0 <= cursor < window
+            and 0 <= count <= window
+            and (count == window or cursor == count)
+        ):
+            raise ConfigurationError(
+                f"telemetry checkpoint cursor {cursor} / count {count} is "
+                f"not a valid position in a {window}-slot ring"
             )
-            self._wait_ms_smooth[kind].load_state_dict(
-                state["wait_ms_smooth"][kind.value]
-            )
-            self._wait_pct_smooth[kind].load_state_dict(
-                state["wait_pct_smooth"][kind.value]
-            )
-            self._correlation[kind].load_state_dict(state["correlation"][kind.value])
         last = state["last"]
+        if (last is None) != (count == 0):
+            raise ConfigurationError(
+                f"telemetry checkpoint holds {count} samples but "
+                f"{'no' if last is None else 'a'} last interval"
+            )
+        self._t = t
+        self._samples = samples
+        self._cursor = cursor
+        self._count = count
         self._last = None if last is None else IntervalCounters.from_state_dict(last)
 
     # Convenience accessors used by diagnostics/tests.
 
     def latency_history(self):
-        return self._latency.values()
+        return self._samples[self._slots(), 0]
 
     def utilization_history(self, kind: ResourceKind):
-        return self._utilization[kind].values()
+        return self._samples[self._slots(), _UTIL + _KINDS.index(kind)]
 
     def wait_history(self, kind: ResourceKind):
-        return self._wait_ms[kind].values()
-
-
-def _close(a: float, b: float, atol: float = CROSS_CHECK_ATOL) -> bool:
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return math.isclose(a, b, rel_tol=atol, abs_tol=atol)
-
-
-def _assert_trend_close(inc: TrendResult, ref: TrendResult, label: str) -> None:
-    if (
-        inc.significant != ref.significant
-        or inc.n_points != ref.n_points
-        or not _close(inc.slope, ref.slope)
-        or not _close(inc.agreement, ref.agreement)
-    ):
-        raise AssertionError(f"{label}: incremental {inc!r} != batch {ref!r}")
-
-
-def _assert_signals_close(inc: WorkloadSignals, ref: WorkloadSignals) -> None:
-    """Assert the incremental and batch signal sets agree (cross-check mode)."""
-    if not _close(inc.latency_ms, ref.latency_ms):
-        raise AssertionError(
-            f"latency_ms: incremental {inc.latency_ms!r} != batch {ref.latency_ms!r}"
-        )
-    if inc.latency_status is not ref.latency_status:
-        raise AssertionError(
-            f"latency_status: {inc.latency_status} != {ref.latency_status}"
-        )
-    _assert_trend_close(inc.latency_trend, ref.latency_trend, "latency_trend")
-    for kind, inc_res in inc.resources.items():
-        ref_res = ref.resources[kind]
-        for field in ("utilization_pct", "wait_ms", "wait_pct"):
-            if not _close(getattr(inc_res, field), getattr(ref_res, field)):
-                raise AssertionError(
-                    f"{kind}.{field}: incremental {getattr(inc_res, field)!r} "
-                    f"!= batch {getattr(ref_res, field)!r}"
-                )
-        for field in ("utilization_level", "wait_level", "wait_significant"):
-            if getattr(inc_res, field) != getattr(ref_res, field):
-                raise AssertionError(
-                    f"{kind}.{field}: incremental {getattr(inc_res, field)!r} "
-                    f"!= batch {getattr(ref_res, field)!r}"
-                )
-        _assert_trend_close(
-            inc_res.utilization_trend, ref_res.utilization_trend,
-            f"{kind}.utilization_trend",
-        )
-        _assert_trend_close(inc_res.wait_trend, ref_res.wait_trend, f"{kind}.wait_trend")
-        inc_corr, ref_corr = inc_res.latency_correlation, ref_res.latency_correlation
-        if inc_corr.n_points != ref_corr.n_points or not _close(
-            inc_corr.rho, ref_corr.rho
-        ):
-            raise AssertionError(
-                f"{kind}.latency_correlation: incremental {inc_corr!r} "
-                f"!= batch {ref_corr!r}"
-            )
+        return self._samples[self._slots(), _WAIT + _KINDS.index(kind)]

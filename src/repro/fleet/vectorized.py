@@ -27,10 +27,10 @@ Scope and contracts:
 * **Byte-identical decisions.**  Given the same per-interval inputs the
   vectorized sweep reproduces the scalar ``AutoScaler.decide`` outputs
   exactly — container level, ``resized``, balloon limit, per-resource
-  steps, rule ids, and the ordered action-kind list.  Floating-point
-  signal values match the scalar incremental path to 1e-9 (Spearman is
-  bit-identical by the shared integer-rank formulation).  Held by
-  ``tests/test_fleet_vectorized.py`` and the golden replay test.
+  steps, rule ids, and the ordered action-kind list.  The scalar
+  manager runs the same batched kernels at width 1, so the signals
+  match it exactly.  Held by ``tests/test_fleet_vectorized.py``, the
+  golden replay test and ``tests/test_telemetry_manager.py``.
 * **The scalar path remains the reference.**  This engine covers the
   healthy-telemetry fleet sweep, the hot path;
   :mod:`repro.fleet.degraded` extends it with telemetry guards, safe
@@ -562,7 +562,7 @@ class VectorizedTelemetry:
         out.corr_n_points[:, idx] = corr.n_points
 
         # Smoothed "current" values: tail medians (defaults: latency NaN,
-        # resources 0.0 — the scalar TailMedian defaults).
+        # resources 0.0 — the scalar manager's defaults).
         sslots = self._tail_slots(self._smooth, idx)
         sw = len(sslots)
         lat_stack = self._buf("smooth_lat", (sw, m))

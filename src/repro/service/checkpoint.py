@@ -50,7 +50,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump on any incompatible change to
 #: the payload structure and teach :func:`Checkpoint.from_json` to either
 #: migrate or refuse the old version explicitly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Tag key marking an encoded ndarray.  Chosen to be implausible as a
 #: real state-dict key.

@@ -14,13 +14,6 @@ from repro.stats.batched import (
     batched_tail_median,
     fractional_ranks,
 )
-from repro.stats.incremental import (
-    IncrementalSpearman,
-    IncrementalTheilSen,
-    RunningMedian,
-    SlidingMedian,
-    TailMedian,
-)
 from repro.stats.percentiles import P2Quantile, percentile
 from repro.stats.robust import (
     breakdown_point,
@@ -31,7 +24,7 @@ from repro.stats.robust import (
     trimmed_mean,
     winsorized_mean,
 )
-from repro.stats.rolling import RollingWindow, TimestampedWindow
+from repro.stats.rolling import RollingWindow
 from repro.stats.spearman import CorrelationResult, pearson, rankdata, spearman
 from repro.stats.theil_sen import (
     TrendResult,
@@ -48,11 +41,6 @@ __all__ = [
     "batched_spearman",
     "batched_tail_median",
     "fractional_ranks",
-    "IncrementalSpearman",
-    "IncrementalTheilSen",
-    "RunningMedian",
-    "SlidingMedian",
-    "TailMedian",
     "P2Quantile",
     "percentile",
     "breakdown_point",
@@ -63,7 +51,6 @@ __all__ = [
     "trimmed_mean",
     "winsorized_mean",
     "RollingWindow",
-    "TimestampedWindow",
     "CorrelationResult",
     "pearson",
     "rankdata",

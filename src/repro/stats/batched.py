@@ -1,12 +1,12 @@
 """Batched signal kernels over ``(tenants, window)`` matrices.
 
-The scalar statistics in :mod:`repro.stats.theil_sen`,
-:mod:`repro.stats.spearman` and :mod:`repro.stats.incremental` evaluate one
-tenant's window per call.  At fleet scale (the paper's service operates on
-the whole DBaaS cluster every billing interval, and URSA-style capacity
-loops evaluate every tenant per cycle) the per-call Python and numpy
-dispatch overhead dominates: 100k tenants × a handful of signals is
-~1M interpreter round-trips per interval.
+The scalar statistics in :mod:`repro.stats.theil_sen` and
+:mod:`repro.stats.spearman` evaluate one series per call.  At fleet
+scale (the paper's service operates on the whole DBaaS cluster every
+billing interval, and URSA-style capacity loops evaluate every tenant
+per cycle) the per-call Python and numpy dispatch overhead dominates:
+100k tenants × a handful of signals is ~1M interpreter round-trips per
+interval.
 
 This module computes the same statistics for *all tenants at once*:
 
@@ -17,7 +17,7 @@ This module computes the same statistics for *all tenants at once*:
   one x row may be paired with a stack of y rows (``(m, W)`` against
   ``(K, m, W)``).
 * :func:`batched_tail_median` — NaN-dropping tail median with a default
-  for all-NaN rows, the batched :class:`repro.stats.incremental.TailMedian`.
+  for all-NaN rows.
 
 Semantics contract (held by ``tests/test_stats_batched.py``): every
 output equals the scalar reference row-for-row under
@@ -26,9 +26,10 @@ counts, with NaN/inf handling, minimum-point rules, tie averaging and
 agreement thresholds included.  The references are
 :func:`repro.stats.theil_sen.detect_trend` on each row, the doubled-rank
 integer identity of :func:`repro.stats.spearman.spearman` evaluated per
-row (bit-identical to the incremental vector path; the float Pearson of
-``spearman`` itself agrees to 1e-9), and ``np.median`` of each row's
-non-NaN tail.
+row (the float Pearson of ``spearman`` itself agrees to 1e-9), and
+``np.median`` of each row's non-NaN tail.  The scalar
+:class:`repro.core.telemetry_manager.TelemetryManager` runs these
+kernels at width 1, so its signals are the references' too.
 
 Memory order: callers may pass any layout.  Every kernel works on the
 time-major ``(W, rows)`` transpose, so a caller holding time-major
@@ -520,18 +521,17 @@ def batched_spearman(
     row; rows with fewer than ``min_points`` surviving pairs (or a
     constant axis) report ``rho = 0.0``.
 
-    Uses the doubled-rank integer identity (see
-    :class:`repro.stats.incremental.IncrementalSpearman`): with
-    ``u = 2·rank(x) − 1`` and ``v = 2·rank(y) − 1`` over the ``n`` valid
-    pairs, ``Σu = n²`` exactly, so
+    Uses the doubled-rank integer identity: with ``u = 2·rank(x) − 1``
+    and ``v = 2·rank(y) − 1`` over the ``n`` valid pairs, ``Σu = n²``
+    exactly, so
 
         rho = (Σuv − n³) / sqrt((Σu² − n³)(Σv² − n³))
 
-    in *exact integer arithmetic* — bit-identical to the incremental
-    vector path.  Each ``x`` row is ranked once over its own finite
-    samples; only a pair whose ``y`` drops a sample that ``x`` keeps
-    re-ranks its ``x`` over the pair mask, since ranks depend on which
-    samples survive.
+    in *exact integer arithmetic*: the result depends on neither the
+    order of the samples nor the row blocking.  Each ``x`` row is ranked
+    once over its own finite samples; only a pair whose ``y`` drops a
+    sample that ``x`` keeps re-ranks its ``x`` over the pair mask, since
+    ranks depend on which samples survive.
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -611,14 +611,15 @@ def _spearman_block(
 def batched_tail_median(
     values: np.ndarray,
     k: int,
-    default: float = 0.0,
+    default: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """Row-wise NaN-dropping median of the last ``k`` columns.
 
-    The batched :class:`repro.stats.incremental.TailMedian`: NaN entries
-    are excluded, and rows whose tail is entirely NaN report ``default``.
-    ``±inf`` propagates through the median exactly as ``np.median`` does.
-    A one-column tail is a select: the median of one sample is itself.
+    Each row's result is ``np.median`` of the non-NaN entries of its
+    tail; rows whose tail is entirely NaN report ``default``, one value
+    for every row or a ``(T,)`` array of per-row values.  ``±inf``
+    propagates through the median exactly as ``np.median`` does.  A
+    one-column tail is a select: the median of one sample is itself.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:

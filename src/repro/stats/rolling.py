@@ -1,31 +1,21 @@
-"""Fixed-capacity rolling windows over telemetry samples.
+"""Fixed-capacity rolling window over telemetry samples.
 
-The telemetry manager evaluates every signal over a recent-history window
-("the last W billing intervals").  :class:`RollingWindow` is a small ring
-buffer with convenience accessors for the robust aggregates the estimator
-consumes; :class:`TimestampedWindow` additionally remembers when each sample
-arrived, which the trend detector needs for its x-axis.
-
-Both windows answer their hot-path queries from incrementally maintained
-state (:mod:`repro.stats.incremental`): :meth:`RollingWindow.median` from a
-dual-heap sliding median and :meth:`TimestampedWindow.trend` from a cached
-pairwise-slope structure, instead of recomputing from scratch per query.
-The batch implementations remain the cross-checked reference (see
-``tests/test_stats_incremental.py``).
+:class:`RollingWindow` is a small ring buffer with convenience accessors
+for the robust aggregates the controller reads, such as the recent
+physical-read baseline the balloon probe compares against.  Its queries
+recompute from the retained samples; the per-tenant signal windows live
+in :class:`repro.core.telemetry_manager.TelemetryManager`.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
 import numpy as np
 
 from repro.errors import ConfigurationError, InsufficientDataError
-from repro.stats.incremental import IncrementalTheilSen, RunningMedian
-from repro.stats.theil_sen import TrendResult
 
-__all__ = ["RollingWindow", "TimestampedWindow"]
+__all__ = ["RollingWindow"]
 
 
 class RollingWindow:
@@ -38,10 +28,6 @@ class RollingWindow:
         self._buffer = np.empty(capacity, dtype=float)
         self._size = 0
         self._next = 0
-        # Dual-heap median bag, built lazily on the first median() query and
-        # maintained incrementally afterwards, so windows that never ask for
-        # a median (e.g. a TimestampedWindow's time axis) pay nothing.
-        self._median_bag: RunningMedian | None = None
 
     @property
     def capacity(self) -> int:
@@ -55,16 +41,7 @@ class RollingWindow:
 
     def append(self, value: float) -> None:
         """Add one sample, evicting the oldest when full."""
-        value = float(value)
-        bag = self._median_bag
-        if bag is not None:
-            if self._size == self._capacity:
-                evicted = self._buffer[self._next]
-                if math.isfinite(evicted):
-                    bag.remove(evicted)
-            if math.isfinite(value):
-                bag.add(value)
-        self._buffer[self._next] = value
+        self._buffer[self._next] = float(value)
         self._next = (self._next + 1) % self._capacity
         self._size = min(self._size + 1, self._capacity)
 
@@ -89,10 +66,6 @@ class RollingWindow:
                 self._buffer[: end - self._capacity] = arr[split:]
             self._next = end % self._capacity
             self._size = min(self._size + n, self._capacity)
-        if self._median_bag is not None:
-            self._median_bag = RunningMedian.from_values(
-                self._buffer[: self._size]
-            )
 
     def values(self) -> np.ndarray:
         """Samples in arrival order, oldest first."""
@@ -108,7 +81,6 @@ class RollingWindow:
     def clear(self) -> None:
         self._size = 0
         self._next = 0
-        self._median_bag = None
 
     def last(self) -> float:
         """Most recent sample."""
@@ -118,9 +90,11 @@ class RollingWindow:
 
     def median(self) -> float:
         """Robust central value of the window (non-finite samples skipped)."""
-        if self._median_bag is None:
-            self._median_bag = RunningMedian.from_values(self._buffer[: self._size])
-        return self._median_bag.median()
+        values = self._buffer[: self._size]
+        finite = values[np.isfinite(values)]
+        if finite.size == 0:
+            raise InsufficientDataError("need at least 1 finite sample, got 0")
+        return float(np.median(finite))
 
     def mean(self) -> float:
         if self._size == 0:
@@ -159,99 +133,14 @@ class RollingWindow:
                 f"window buffer overflow: checkpoint has {buffer.size} "
                 f"samples, live window holds {self._capacity}"
             )
+        cursor = int(state["next"])
+        full = buffer.size == self._capacity
+        if not 0 <= cursor < self._capacity or (not full and cursor != buffer.size):
+            raise ConfigurationError(
+                f"window cursor {cursor} is not a valid position for "
+                f"{buffer.size} samples in a {self._capacity}-slot ring"
+            )
         self.clear()
         self._buffer[: buffer.size] = buffer
         self._size = buffer.size
-        self._next = int(state["next"]) % self._capacity
-
-
-class TimestampedWindow:
-    """Rolling window of ``(time, value)`` pairs for trend/correlation use.
-
-    Args:
-        capacity: samples retained for :meth:`values`/:meth:`median`.
-        trend_window: samples the trend estimate covers (defaults to the
-            full ``capacity``); the telemetry manager detects trends over a
-            shorter tail than it keeps history for.
-    """
-
-    def __init__(self, capacity: int, trend_window: int | None = None) -> None:
-        self._times = RollingWindow(capacity)
-        self._values = RollingWindow(capacity)
-        span = capacity if trend_window is None else min(trend_window, capacity)
-        if span < 1:
-            raise ConfigurationError(f"trend_window must be >= 1, got {trend_window}")
-        self._trend = IncrementalTheilSen(span)
-
-    @property
-    def capacity(self) -> int:
-        return self._times.capacity
-
-    @property
-    def trend_window(self) -> int:
-        return self._trend.capacity
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def append(self, time: float, value: float) -> None:
-        self._times.append(time)
-        self._values.append(value)
-        self._trend.append(time, value)
-
-    def times(self) -> np.ndarray:
-        return self._times.values()
-
-    def values(self) -> np.ndarray:
-        return self._values.values()
-
-    def clear(self) -> None:
-        self._times.clear()
-        self._values.clear()
-        self._trend.clear()
-
-    def median(self) -> float:
-        return self._values.median()
-
-    def last(self) -> float:
-        return self._values.last()
-
-    def trend(self, alpha: float = 0.70) -> TrendResult:
-        """Theil–Sen trend over the last ``trend_window`` samples.
-
-        Served from the incrementally maintained pairwise-slope cache;
-        equivalent to ``detect_trend(times, values, alpha)`` on the same
-        tail (see :mod:`repro.stats.theil_sen`).
-        """
-        return self._trend.result(alpha=alpha)
-
-    def state_dict(self) -> dict:
-        """Serializable state: both axes' exact ring layouts.
-
-        The inner windows carry their cursors (see
-        :meth:`RollingWindow.state_dict`); the Theil–Sen cache is a pure
-        function of the retained pairs in arrival order, so it is rebuilt
-        by replay rather than captured."""
-        return {
-            "capacity": self.capacity,
-            "trend_window": self.trend_window,
-            "times": self._times.state_dict(),
-            "values": self._values.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if (
-            int(state["capacity"]) != self.capacity
-            or int(state["trend_window"]) != self.trend_window
-        ):
-            raise ConfigurationError(
-                "timestamped-window geometry mismatch: checkpoint has "
-                f"capacity={state['capacity']} trend_window={state['trend_window']}, "
-                f"live window has capacity={self.capacity} "
-                f"trend_window={self.trend_window}"
-            )
-        self._times.load_state_dict(state["times"])
-        self._values.load_state_dict(state["values"])
-        self._trend.clear()
-        for time, value in zip(self.times(), self.values()):
-            self._trend.append(float(time), float(value))
+        self._next = cursor

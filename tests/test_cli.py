@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.thresholds import ThresholdConfig
+from repro.service.checkpoint import CHECKPOINT_VERSION
 
 
 class TestParser:
@@ -302,7 +303,7 @@ class TestServeCommand:
         exit_code = main(["checkpoint", "inspect", str(ckpt_dir / "latest.json")])
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "version 1 controller checkpoint" in out
+        assert f"version {CHECKPOINT_VERSION} controller checkpoint" in out
         assert "tenant-000" in out
 
     def test_serve_bad_kill_at_exits_2(self, capsys):

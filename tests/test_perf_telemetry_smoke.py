@@ -1,10 +1,10 @@
 """Tier-1 smoke run of the telemetry performance benchmark.
 
 Runs ``benchmarks/bench_perf_telemetry.py`` in ``--smoke`` geometry
-(seconds, not minutes) so a regression in the incremental statistics
-layer or the vectorized fleet engine — a slowdown below the smoke
-floors, an incremental/batch divergence, or a scalar/vectorized decision
-divergence — fails the ordinary test suite fast, without waiting for the
+(seconds, not minutes) so a regression in the vectorized fleet engine or
+the instrumentation — a slowdown below the smoke floors, a
+scalar/vectorized decision divergence, or tracing that changes a
+decision — fails the ordinary test suite fast, without waiting for the
 full fleet sweep.
 """
 
@@ -20,21 +20,10 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "benchmarks" / "bench_perf_telemetry.py"
 
-#: Deliberately far below the >= 5x full-sweep target: the smoke floor only
-#: has to catch "the incremental layer stopped paying for itself" while
-#: tolerating noisy shared CI machines.
-SMOKE_SPEEDUP_FLOOR = 1.5
-
 #: The vectorized sweep amortizes per-interval overhead across tenants, so
 #: a 24-tenant smoke fleet sees only a fraction of the 1000-tenant >= 10x
 #: target; the floor catches "the sweep stopped being vectorized".
 SMOKE_VECTORIZED_SPEEDUP_FLOOR = 2.0
-
-#: Per-primitive steady-state floors at the window-64 geometry (the
-#: regression this PR sequence fixed: both primitives had degraded to
-#: *slower than batch* at 64).  Full-run numbers are well above these;
-#: the smoke floor tolerates noisy CI neighbours.
-SMOKE_W64_PRIMITIVE_FLOORS = {"theil_sen": 3.0, "spearman": 3.0}
 
 #: Looser than the 10% full-sweep target for the same reason: a smoke run
 #: is short enough that scheduler jitter alone can move the needle a few
@@ -61,17 +50,6 @@ def smoke_result(bench_module, tmp_path_factory):
 
 def test_smoke_benchmark(smoke_result):
     result, path = smoke_result
-    fleet = result["fleet"]["window_10"]
-    assert result["equivalence"]["identical_signals"]
-    assert result["equivalence"]["cross_checked_intervals"] > 0
-    assert fleet["speedup"] >= SMOKE_SPEEDUP_FLOOR, (
-        f"incremental telemetry path only {fleet['speedup']:.2f}x faster than "
-        f"batch (floor {SMOKE_SPEEDUP_FLOOR}x) — perf regression in "
-        "src/repro/stats/incremental.py?"
-    )
-    assert fleet["measured_intervals"] < fleet["intervals"], (
-        "warm-up intervals must be excluded from the measured window"
-    )
     tracing = result["tracing"]
     assert tracing["byte_identical"], (
         "DECISION-level tracing changed decisions or bills"
@@ -84,7 +62,7 @@ def test_smoke_benchmark(smoke_result):
     )
     written = json.loads(path.read_text())
     assert written["benchmark"] == "perf_telemetry"
-    assert written["fleet"]["window_10"]["speedup"] == fleet["speedup"]
+    assert written["tracing"] == tracing
 
 
 def test_smoke_vectorized_sweep(smoke_result):
@@ -95,24 +73,14 @@ def test_smoke_vectorized_sweep(smoke_result):
         "vectorized fleet sweep diverged from the scalar AutoScaler"
     )
     assert vec["decisions_compared"] == vec["tenants"] * vec["intervals"]
+    assert vec["measured_intervals"] < vec["intervals"], (
+        "warm-up intervals must be excluded from the measured window"
+    )
     assert vec["speedup"] >= SMOKE_VECTORIZED_SPEEDUP_FLOOR, (
         f"vectorized sweep only {vec['speedup']:.2f}x faster than the scalar "
         f"decide loop (smoke floor {SMOKE_VECTORIZED_SPEEDUP_FLOOR}x) — "
         "regression in src/repro/fleet/vectorized.py?"
     )
-
-
-def test_smoke_w64_primitive_floors(smoke_result):
-    """Window-64 Theil–Sen and Spearman must stay comfortably ahead of batch."""
-    result, _ = smoke_result
-    w64 = result["primitives"]["window_64"]
-    for name, floor in SMOKE_W64_PRIMITIVE_FLOORS.items():
-        speedup = w64[name]["speedup"]
-        assert speedup >= floor, (
-            f"{name} at window 64 is only {speedup:.2f}x faster than batch "
-            f"(floor {floor}x) — the window-64 regression in "
-            "src/repro/stats/incremental.py is back"
-        )
 
 
 def test_smoke_checkpoint_arm(smoke_result):
@@ -176,12 +144,3 @@ def test_smoke_fleet_scale_arm(smoke_result):
     )
     assert big["peak_rss_gb"] > 0.0
     assert big["mean_interval_s"] > 0.0
-
-
-def test_smoke_primitives_match_fleet_windows(bench_module):
-    """Primitive microbenches cover the default telemetry window geometry."""
-    out = bench_module.bench_primitives(window=10, n_appends=200)
-    assert set(out) == {"median", "theil_sen", "spearman"}
-    for entry in out.values():
-        assert entry["incremental_us"] > 0.0
-        assert entry["batch_us"] > 0.0

@@ -11,6 +11,7 @@ format the checkpoint store actually persists.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from hypothesis import given, settings
@@ -18,9 +19,13 @@ from hypothesis import strategies as st
 
 from repro.core.budget import BudgetManager, BurstStrategy
 from repro.core.damper import OscillationDamper
+from repro.core.latency import LatencyGoal
+from repro.core.telemetry_manager import TelemetryManager
+from repro.core.thresholds import default_thresholds
+from repro.engine.containers import default_catalog
 from repro.service import decode_state, encode_state
-from repro.stats.incremental import IncrementalSpearman, TailMedian
-from repro.stats.rolling import RollingWindow, TimestampedWindow
+from repro.stats.rolling import RollingWindow
+from tests.helpers import make_interval_counters
 
 _finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9
@@ -143,55 +148,49 @@ def test_rolling_window_round_trips_exactly(capacity, values):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    capacity=st.integers(min_value=2, max_value=16),
-    samples=st.lists(_finite, max_size=32),
+    window=st.integers(min_value=2, max_value=12),
+    trend_window=st.integers(min_value=2, max_value=12),
+    samples=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e4)),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, max_value=1e6),
+        ),
+        max_size=30,
+    ),
 )
-def test_timestamped_window_round_trips_exactly(capacity, samples):
-    window = TimestampedWindow(capacity)
-    for t, value in enumerate(samples):
-        window.append(float(t), value)
+def test_telemetry_manager_round_trips_exactly(window, trend_window, samples):
+    thresholds = dataclasses.replace(
+        default_thresholds(), signal_window=window, trend_window=trend_window
+    )
+    level = default_catalog().at_level(3)
 
-    state = window.state_dict()
-    restored = TimestampedWindow(capacity)
+    def counters(i, latency, util, wait):
+        return make_interval_counters(
+            i, level,
+            latency_ms=0.0 if latency is None else latency,
+            n_latencies=0 if latency is None else 20,
+            cpu_util=util, cpu_wait_ms=wait,
+        )
+
+    manager = TelemetryManager(thresholds, LatencyGoal(100.0))
+    for i, sample in enumerate(samples):
+        manager.observe(counters(i, *sample))
+
+    state = manager.state_dict()
+    restored = TelemetryManager(thresholds, LatencyGoal(100.0))
     restored.load_state_dict(_wire(state))
     assert _canon(restored.state_dict()) == _canon(state)
-    if len(window):
-        assert restored.median() == window.median()
-        assert restored.trend() == window.trend()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    k=st.integers(min_value=1, max_value=5),
-    values=st.lists(_finite, max_size=20),
-)
-def test_tail_median_round_trips_exactly(k, values):
-    tail = TailMedian(k)
-    for value in values:
-        tail.append(value)
-
-    state = tail.state_dict()
-    restored = TailMedian(k)
-    restored.load_state_dict(_wire(state))
-    assert _canon(restored.state_dict()) == _canon(state)
-    assert restored.median() == tail.median()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    capacity=st.integers(min_value=4, max_value=16),
-    pairs=st.lists(st.tuples(_finite, _finite), max_size=32),
-)
-def test_spearman_round_trips_exactly(capacity, pairs):
-    corr = IncrementalSpearman(capacity)
-    for x, y in pairs:
-        corr.append(x, y)
-
-    state = corr.state_dict()
-    restored = IncrementalSpearman(capacity)
-    restored.load_state_dict(_wire(state))
-    assert _canon(restored.state_dict()) == _canon(state)
-    assert restored.result() == corr.result()
+    # The restored rings resume in phase: same signals now and after the
+    # next observation wraps past the restored cursor.
+    n = len(samples)
+    for step in range(2):
+        if n + step:
+            assert repr(restored.signals()) == repr(manager.signals())
+        follow = counters(n + step, 50.0 + step, 0.5, 10.0 * step)
+        manager.observe(follow)
+        restored.observe(follow)
+    assert _canon(restored.state_dict()) == _canon(manager.state_dict())
 
 
 @settings(max_examples=8, deadline=None)

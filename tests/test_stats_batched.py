@@ -6,8 +6,7 @@ which is exactly how the vectorized telemetry rings encode idle intervals
 and cold windows.  Agreement is exact (``np.array_equal`` with
 ``equal_nan=True``): trend against :func:`detect_trend` on each compacted
 row, tail median against ``np.nanmedian`` on each row, Spearman against
-the doubled-rank integer identity evaluated per row and against the
-incremental path.  The one tolerance left is Spearman against the float
+the doubled-rank integer identity evaluated per row.  The one tolerance left is Spearman against the float
 Pearson reference, which sums in a different order.
 """
 
@@ -30,7 +29,6 @@ from repro.stats.batched import (
     batched_tail_median,
     fractional_ranks,
 )
-from repro.stats.incremental import IncrementalSpearman
 from repro.stats.spearman import rankdata, spearman
 from repro.stats.theil_sen import detect_trend
 
@@ -349,31 +347,20 @@ def test_spearman_rejects_mismatched_shapes():
         batched_spearman(np.zeros(5), np.zeros(5))
 
 
-def test_batched_spearman_bit_identical_to_incremental():
-    """Same integer-rank formulation => exactly equal floats, no tolerance."""
-    rng = np.random.default_rng(11)
-    for window in (24, 32, 64):  # >= VECTOR_MIN_CAPACITY: the vector path
-        x = rng.normal(100.0, 15.0, size=window)
-        y = 0.7 * x + rng.normal(0.0, 5.0, size=window)
-        inc = IncrementalSpearman(window)
-        for a, b in zip(x, y):
-            inc.append(a, b)
-        ref = inc.result()
-        out = batched_spearman(x[None, :], y[None, :])
-        assert float(out.rho[0]) == ref.rho
-        assert int(out.n_points[0]) == ref.n_points
-
-
 def test_batched_tail_median_matches_reference():
     rng = np.random.default_rng(9)
     values = _random_matrix(rng, 30, 16, nan_fraction=0.2)
     values[0] = np.nan
-    for k in (1, 5, 16):
-        out = batched_tail_median(values[:, -k:], k, default=-1.0)
+    values[1] = np.nan
+    # One default for every row, or one per row.
+    per_row = np.arange(values.shape[0], dtype=float)
+    for k, default in ((1, -1.0), (5, -1.0), (16, -1.0), (1, per_row), (5, per_row)):
+        out = batched_tail_median(values[:, -k:], k, default=default)
         for t in range(values.shape[0]):
             tail = values[t, -k:]
             finite = tail[np.isfinite(tail)]
-            expected = -1.0 if finite.size == 0 else float(np.median(finite))
+            empty = np.broadcast_to(default, per_row.shape)[t]
+            expected = empty if finite.size == 0 else float(np.median(finite))
             np.testing.assert_allclose(
                 out[t], expected, rtol=RTOL, atol=ATOL, err_msg=f"row {t} k={k}"
             )

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, InsufficientDataError
-from repro.stats.rolling import RollingWindow, TimestampedWindow
+from repro.stats.rolling import RollingWindow
+
+# Sample pool: continuous values, heavy ties, and NaN gaps.
+stream_samples = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
+    st.sampled_from([0.0, 1.0, 1.0, 2.0, 5.0, 5.0, -3.0]),
+    st.just(float("nan")),
+)
 
 
 class TestRollingWindow:
@@ -78,37 +85,61 @@ class TestRollingWindow:
         assert list(window.values()) == pytest.approx(expected)
 
 
-class TestTimestampedWindow:
-    def test_append_and_access(self):
-        window = TimestampedWindow(4)
-        for t in range(6):
-            window.append(float(t), float(t * 2))
-        assert list(window.times()) == [2.0, 3.0, 4.0, 5.0]
-        assert list(window.values()) == [4.0, 6.0, 8.0, 10.0]
-        assert window.last() == 10.0
+class TestRollingWindowMedian:
+    """``median()`` is the ``np.median`` of the finite retained samples."""
 
-    def test_trend_detects_line(self):
-        window = TimestampedWindow(8)
-        for t in range(8):
-            window.append(float(t), 3.0 * t)
-        result = window.trend()
-        assert result.significant
-        assert result.slope == pytest.approx(3.0)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.lists(stream_samples, min_size=1, max_size=50),
+    )
+    def test_rolling_window_median(self, capacity, values):
+        window = RollingWindow(capacity)
+        for value in values:
+            window.append(value)
+            retained = window.values()
+            finite = retained[~np.isnan(retained)]
+            if finite.size == 0:
+                with pytest.raises(InsufficientDataError):
+                    window.median()
+            else:
+                assert window.median() == float(np.median(finite))
 
-    def test_trend_on_flat(self):
-        window = TimestampedWindow(8)
-        for t in range(8):
-            window.append(float(t), 1.0)
-        assert window.trend().direction == 0
+    def test_rolling_window_median_after_extend(self):
+        window = RollingWindow(5)
+        window.extend([1.0, 2.0, 100.0])
+        assert window.median() == 2.0
+        window.extend([3.0, 4.0, 5.0, 6.0])  # wraps and evicts
+        assert window.median() == float(np.median(window.values()))
+        window.append(1000.0)
+        assert window.median() == float(np.median(window.values()))
 
-    def test_median(self):
-        window = TimestampedWindow(5)
-        for t, v in enumerate([5.0, 1.0, 9.0]):
-            window.append(float(t), v)
-        assert window.median() == 5.0
+    def test_extend_interleaved_with_append_median(self):
+        rng = np.random.default_rng(5)
+        window = RollingWindow(7)
+        for _ in range(60):
+            if rng.random() < 0.5:
+                window.extend(rng.normal(0, 10, size=int(rng.integers(0, 9))))
+            else:
+                window.append(float(rng.normal(0, 10)))
+            if len(window):
+                assert window.median() == float(np.median(window.values()))
 
-    def test_clear(self):
-        window = TimestampedWindow(3)
-        window.append(0.0, 1.0)
-        window.clear()
+
+class TestRollingWindowCheckpoint:
+    def test_load_refuses_cursor_inside_partial_ring(self):
+        # Three samples sit in slots 0-2, so the next write must go to
+        # slot 3; a cursor of 1 would overwrite sample 2 and expose an
+        # unwritten slot as a sample.
+        window = RollingWindow(5)
+        state = {"capacity": 5, "buffer": np.array([1.0, 2.0, 3.0]), "next": 1}
+        with pytest.raises(ConfigurationError, match="cursor"):
+            window.load_state_dict(state)
         assert len(window) == 0
+
+    @pytest.mark.parametrize("cursor", [-1, 5, 6])
+    def test_load_refuses_cursor_outside_ring(self, cursor):
+        window = RollingWindow(5)
+        state = {"capacity": 5, "buffer": np.arange(5.0), "next": cursor}
+        with pytest.raises(ConfigurationError, match="cursor"):
+            window.load_state_dict(state)
