@@ -14,8 +14,9 @@ Three subcommands mirror the repository's main activities:
 * ``repro fleet report`` — record (or load) a columnar fleet trace and
   render the fleet-wide summary as JSON or markdown;
 * ``repro fleet sweep`` — time a vectorized fleet sweep (open- or
-  closed-loop, optionally sharded across processes, float32 or float64
-  telemetry rings) and emit the timing/actuation digest as JSON;
+  closed-loop; closed-loop sweeps optionally sharded across processes;
+  float32 or float64 telemetry rings) and emit the timing/actuation
+  digest as JSON;
 * ``repro serve`` — run the durable controller service over a seeded
   multi-tenant fleet, checkpointing each interval (optionally killing
   and restoring the controller at chosen intervals);
@@ -232,14 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--shards", type=int, default=1,
-        help="worker processes; closed-loop shards are seed-consistent "
-        "with the unsharded run, open-loop shards share telemetry via "
-        "shared memory",
+        help="worker processes (closed-loop only); shards are "
+        "seed-consistent with the unsharded run",
     )
     sweep.add_argument(
         "--max-rss-gb", type=float, default=None,
         help="fail (exit 1) if peak RSS exceeds this many GB "
-        "(unsharded sweeps only)",
+        "(sharded sweeps: the widest shard's peak)",
     )
     sweep.add_argument(
         "--max-interval-s", type=float, default=None,
@@ -542,6 +542,9 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("fleet sweep: --shards must be >= 1", file=sys.stderr)
         return 2
+    if args.shards > 1 and not args.closed_loop:
+        print("fleet sweep: --shards needs --closed-loop", file=sys.stderr)
+        return 2
     goal_ms = args.goal_ms if args.goal_ms > 0 else None
     if args.shards > 1:
         digest = sharded_synthetic_sweep(
@@ -550,7 +553,6 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
             seed=args.seed,
             n_shards=args.shards,
             goal_ms=goal_ms,
-            closed_loop=args.closed_loop,
             dtype=args.dtype,
             tile=args.tile,
         )

@@ -20,7 +20,6 @@ replayed alone from its reported seed.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from repro.faults.schedule import FaultSchedule
 from repro.harness.chaos import ChaosResult, run_chaos
 from repro.harness.experiment import ExperimentConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.workloads import Trace, cpuio_workload
 from repro.workloads.base import Workload
 
@@ -105,7 +103,6 @@ def chaos_sweep(
     goal_ms: float | None = 150.0,
     budget_factor: float = 0.35,
     workload: Workload | None = None,
-    tracer_for: Callable[[int], Tracer | None] | None = None,
     metrics: MetricsRegistry | None = None,
     engine: str = "vectorized",
 ) -> ChaosSweepResult:
@@ -124,10 +121,6 @@ def chaos_sweep(
         budget_factor: position of each tenant's budget between the
             all-smallest (0) and all-largest (1) spend for the period.
         workload: benchmark workload; CPUIO when omitted.
-        tracer_for: optional ``tenant_id -> Tracer | None`` factory; a
-            returned tracer is threaded through that tenant's control
-            plane (use it to trace one misbehaving tenant out of a sweep
-            without paying for the rest).
         metrics: optional registry accumulating sweep-wide ``chaos.*``
             counters (tenants, errors, overdraws, resize failures,
             circuit opens, guard verdicts, safe-mode entries) and the
@@ -137,13 +130,13 @@ def chaos_sweep(
             through the struct-of-arrays degraded fleet path
             (:func:`repro.fleet.degraded.fleet_chaos_sweep`), which is
             byte-identical to the scalar runs; ``"scalar"`` keeps the
-            original one-:func:`run_chaos`-per-tenant loop.  A
-            ``tracer_for`` factory forces the scalar path (tracers hook
-            the per-tenant control plane).
+            original one-:func:`run_chaos`-per-tenant loop, the reference
+            the parity suite compares against.  To trace one tenant,
+            replay it alone with :func:`run_chaos` from its reported seed.
     """
     if engine not in ("vectorized", "scalar"):
         raise ValueError(f"unknown chaos sweep engine {engine!r}")
-    if engine == "vectorized" and tracer_for is None:
+    if engine == "vectorized":
         from repro.fleet.degraded import fleet_chaos_sweep
 
         return fleet_chaos_sweep(
@@ -173,7 +166,6 @@ def chaos_sweep(
                 warmup_intervals=warmup_intervals,
                 goal_ms=goal_ms,
                 budget_factor=budget_factor,
-                tracer=tracer_for(tenant) if tracer_for is not None else None,
             )
         )
     result = ChaosSweepResult(outcomes=outcomes)
@@ -216,7 +208,6 @@ def _run_tenant(
     warmup_intervals: int,
     goal_ms: float | None,
     budget_factor: float,
-    tracer: Tracer | None = None,
 ) -> TenantChaosOutcome:
     rng = np.random.default_rng(seed)
     trace = _tenant_trace(rng, tenant, n_intervals)
@@ -239,8 +230,7 @@ def _run_tenant(
     result: ChaosResult | None = None
     try:
         result = run_chaos(
-            workload, trace, schedule, config=config, goal=goal,
-            budget=budget, tracer=tracer,
+            workload, trace, schedule, config=config, goal=goal, budget=budget
         )
     except Exception as exc:  # noqa: BLE001 - the sweep *reports* failures
         error = f"{type(exc).__name__}: {exc}"

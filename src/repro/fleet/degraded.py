@@ -79,6 +79,7 @@ from repro.fleet.vectorized import (
     K,
     MaskedVectorizedTelemetry,
     VectorizedAutoScaler,
+    _checked_arrays,
     estimate_fleet,  # noqa: F401 - kept importable here; perfbench wraps it
     synthesize_fleet_telemetry,
 )
@@ -803,9 +804,14 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
+        """Restore a degraded engine built with the same configuration.
+
+        The guard, ledger and executor columns are checked before the
+        base engine loads, and nothing is assigned until every check has
+        passed.
+        """
         degraded = state["degraded"]
-        guard = degraded["guard"]
+        guard, executor = degraded["guard"], degraded["executor"]
         config = (int(guard["max_tracked_gaps"]), int(guard["degraded_after"]))
         live = (self._g_max_gaps, self._g_degraded_after)
         if config != live:
@@ -813,32 +819,6 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
                 f"guard configuration mismatch: checkpoint has {config}, "
                 f"live guard has {live}"
             )
-        self._g_expected = np.asarray(guard["expected"], dtype=np.int64).copy()
-        self._g_last_end = np.asarray(guard["last_end_s"], dtype=float).copy()
-        self._g_missing = [{int(i) for i in row} for row in guard["missing"]]
-        self.g_admitted = np.asarray(guard["admitted"], dtype=np.int64).copy()
-        self.g_admitted_late = np.asarray(
-            guard["admitted_late"], dtype=np.int64
-        ).copy()
-        self.g_quarantined = np.asarray(
-            guard["quarantined"], dtype=np.int64
-        ).copy()
-        self.g_discarded = np.asarray(guard["discarded"], dtype=np.int64).copy()
-        self.g_missed = np.asarray(guard["missed"], dtype=np.int64).copy()
-        self.g_consecutive = np.asarray(
-            guard["consecutive"], dtype=np.int64
-        ).copy()
-        self._g_reasons = [[str(r) for r in row] for row in guard["reasons"]]
-        self._safe = np.asarray(degraded["safe_mode"], dtype=bool).copy()
-        self._safe_reason = [str(r) for r in degraded["safe_reasons"]]
-        self._pending_refund = np.asarray(
-            degraded["pending_refund"], dtype=float
-        ).copy()
-        self._refunded = np.asarray(degraded["refunded"], dtype=float).copy()
-        self._disk_cursor_rows = np.asarray(
-            degraded["disk_cursor_rows"], dtype=np.int64
-        ).copy()
-        executor = degraded["executor"]
         exec_config = (
             int(executor["max_attempts"]),
             float(executor["backoff_base_ms"]),
@@ -860,37 +840,56 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
                 f"executor configuration mismatch: checkpoint has "
                 f"{exec_config}, live executor has {exec_live}"
             )
-        self._x_state = np.asarray(executor["state"], dtype=np.int8).copy()
-        self._x_consec = np.asarray(
-            executor["consecutive_failures"], dtype=np.int64
-        ).copy()
-        self._x_open_left = np.asarray(
-            executor["open_left"], dtype=np.int64
-        ).copy()
-        self.x_total_attempts = np.asarray(
-            executor["total_attempts"], dtype=np.int64
-        ).copy()
-        self.x_total_failures = np.asarray(
-            executor["total_failures"], dtype=np.int64
-        ).copy()
-        self.x_total_refunds = np.asarray(
-            executor["total_refunds"], dtype=float
-        ).copy()
-        self.x_circuit_opens = np.asarray(
-            executor["circuit_opens"], dtype=np.int64
-        ).copy()
-        rng_states = executor["rng_states"]
-        if len(rng_states) != self.n_tenants:
-            raise ConfigurationError(
-                f"need {self.n_tenants} executor RNG states, "
-                f"got {len(rng_states)}"
-            )
-        self._x_rngs = []
-        for raw in rng_states:
+        arrays = _checked_arrays(
+            self,
+            {
+                "_g_expected": guard["expected"],
+                "_g_last_end": guard["last_end_s"],
+                "g_admitted": guard["admitted"],
+                "g_admitted_late": guard["admitted_late"],
+                "g_quarantined": guard["quarantined"],
+                "g_discarded": guard["discarded"],
+                "g_missed": guard["missed"],
+                "g_consecutive": guard["consecutive"],
+                "_safe": degraded["safe_mode"],
+                "_pending_refund": degraded["pending_refund"],
+                "_refunded": degraded["refunded"],
+                "_disk_cursor_rows": degraded["disk_cursor_rows"],
+                "_x_state": executor["state"],
+                "_x_consec": executor["consecutive_failures"],
+                "_x_open_left": executor["open_left"],
+                "x_total_attempts": executor["total_attempts"],
+                "x_total_failures": executor["total_failures"],
+                "x_total_refunds": executor["total_refunds"],
+                "x_circuit_opens": executor["circuit_opens"],
+                "_dead": degraded["dead"],
+            },
+        )
+        rows = {
+            "missing": guard["missing"],
+            "reasons": guard["reasons"],
+            "safe_reasons": degraded["safe_reasons"],
+            "rng_states": executor["rng_states"],
+            "dead_errors": degraded["dead_errors"],
+        }
+        for name, values in rows.items():
+            if len(values) != self.n_tenants:
+                raise ConfigurationError(
+                    f"fleet checkpoint {name!r} has {len(values)} rows, "
+                    f"expected {self.n_tenants}"
+                )
+        rngs = []
+        for raw in executor["rng_states"]:
             gen = np.random.default_rng(0)
             gen.bit_generator.state = raw
-            self._x_rngs.append(gen)
-        self._dead = np.asarray(degraded["dead"], dtype=bool).copy()
+            rngs.append(gen)
+        super().load_state_dict(state)
+        for attr, value in arrays.items():
+            setattr(self, attr, value)
+        self._g_missing = [{int(i) for i in row} for row in guard["missing"]]
+        self._g_reasons = [[str(r) for r in row] for row in guard["reasons"]]
+        self._safe_reason = [str(r) for r in degraded["safe_reasons"]]
+        self._x_rngs = rngs
         self._dead_error = [
             None if e is None else str(e) for e in degraded["dead_errors"]
         ]
@@ -1651,20 +1650,17 @@ def run_degraded_synthetic_sweep(
     seed: int = 7,
     *,
     fault_rate: float = 0.05,
-    catalog: ContainerCatalog | None = None,
-    thresholds=None,
-    goal_ms: float | None = 100.0,
 ) -> dict:
     """Benchmark arm: the degraded wave loop over a faulted synthetic fleet.
 
     ``fault_rate`` scales the number of fault events drawn per tenant
     (roughly that fraction of tenant-intervals perturbed).  Mirrors
     :func:`repro.fleet.vectorized.run_synthetic_sweep`'s result shape so
-    the perf gate can compare the two arms directly.
+    the perf gate can compare the two arms directly: the same default
+    catalog and thresholds, and the same 100 ms latency goal.
     """
     from repro.engine.containers import default_catalog
 
-    catalog = catalog or default_catalog()
     arrays = synthesize_fleet_telemetry(n_tenants, n_intervals, seed=seed)
     n_faults = max(1, int(round(fault_rate * n_intervals)))
     schedules = [
@@ -1674,12 +1670,10 @@ def run_degraded_synthetic_sweep(
         for t in range(n_tenants)
     ]
     masks = compile_schedules(schedules, n_intervals)
-    goal = LatencyGoal(goal_ms) if goal_ms is not None else None
     scaler = DegradedVectorizedAutoScaler(
-        catalog,
+        default_catalog(),
         n_tenants,
-        goal=goal,
-        thresholds=thresholds,
+        goal=LatencyGoal(100.0),
         record_actions=False,
         record_guard_reasons=False,
         executor_seeds=seed,

@@ -250,9 +250,24 @@ class FleetDecisions(NamedTuple):
 def _check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None:
     if array.shape != expected:
         raise ConfigurationError(
-            f"fleet telemetry checkpoint {name!r} has shape {array.shape}, "
+            f"fleet checkpoint {name!r} has shape {array.shape}, "
             f"expected {expected} for this engine's geometry"
         )
+
+
+def _checked_arrays(owner, raw: dict) -> dict[str, np.ndarray]:
+    """Checkpoint arrays as copies in the dtype and shape of ``owner``'s.
+
+    ``raw`` maps an array attribute of ``owner`` to its checkpointed
+    value.  Nothing is assigned, so the caller can refuse the whole
+    checkpoint before touching live state.
+    """
+    arrays = {}
+    for attr, value in raw.items():
+        live = getattr(owner, attr)
+        arrays[attr] = np.asarray(value, dtype=live.dtype).copy()
+        _check_shape(attr.lstrip("_"), arrays[attr], live.shape)
+    return arrays
 
 
 def _sign8(values: np.ndarray) -> np.ndarray:
@@ -1124,7 +1139,13 @@ class VectorizedAutoScaler:
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a scaler built with the same fleet configuration."""
+        """Restore a scaler built with the same fleet configuration.
+
+        Every array is checked against this engine's shapes, and every
+        level against the catalog, before anything is assigned: a refused
+        checkpoint raises :class:`ConfigurationError` and leaves the
+        engine as it was.
+        """
         if (
             state["n_tenants"] != self.n_tenants
             or state["n_levels"] != self._n_levels
@@ -1145,54 +1166,44 @@ class VectorizedAutoScaler:
                 f"this engine's {self._dtype}; rebuild the engine with the "
                 "checkpoint's dtype"
             )
-        counts = state.get("action_counts")
-        if counts is not None:
-            self.action_counts = {k: int(v) for k, v in counts.items()}
-        self.level = np.asarray(state["level"], dtype=np.int64).copy()
-        budget = state["budget"]
-        self._tokens = np.asarray(budget["tokens"], dtype=float).copy()
-        self._depth = np.asarray(budget["depth"], dtype=float).copy()
-        self._fill = np.asarray(budget["fill"], dtype=float).copy()
-        self._period_n = np.asarray(budget["period_n"], dtype=np.int64).copy()
-        self._interval_i = np.asarray(
-            budget["interval_i"], dtype=np.int64
-        ).copy()
-        self._spent = np.asarray(budget["spent"], dtype=float).copy()
-        balloon = state["balloon"]
-        self._b_phase = np.asarray(balloon["phase"], dtype=np.int8).copy()
-        self._b_limit = np.asarray(balloon["limit"], dtype=float).copy()
-        self._b_target = np.asarray(balloon["target"], dtype=float).copy()
-        self._b_baseline = np.asarray(balloon["baseline"], dtype=float).copy()
-        self._b_cooldown = np.asarray(
-            balloon["cooldown"], dtype=np.int64
-        ).copy()
-        self._b_failed = np.asarray(balloon["failed"], dtype=float).copy()
-        self.balloon_limit_gb = np.asarray(
-            balloon["limit_gb"], dtype=float
-        ).copy()
-        self._low_streak = np.asarray(
-            state["low_streak"], dtype=np.int64
-        ).copy()
-        self._disk_reads = np.asarray(
-            state["disk_reads"], dtype=self._dtype
-        ).copy()
-        self._disk_cursor = int(state["disk_cursor"])
-        self.telemetry.load_state_dict(state["telemetry"])
-        self.metrics.load_state_dict(state["metrics"])
-        self._clamp_zero = None
-        self._clamp_depth = None
-        if self._damper is not None:
-            damper = state["damper"]
+        budget, balloon = state["budget"], state["balloon"]
+        damper = state["damper"]
+        raw = {
+            "level": state["level"],
+            "balloon_limit_gb": balloon["limit_gb"],
+            "_low_streak": state["low_streak"],
+            "_disk_reads": state["disk_reads"],
+        }
+        for key in "tokens depth fill period_n interval_i spent".split():
+            raw["_" + key] = budget[key]
+        for key in "phase limit target baseline cooldown failed".split():
+            raw["_b_" + key] = balloon[key]
+        if damper is not None:
             if damper["window"] != self._damper.window:
                 raise ConfigurationError(
                     f"damper window {damper['window']} does not match "
                     f"this engine's {self._damper.window}"
                 )
-            self._d_moves = np.asarray(damper["moves"], dtype=np.int8).copy()
-            self._d_len = np.asarray(damper["len"], dtype=np.int64).copy()
-            self._d_cooldown = np.asarray(
-                damper["cooldown"], dtype=np.int64
-            ).copy()
+            for key in ("moves", "len", "cooldown"):
+                raw["_d_" + key] = damper[key]
+        arrays = _checked_arrays(self, raw)
+        level = arrays["level"]
+        if np.any((level < 0) | (level >= self._n_levels)):
+            raise ConfigurationError(
+                "fleet checkpoint level outside the catalog"
+            )
+        # The telemetry rings check themselves before assigning anything.
+        self.telemetry.load_state_dict(state["telemetry"])
+        self.metrics.load_state_dict(state["metrics"])
+        for attr, value in arrays.items():
+            setattr(self, attr, value)
+        counts = state.get("action_counts")
+        if counts is not None:
+            self.action_counts = {k: int(v) for k, v in counts.items()}
+        self._disk_cursor = int(state["disk_cursor"])
+        self._clamp_zero = None
+        self._clamp_depth = None
+        if damper is not None:
             self.damper_trips = int(damper["trips"])
 
     # -- the closed loop ---------------------------------------------------
@@ -1920,7 +1931,6 @@ def synthesize_fleet_telemetry(
     n_tenants: int,
     n_intervals: int,
     seed: int = 7,
-    idle_fraction: float = 0.05,
 ) -> FleetTelemetryArrays:
     """Seeded synthetic fleet telemetry mirroring the benchmark streams.
 
@@ -1930,7 +1940,7 @@ def synthesize_fleet_telemetry(
     utilization) without simulating an engine, so generation stays cheap
     at 100k tenants.  Telemetry is open-loop: it does not react to the
     controller's decisions, exactly like the benchmark's pre-built
-    streams.
+    streams.  5% of tenant-intervals are idle (NaN latency).
     """
     rng = np.random.default_rng(seed)
     shape = (n_intervals, n_tenants)
@@ -1941,7 +1951,7 @@ def synthesize_fleet_telemetry(
 
     latency = base * rng.uniform(0.85, 1.35, shape)
     latency = np.where(bursting, latency * 3.0, latency)
-    latency[rng.random(shape) < idle_fraction] = np.nan
+    latency[rng.random(shape) < 0.05] = np.nan
 
     waits = np.empty((n_intervals, 6, n_tenants))
     waits[:, 0] = rng.uniform(50.0, 500.0, shape) * np.where(bursting, 2.0, 1.0)
@@ -2011,6 +2021,8 @@ class ClosedLoopFleetSynthesizer:
     #: balloon squeeze cuts into their cache they respond with a read
     #: storm and disk pressure, aborting the probe.
     IO_SPIKY_FRACTION = 0.5
+    #: Fraction of tenant-intervals with no completed query (NaN latency).
+    IDLE_FRACTION = 0.02
 
     def __init__(
         self,
@@ -2018,8 +2030,6 @@ class ClosedLoopFleetSynthesizer:
         catalog: ContainerCatalog,
         seed: int = 7,
         *,
-        thresholds: ThresholdConfig | None = None,
-        idle_fraction: float = 0.02,
         lo: int = 0,
         hi: int | None = None,
     ) -> None:
@@ -2034,8 +2044,7 @@ class ClosedLoopFleetSynthesizer:
         self.lo = lo
         self.hi = hi
         self.seed = int(seed)
-        self.idle_fraction = float(idle_fraction)
-        cfg = thresholds or default_thresholds()
+        cfg = default_thresholds()
 
         levels = [catalog.at_level(i) for i in range(catalog.num_levels)]
         self._res = np.array(
@@ -2089,7 +2098,7 @@ class ClosedLoopFleetSynthesizer:
         sl = slice(self.lo, self.hi)
         noise = rng.uniform(0.88, 1.12, (K, self.n_total))[:, sl]
         lat_noise = rng.uniform(0.92, 1.18, self.n_total)[sl]
-        idle = (rng.random(self.n_total) < self.idle_fraction)[sl]
+        idle = (rng.random(self.n_total) < self.IDLE_FRACTION)[sl]
         read_noise = rng.uniform(0.7, 1.4, self.n_total)[sl]
 
         level = np.asarray(level, dtype=np.int64)
@@ -2154,13 +2163,7 @@ def run_synthetic_sweep(
     n_intervals: int,
     seed: int = 7,
     *,
-    catalog: ContainerCatalog | None = None,
-    thresholds: ThresholdConfig | None = None,
     goal_ms: float | None = 100.0,
-    record_actions: bool = False,
-    telemetry: FleetTelemetryArrays | None = None,
-    recorder=None,
-    clock: Callable[[], float] | None = None,
     closed_loop: bool = False,
     dtype: str | np.dtype = np.float64,
     tile: int | None = None,
@@ -2171,12 +2174,12 @@ def run_synthetic_sweep(
 
     Returns per-interval wall-clock (the acceptance metric for the
     100k/1M-tenant sweeps) plus a decision digest so results are
-    comparable across runs.  ``recorder`` optionally attaches a columnar
-    trace recorder (see :mod:`repro.obs.fleet`) — the configuration the
-    observability overhead benchmark times; ``clock`` enables the
-    per-stage timing histograms.
+    comparable across runs.  The engine runs the default catalog and
+    thresholds and records no per-tenant action lists.
 
-    ``closed_loop=True`` swaps the pre-built open-loop streams for the
+    By default the telemetry is :func:`synthesize_fleet_telemetry`'s
+    pre-built open-loop streams, which never react to the controller, so
+    the fleet settles into holds.  ``closed_loop=True`` swaps them for the
     :class:`ClosedLoopFleetSynthesizer`, whose telemetry reacts to the
     controller's own levels and balloon limits — this is the mode that
     exercises actuation (resizes, budget spend, balloon transitions).
@@ -2184,41 +2187,30 @@ def run_synthetic_sweep(
     ``decide_batch`` is measured.  ``dtype``/``tile`` configure the
     engine's telemetry rings (see :class:`VectorizedTelemetry`).
     ``lo``/``n_total`` place this engine at rows ``[lo, lo+n_tenants)``
-    of an ``n_total``-wide closed-loop fleet, which is how the sharded
-    sweep keeps shard telemetry identical to an unsharded run.
+    of an ``n_total``-wide closed-loop fleet, which is how
+    :func:`sharded_synthetic_sweep` keeps shard telemetry identical to an
+    unsharded run.
     """
     from repro.engine.containers import default_catalog
 
-    catalog = catalog or default_catalog()
+    catalog = default_catalog()
     goal = LatencyGoal(goal_ms) if goal_ms is not None else None
-    synth = None
-    data = telemetry
+    synth = data = None
     if closed_loop:
-        if telemetry is not None:
-            raise ValueError("closed_loop generates its own telemetry")
         total = n_total if n_total is not None else lo + n_tenants
         synth = ClosedLoopFleetSynthesizer(
-            total,
-            catalog,
-            seed,
-            thresholds=thresholds,
-            lo=lo,
-            hi=lo + n_tenants,
+            total, catalog, seed, lo=lo, hi=lo + n_tenants
         )
-    elif data is None:
+    else:
         data = synthesize_fleet_telemetry(n_tenants, n_intervals, seed)
     scaler = VectorizedAutoScaler(
         catalog,
         n_tenants,
         goal=goal,
-        thresholds=thresholds,
-        record_actions=record_actions,
-        clock=clock,
+        record_actions=False,
         dtype=dtype,
         tile=tile,
     )
-    if recorder is not None:
-        scaler.attach_recorder(recorder)
     per_interval = []
     resizes = 0
     for i in range(n_intervals):
@@ -2290,17 +2282,10 @@ def run_synthetic_sweep_subprocess(
     process-lifetime high-water mark, so measuring an arm inside a
     long-lived benchmark process would report the *largest* arm so far.
     A spawned child starts from a clean slate, making the reading
-    attributable to this sweep alone.  Only picklable keyword arguments
-    are supported (no ``recorder``/``clock``/``telemetry``).
+    attributable to this sweep alone.
     """
     import multiprocessing as mp
 
-    for banned in ("recorder", "clock", "telemetry"):
-        if kwargs.get(banned) is not None:
-            raise ValueError(
-                f"{banned} is not supported across the subprocess boundary"
-            )
-        kwargs.pop(banned, None)
     ctx = mp.get_context("spawn")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     payload = dict(kwargs, n_tenants=n_tenants, n_intervals=n_intervals, seed=seed)
@@ -2324,18 +2309,6 @@ def run_synthetic_sweep_subprocess(
     return result
 
 
-#: Telemetry fields distributed to open-loop shard workers over
-#: ``multiprocessing.shared_memory`` (tenant axis last in every field).
-_SHM_FIELDS = (
-    "latency_ms",
-    "util_pct",
-    "wait_ms",
-    "wait_pct",
-    "memory_used_gb",
-    "disk_physical_reads",
-)
-
-
 def _shard_bounds(n_tenants: int, n_shards: int) -> list[tuple[int, int]]:
     sizes = [n_tenants // n_shards] * n_shards
     for i in range(n_tenants % n_shards):
@@ -2348,7 +2321,7 @@ def _shard_bounds(n_tenants: int, n_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _run_closed_shard(args: tuple) -> dict:
+def _run_shard(args: tuple) -> dict:
     lo, hi, n_total, n_intervals, seed, goal_ms, dtype, tile = args
     return run_synthetic_sweep(
         hi - lo,
@@ -2363,55 +2336,6 @@ def _run_closed_shard(args: tuple) -> dict:
     )
 
 
-def _attach_shm(name: str):
-    """Attach to an existing shared-memory block without tracker churn.
-
-    Python 3.11's ``SharedMemory`` has no ``track=False``: every attach
-    registers with the resource tracker, which then warns (and unlinks
-    early) for blocks the parent owns.  Suppressing the registration at
-    attach time (rather than unregistering after) keeps concurrent
-    workers from racing each other's tracker messages; the parent keeps
-    sole unlink responsibility.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *a, **k: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _run_shm_shard(args: tuple) -> dict:
-    blocks, lo, hi, n_intervals, seed, goal_ms, dtype, tile = args
-    shms = []
-    views: dict[str, np.ndarray] = {}
-    try:
-        for field, (name, shape, arr_dtype) in zip(_SHM_FIELDS, blocks):
-            shm = _attach_shm(name)
-            shms.append(shm)
-            views[field] = np.ndarray(shape, dtype=arr_dtype, buffer=shm.buf)[
-                ..., lo:hi
-            ]
-        data = FleetTelemetryArrays(**views)
-        return run_synthetic_sweep(
-            hi - lo,
-            n_intervals,
-            seed=seed,
-            goal_ms=goal_ms,
-            telemetry=data,
-            dtype=dtype,
-            tile=tile,
-        )
-    finally:
-        # Views must drop before close() or the exported buffer errors.
-        views.clear()
-        data = None  # noqa: F841
-        for shm in shms:
-            shm.close()
-
-
 def sharded_synthetic_sweep(
     n_tenants: int,
     n_intervals: int,
@@ -2419,20 +2343,19 @@ def sharded_synthetic_sweep(
     *,
     n_shards: int = 4,
     goal_ms: float | None = 100.0,
-    closed_loop: bool = False,
     dtype: str | np.dtype = np.float64,
     tile: int | None = None,
 ) -> dict:
-    """Split the fleet across processes (the optional simulator-side shard).
+    """Split a closed-loop fleet sweep across processes.
 
     Tenants are independent, so the sweep is embarrassingly parallel:
-    each shard runs rows ``[lo, hi)`` of one global fleet.  Closed-loop
-    shards regenerate their slice locally (the synthesizer draws at full
-    fleet width and slices, so shard telemetry is identical to the same
-    rows of an unsharded run).  Open-loop telemetry is synthesized once
-    in the parent and distributed zero-copy through
-    ``multiprocessing.shared_memory`` — workers attach and slice instead
-    of unpickling a private copy of the full arrays.
+    each shard runs rows ``[lo, hi)`` of one global closed-loop fleet and
+    regenerates its slice locally.  The synthesizer draws at full fleet
+    width and slices, so shard telemetry, and therefore every shard
+    decision, equals the same rows of
+    ``run_synthetic_sweep(..., closed_loop=True)``.  Open-loop telemetry
+    is not sharded: it never reacts to the controller, so it has no
+    actuation to spread over workers.
     """
     import multiprocessing as mp
 
@@ -2440,69 +2363,25 @@ def sharded_synthetic_sweep(
         raise ValueError("n_shards must be >= 1")
     bounds = _shard_bounds(n_tenants, n_shards)
     dtype_str = str(np.dtype(dtype))
-
-    def _pool_map(fn, jobs):
-        if len(jobs) == 1:
-            return [fn(jobs[0])]
+    jobs = [
+        (lo, hi, n_tenants, n_intervals, seed, goal_ms, dtype_str, tile)
+        for lo, hi in bounds
+    ]
+    start = time.perf_counter()
+    if len(jobs) == 1:
+        results = [_run_shard(jobs[0])]
+    else:
         ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else None
         )
         with ctx.Pool(processes=len(jobs)) as pool:
-            return pool.map(fn, jobs)
-
-    start = time.perf_counter()
-    if closed_loop:
-        jobs = [
-            (lo, hi, n_tenants, n_intervals, seed, goal_ms, dtype_str, tile)
-            for lo, hi in bounds
-        ]
-        results = _pool_map(_run_closed_shard, jobs)
-    elif len(bounds) == 1:
-        data = synthesize_fleet_telemetry(n_tenants, n_intervals, seed)
-        results = [
-            run_synthetic_sweep(
-                n_tenants,
-                n_intervals,
-                seed=seed,
-                goal_ms=goal_ms,
-                telemetry=data,
-                dtype=dtype_str,
-                tile=tile,
-            )
-        ]
-        del data
-    else:
-        from multiprocessing import shared_memory
-
-        data = synthesize_fleet_telemetry(n_tenants, n_intervals, seed)
-        shms: list = []
-        blocks: list[tuple[str, tuple, str]] = []
-        try:
-            for field in _SHM_FIELDS:
-                arr = np.ascontiguousarray(getattr(data, field))
-                shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-                shms.append(shm)
-                np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)[...] = arr
-                blocks.append((shm.name, arr.shape, str(arr.dtype)))
-            del data, arr
-            jobs = [
-                (blocks, lo, hi, n_intervals, seed, goal_ms, dtype_str, tile)
-                for lo, hi in bounds
-            ]
-            results = _pool_map(_run_shm_shard, jobs)
-        finally:
-            for shm in shms:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
+            results = pool.map(_run_shard, jobs)
     wall = time.perf_counter() - start
     return {
         "n_tenants": n_tenants,
         "n_intervals": n_intervals,
         "n_shards": len(bounds),
-        "closed_loop": closed_loop,
+        "closed_loop": True,
         "dtype": dtype_str,
         "tile": tile,
         "wall_s": float(wall),

@@ -1079,50 +1079,37 @@ def record_synthetic_fleet(
     seed: int = 7,
     *,
     goal_ms: float | None = 100.0,
-    catalog: ContainerCatalog | None = None,
-    thresholds: ThresholdConfig | None = None,
-    record_actions: bool = True,
     tracer: Tracer | None = None,
     health: FleetHealthMonitor | None = None,
-    include_aux: bool = True,
 ) -> FleetTraceStore:
     """Run a seeded synthetic vectorized sweep under the recorder.
 
     The deterministic entry point behind ``repro fleet report`` and the
     ``fleet_steady`` golden scenario: same telemetry generator as the
     benchmark sweep, with the columnar pipeline (and optionally a tracer
-    plus health monitor) attached.
+    plus health monitor) attached.  The engine runs the default catalog
+    and thresholds, records per-tenant action lists, and the recorder
+    captures the auxiliary columns the drill-down replay needs.
     """
     from repro.engine.containers import default_catalog
 
-    catalog = catalog or default_catalog()
     data = synthesize_fleet_telemetry(n_tenants, n_intervals, seed)
     goal = LatencyGoal(goal_ms) if goal_ms is not None else None
-    scaler = VectorizedAutoScaler(
-        catalog,
-        n_tenants,
-        goal=goal,
-        thresholds=thresholds,
-        record_actions=record_actions,
-    )
-    recorder = FleetTraceRecorder(
-        tracer=tracer, health=health, capture_aux=include_aux
-    )
+    scaler = VectorizedAutoScaler(default_catalog(), n_tenants, goal=goal)
+    recorder = FleetTraceRecorder(tracer=tracer, health=health)
     scaler.attach_recorder(recorder)
     for i in range(n_intervals):
-        if include_aux:
-            latency = data.latency_ms[i]
-            completions = np.isfinite(latency).astype(np.int64)
-            recorder.stage_aux(
-                {
-                    "util_frac": data.util_pct[i] / 100.0,
-                    "lock_ms": data.lock_wait_ms[i],
-                    "system_ms": data.system_wait_ms[i],
-                    "completions": completions,
-                    "start_s": np.full(n_tenants, i * 60.0),
-                    "end_s": np.full(n_tenants, (i + 1) * 60.0),
-                }
-            )
+        completions = np.isfinite(data.latency_ms[i]).astype(np.int64)
+        recorder.stage_aux(
+            {
+                "util_frac": data.util_pct[i] / 100.0,
+                "lock_ms": data.lock_wait_ms[i],
+                "system_ms": data.system_wait_ms[i],
+                "completions": completions,
+                "start_s": np.full(n_tenants, i * 60.0),
+                "end_s": np.full(n_tenants, (i + 1) * 60.0),
+            }
+        )
         scaler.decide_batch(
             float(i),
             data.latency_ms[i],

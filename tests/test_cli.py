@@ -338,3 +338,53 @@ class TestServeCommand:
         exit_code = main(["checkpoint", "inspect", str(tmp_path / "no.json")])
         assert exit_code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestFleetSweepCommand:
+    def _sweep(self, tmp_path, *flags):
+        out = tmp_path / "sweep.json"
+        argv = ["fleet", "sweep", "--intervals", "6", "--out", str(out)]
+        code = main(argv + list(flags))
+        return code, (json.loads(out.read_text()) if out.exists() else None)
+
+    def test_sharded_closed_loop_matches_unsharded_run(self, tmp_path):
+        from repro.fleet.vectorized import run_synthetic_sweep
+
+        code, digest = self._sweep(
+            tmp_path, "--tenants", "300", "--closed-loop", "--shards", "3"
+        )
+        assert code == 0
+        whole = run_synthetic_sweep(300, 6, seed=7, closed_loop=True)
+        assert digest["n_shards"] == 3
+        assert digest["closed_loop"] is True
+        assert digest["resizes"] == whole["resizes"] > 0
+        assert digest["budget_spent"] == pytest.approx(
+            whole["budget_spent"], rel=1e-12
+        )
+        assert digest["balloon_transitions"] == whole["balloon_transitions"]
+        summed = [
+            sum(column)
+            for column in zip(
+                *(s["final_level_histogram"] for s in digest["shards"])
+            )
+        ]
+        assert summed == whole["final_level_histogram"]
+
+    def test_shards_without_closed_loop_exit_2(self, tmp_path, capsys):
+        code, digest = self._sweep(tmp_path, "--tenants", "20", "--shards", "2")
+        assert code == 2
+        assert digest is None
+        assert "--shards needs --closed-loop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--closed-loop", "--shards", "2")],
+        ids=["unsharded", "sharded"],
+    )
+    def test_rss_ceiling_exceeded_exits_1(self, tmp_path, capsys, flags):
+        code, digest = self._sweep(
+            tmp_path, "--tenants", "20", "--max-rss-gb", "1e-6", *flags
+        )
+        assert code == 1
+        assert digest is not None
+        assert "peak RSS" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from repro.fleet.degraded import (
     DegradedVectorizedAutoScaler,
 )
 from repro.fleet.vectorized import (
+    ClosedLoopFleetSynthesizer,
     VectorizedAutoScaler,
     replay_decisions,
     synthesize_fleet_telemetry,
@@ -228,3 +229,69 @@ def test_restore_rejects_geometry_mismatch():
     )
     with pytest.raises(ConfigurationError):
         no_damper.load_state_dict(state)
+
+
+# -- a refused checkpoint leaves the live engine untouched --------------------
+
+
+def _driven_engine(n_intervals):
+    catalog = default_catalog()
+    engine = VectorizedAutoScaler(
+        catalog, 4, goal=LatencyGoal(100.0), damper=OscillationDamper()
+    )
+    synth = ClosedLoopFleetSynthesizer(4, catalog, _SEED)
+    for i in range(n_intervals):
+        fields = synth.interval(i, engine.level, engine.balloon_limit_gb)
+        engine.decide_batch(float(i), **fields)
+    return engine
+
+
+def _assert_refused(engine, state):
+    def wire():
+        return json.dumps(encode_state(engine.state_dict()), sort_keys=True)
+
+    before = wire()
+    with pytest.raises(ConfigurationError):
+        engine.load_state_dict(state)
+    assert wire() == before
+
+
+def test_restore_rejects_misshapen_level():
+    state = _driven_engine(6).state_dict()
+    state["level"] = state["level"][:3]
+    _assert_refused(_driven_engine(2), state)
+
+
+def test_restore_rejects_misshapen_budget_tokens():
+    state = _driven_engine(6).state_dict()
+    state["budget"]["tokens"] = state["budget"]["tokens"][:2]
+    _assert_refused(_driven_engine(2), state)
+
+
+def test_restore_rejects_level_outside_catalog():
+    state = _driven_engine(6).state_dict()
+    state["level"] = np.full(4, 99)
+    _assert_refused(_driven_engine(2), state)
+
+
+def test_restore_rejects_misshapen_ring_before_touching_levels():
+    state = _driven_engine(6).state_dict()
+    state["level"] = np.full(4, 5)
+    state["telemetry"]["lat"] = state["telemetry"]["lat"][:, 1:]
+    engine = _driven_engine(2)
+    assert not np.array_equal(engine.level, state["level"])
+    _assert_refused(engine, state)
+
+
+def test_degraded_restore_rejects_misshapen_guard_array():
+    catalog = default_catalog()
+    source = _build_degraded_fleet(catalog)
+    for _ in range(4):
+        source.step()
+    state = source.scaler.state_dict()
+    guard = state["degraded"]["guard"]
+    guard["admitted"] = guard["admitted"][:-1]
+    target = _build_degraded_fleet(catalog)
+    for _ in range(2):
+        target.step()
+    _assert_refused(target.scaler, state)

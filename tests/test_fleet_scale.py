@@ -39,7 +39,6 @@ from repro.fleet.vectorized import (
     VectorizedTelemetry,
     run_synthetic_sweep,
     sharded_synthetic_sweep,
-    synthesize_fleet_telemetry,
 )
 
 K = len(SCALABLE_KINDS)
@@ -214,17 +213,11 @@ def test_closed_loop_sweep_actuates():
     assert counts["probe_started"] > 0
 
 
-def test_closed_loop_rejects_external_telemetry():
-    data = synthesize_fleet_telemetry(4, 3, seed=1)
-    with pytest.raises(ValueError):
-        run_synthetic_sweep(4, 3, seed=1, closed_loop=True, telemetry=data)
-
-
 def test_closed_loop_shards_match_unsharded_run():
     n_tenants, n_intervals, seed = 300, 10, 11
     whole = run_synthetic_sweep(n_tenants, n_intervals, seed=seed, closed_loop=True)
     sharded = sharded_synthetic_sweep(
-        n_tenants, n_intervals, seed=seed, n_shards=3, closed_loop=True
+        n_tenants, n_intervals, seed=seed, n_shards=3
     )
     assert sharded["n_shards"] == 3
     assert sharded["resizes"] == whole["resizes"]
@@ -234,19 +227,6 @@ def test_closed_loop_shards_match_unsharded_run():
         [s["final_level_histogram"] for s in sharded["shards"]], axis=0
     )
     assert summed.tolist() == whole["final_level_histogram"]
-
-
-def test_open_loop_shared_memory_shards_cover_the_fleet():
-    n_tenants, n_intervals, seed = 240, 12, 5
-    whole = run_synthetic_sweep(n_tenants, n_intervals, seed=seed)
-    sharded = sharded_synthetic_sweep(
-        n_tenants, n_intervals, seed=seed, n_shards=2
-    )
-    summed = np.sum(
-        [s["final_level_histogram"] for s in sharded["shards"]], axis=0
-    )
-    assert summed.tolist() == whole["final_level_histogram"]
-    assert sum(s["n_tenants"] for s in sharded["shards"]) == n_tenants
 
 
 # -- configuration and checkpoint guard rails ---------------------------------
