@@ -298,16 +298,15 @@ def bench_sweep_100k(n_tenants: int = 100_000, n_intervals: int = 10) -> dict:
 def bench_fleet_1m(
     n_tenants: int = 1_000_000,
     n_intervals: int = 12,
-    tile: int = 131_072,
 ) -> dict:
     """Million-tenant closed-loop sweep: s/interval + peak RSS, gated.
 
     Runs in a fresh ``spawn`` subprocess so the ``ru_maxrss`` high-water
     mark belongs to this arm alone rather than to whichever earlier arm
-    allocated the most.  The engine runs the memory-tiered configuration
-    (float32 rings, tiled signal extraction) against the closed-loop
-    synthesizer, so the timed path includes actuation: scale-up searches,
-    budget settlement with real spend, and balloon probes.
+    allocated the most.  The engine runs its float64 rings over the whole
+    fleet at once against the closed-loop synthesizer, so the timed path
+    includes actuation: scale-up searches, budget settlement with real
+    spend, and balloon probes.
     """
     from repro.fleet.vectorized import run_synthetic_sweep_subprocess
 
@@ -316,8 +315,6 @@ def bench_fleet_1m(
         n_intervals,
         seed=7,
         closed_loop=True,
-        dtype="float32",
-        tile=tile,
     )
     steady = result["per_interval_s"][1:]  # first interval pays allocation
     counts = result["actuation"]
@@ -330,8 +327,6 @@ def bench_fleet_1m(
         "tenants": n_tenants,
         "intervals": n_intervals,
         "closed_loop": True,
-        "dtype": result["dtype"],
-        "tile": tile,
         "total_s": round(result["total_s"], 3),
         "mean_interval_s": round(float(np.mean(steady)), 3),
         "max_interval_s": round(result["max_interval_s"], 3),
@@ -717,9 +712,7 @@ def run_benchmark(
         # Truncated fleet-scale arm: same closed-loop machinery and keys,
         # CI-sized geometry (the committed full-mode numbers carry the
         # real 1M readings; ceilings scale with the full geometry only).
-        result["fleet_1m"] = bench_fleet_1m(
-            n_tenants=20_000, n_intervals=6, tile=8_192
-        )
+        result["fleet_1m"] = bench_fleet_1m(n_tenants=20_000, n_intervals=6)
     else:
         result["sweep_100k"] = bench_sweep_100k()
         between_arms()
@@ -799,8 +792,7 @@ def report(result: dict) -> str:
         big = result["fleet_1m"]
         lines.append(
             f"fleet-scale closed loop ({big['tenants']} tenants x "
-            f"{big['intervals']} intervals, dtype {big['dtype']}, "
-            f"tile {big['tile']}):"
+            f"{big['intervals']} intervals):"
         )
         lines.append(
             f"  {big['mean_interval_s']:.2f}s/interval mean "

@@ -59,8 +59,8 @@ SELF_CONSISTENT_SPEEDUPS = [
     ("fleet_vectorized",),
 ]
 
-#: The fleet-scale closed-loop arm (1M tenants, float32 rings, tiled
-#: extraction) must stay inside its own recorded ceilings.
+#: The fleet-scale closed-loop arm (1M tenants, float64 rings, signals
+#: over the whole fleet at once) must stay inside its own recorded ceilings.
 FLEET_1M_CEILINGS = [
     ("mean_interval_s", "max_mean_interval_s"),
     ("peak_rss_gb", "max_peak_rss_gb"),

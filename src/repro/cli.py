@@ -14,9 +14,8 @@ Three subcommands mirror the repository's main activities:
 * ``repro fleet report`` — record (or load) a columnar fleet trace and
   render the fleet-wide summary as JSON or markdown;
 * ``repro fleet sweep`` — time a vectorized fleet sweep (open- or
-  closed-loop; closed-loop sweeps optionally sharded across processes;
-  float32 or float64 telemetry rings) and emit the timing/actuation
-  digest as JSON;
+  closed-loop; closed-loop sweeps optionally sharded across processes)
+  and emit the timing/actuation digest as JSON;
 * ``repro serve`` — run the durable controller service over a seeded
   multi-tenant fleet, checkpointing each interval (optionally killing
   and restoring the controller at chosen intervals);
@@ -33,7 +32,7 @@ Examples::
     python -m repro.cli fleet report --tenants 8 --intervals 24 \\
         --save-store fleet.npz
     python -m repro.cli fleet sweep --tenants 50000 --intervals 20 \\
-        --closed-loop --dtype float32 --tile 8192 --max-rss-gb 2
+        --closed-loop --max-rss-gb 2
     python -m repro.cli trace explain --store fleet.npz --tenant 3 --interval 9
     python -m repro.cli serve --tenants 4 --intervals 20 \\
         --checkpoint-dir ckpts --kill-at 7,13
@@ -221,15 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--closed-loop", action="store_true",
         help="synthesize each interval from the tenants' current container "
         "levels so decisions feed back into the workload",
-    )
-    sweep.add_argument(
-        "--dtype", choices=("float32", "float64"), default="float64",
-        help="telemetry ring dtype (float32 halves ring memory; signal "
-        "kernels still reduce in float64)",
-    )
-    sweep.add_argument(
-        "--tile", type=int, default=None,
-        help="tenants per signal-extraction tile (default: whole fleet)",
     )
     sweep.add_argument(
         "--shards", type=int, default=1,
@@ -553,8 +543,6 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
             seed=args.seed,
             n_shards=args.shards,
             goal_ms=goal_ms,
-            dtype=args.dtype,
-            tile=args.tile,
         )
     else:
         digest = run_synthetic_sweep(
@@ -563,8 +551,6 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
             seed=args.seed,
             goal_ms=goal_ms,
             closed_loop=args.closed_loop,
-            dtype=args.dtype,
-            tile=args.tile,
         )
     rendered = json.dumps(digest, indent=2, sort_keys=True, default=float) + "\n"
     if args.out:

@@ -23,8 +23,8 @@ engine runs over all tenants.  Those kernels equal the scalar
 references in :mod:`repro.stats.theil_sen`, :mod:`repro.stats.spearman`
 and ``np.median`` exactly, so the scalar control loop stays the
 reference oracle for the fleet engines while sharing only the kernels
-with them: the rings, gathers and tiles of :mod:`repro.fleet` are not
-used here.
+with them: the rings and gathers of :mod:`repro.fleet` are not used
+here.
 """
 
 from __future__ import annotations

@@ -169,6 +169,9 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
     here.
     """
 
+    # Per-row ring clocks: fault injection breaks fleet lock step.
+    _telemetry_cls = MaskedVectorizedTelemetry
+
     def __init__(
         self,
         catalog: ContainerCatalog,
@@ -187,14 +190,6 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         **kwargs,
     ) -> None:
         super().__init__(catalog, n_tenants, **kwargs)
-        # Per-row ring clocks: fault injection breaks fleet lock step.
-        self.telemetry = MaskedVectorizedTelemetry(
-            n_tenants,
-            self.thresholds,
-            self.goal,
-            dtype=self._dtype,
-            tile=self._tile,
-        )
         self._disk_cursor_rows = np.zeros(n_tenants, dtype=np.int64)
 
         if guard_max_tracked_gaps < 1:

@@ -91,8 +91,6 @@ __all__ = [
     "LAT_GOOD",
     "LAT_BAD",
     "LAT_UNKNOWN",
-    "FLOAT32_SIGNAL_RTOL",
-    "FLOAT32_MAX_DECISION_DIVERGENCE",
     "FleetSignals",
     "FleetDemand",
     "FleetDecisions",
@@ -166,27 +164,6 @@ _HIGH_STEPS = np.array([r.steps for r in _HIGH_RULES], dtype=np.int8)
 # Balloon phases, integer mirror of BalloonPhase.
 _B_IDLE, _B_PROBING, _B_COOLDOWN = 0, 1, 2
 
-# -- the float32 tolerance contract -------------------------------------------
-#
-# Ring storage is dtype-tiered: the float64 configuration (the default) is
-# byte-identical to the scalar AutoScaler, while float32 storage halves
-# ring RSS at the cost of one rounding step per stored sample (values are
-# promoted back to float64 inside every repro.stats.batched kernel, so
-# the *statistics* run at full precision over rounded inputs).  The
-# contract, held by tests/test_fleet_scale.py across the config axes:
-
-#: Smoothed signal values from float32 rings stay within this relative
-#: tolerance of the float64 path (one float32 rounding of the inputs).
-FLOAT32_SIGNAL_RTOL = 1e-5
-
-#: Fraction of tenant-interval decisions allowed to differ between the
-#: float32 and float64 configurations.  Divergence requires a signal to
-#: sit within one float32 ulp of a threshold cut, so the observed rate on
-#: continuous telemetry is ~0; the bound leaves room for closed-loop
-#: amplification (one flipped decision shifts that tenant's later levels).
-FLOAT32_MAX_DECISION_DIVERGENCE = 0.02
-
-
 class FleetSignals(NamedTuple):
     """Struct-of-arrays :class:`repro.core.signals.WorkloadSignals`.
 
@@ -255,6 +232,21 @@ def _check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> Non
         )
 
 
+def _check_ring_dtype(what: str, state: dict) -> None:
+    """Refuse a fleet checkpoint whose rings were not stored as float64.
+
+    Checkpoints written before the dtype was recorded carry no key; they
+    were float64.  Any other dtype (an old float32 file) is refused
+    before anything is assigned.
+    """
+    dtype = str(state.get("dtype", "float64"))
+    if dtype != "float64":
+        raise ConfigurationError(
+            f"{what} checkpoint ring dtype {dtype} is not supported: "
+            "fleet rings are float64"
+        )
+
+
 def _checked_arrays(owner, raw: dict) -> dict[str, np.ndarray]:
     """Checkpoint arrays as copies in the dtype and shape of ``owner``'s.
 
@@ -275,17 +267,13 @@ def _sign8(values: np.ndarray) -> np.ndarray:
 
 
 def _empty_fleet_signals(n: int, inert: bool = False) -> FleetSignals:
-    """Fleet-wide signal outputs, filled tile by tile.
+    """Fleet-wide signal outputs, filled in one pass over the rows.
 
     Uninitialized by default, for callers that write every row.  With
     ``inert`` the rows start at the inert defaults (NaN latency, UNKNOWN
     status, zeros elsewhere) that a row-subset fill leaves in place;
     every consumer masks with the selected rows, so the filler never
     reaches a decision.
-
-    Signal outputs are always float64 regardless of the ring storage
-    dtype: the batched kernels promote on entry, so only the *stored*
-    samples are tiered.
     """
     alloc = np.zeros if inert else np.empty
     out = FleetSignals(
@@ -355,15 +343,6 @@ class VectorizedTelemetry:
     Unwritten slots hold NaN, which the batched kernels drop exactly like
     the scalar paths drop absent samples — so a cold window needs no
     special-casing either.
-
-    Memory tiering: ``dtype`` selects the ring storage precision.  The
-    default float64 keeps the byte-identity contract with the scalar
-    path; float32 halves ring RSS under the module-level tolerance
-    contract (values are promoted to float64 inside every batched
-    kernel).  ``tile`` bounds signal extraction to ``tile`` tenants at a
-    time through persistent preallocated scratch, so the transient
-    working set scales with the tile rather than the fleet — tiling is
-    row-independent and therefore byte-identical to the untiled sweep.
     """
 
     def __init__(
@@ -371,32 +350,20 @@ class VectorizedTelemetry:
         n_tenants: int,
         thresholds: ThresholdConfig,
         goal: LatencyGoal | None = None,
-        *,
-        dtype: str | np.dtype = np.float64,
-        tile: int | None = None,
     ) -> None:
         if n_tenants < 1:
             raise ValueError("n_tenants must be >= 1")
-        self._dtype = np.dtype(dtype)
-        if self._dtype.kind != "f":
-            raise ConfigurationError(
-                f"telemetry ring dtype must be floating, got {self._dtype}"
-            )
-        if tile is not None and tile < 1:
-            raise ConfigurationError("tile must be >= 1 (or None)")
-        self._tile = tile
         self.n_tenants = n_tenants
         self.thresholds = thresholds
         self.goal = goal
         window = thresholds.signal_window
         self._window = window
         self._smooth = min(thresholds.smooth_intervals, window)
-        dt = self._dtype
-        self._t = np.full(window, np.nan, dtype=dt)  # one shared clock
-        self._lat = np.full((window, n_tenants), np.nan, dtype=dt)
-        self._util = np.full((window, K, n_tenants), np.nan, dtype=dt)
-        self._wait = np.full((window, K, n_tenants), np.nan, dtype=dt)
-        self._wpct = np.full((window, K, n_tenants), np.nan, dtype=dt)
+        self._t = np.full(window, np.nan)  # one shared clock
+        self._lat = np.full((window, n_tenants), np.nan)
+        self._util = np.full((window, K, n_tenants), np.nan)
+        self._wait = np.full((window, K, n_tenants), np.nan)
+        self._wpct = np.full((window, K, n_tenants), np.nan)
         self._cursor = 0
         self._count = 0
         cuts = [thresholds.wait_thresholds[kind] for kind in SCALABLE_KINDS]
@@ -404,20 +371,16 @@ class VectorizedTelemetry:
         self._wait_high = np.array([c.high_ms for c in cuts])[:, None]
         # Persistent scratch: one flat backing array per name, grown to
         # the largest size ever requested and viewed in the shape asked
-        # for.  Whatever mix of tile and wave widths arrives, the pool
-        # holds one largest request per name, and the per-interval
-        # np.empty churn on the signal hot path disappears.
+        # for.  Whatever mix of wave widths arrives, the pool holds one
+        # largest request per name, and the per-interval np.empty churn
+        # on the signal hot path disappears.
         self._scratch: dict[str, np.ndarray] = {}
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
 
     def _buf(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         flat = self._scratch.get(name)
         if flat is None or flat.size < size:
-            flat = np.empty(size, dtype=self._dtype)
+            flat = np.empty(size)
             self._scratch[name] = flat
         return flat[:size].reshape(shape)
 
@@ -462,7 +425,7 @@ class VectorizedTelemetry:
             "n_tenants": self.n_tenants,
             "window": self._window,
             "smooth": self._smooth,
-            "dtype": str(self._dtype),
+            "dtype": "float64",
             "cursor": self._cursor,
             "count": self._count,
         }
@@ -482,18 +445,11 @@ class VectorizedTelemetry:
                 f"S={state['smooth']}) does not match this engine "
                 f"(T={self.n_tenants}, W={self._window}, S={self._smooth})"
             )
-        # Pre-tiering checkpoints carry no dtype key: they were float64.
-        dtype = str(state.get("dtype", "float64"))
-        if dtype != str(self._dtype):
-            raise ConfigurationError(
-                f"fleet telemetry checkpoint dtype {dtype} does not match "
-                f"this engine ({self._dtype}); rebuild the engine with "
-                "the checkpoint's dtype"
-            )
+        _check_ring_dtype("fleet telemetry", state)
         rings = {}
         for name in _RINGS:
             live = getattr(self, "_" + name)
-            wire = np.asarray(state[name], dtype=self._dtype)
+            wire = np.asarray(state[name], dtype=np.float64)
             _check_shape(name, wire, live.shape[1:] + live.shape[:1])
             rings[name] = np.moveaxis(wire, -1, 0).copy()
         for name, ring in rings.items():
@@ -523,12 +479,7 @@ class VectorizedTelemetry:
         return self._t[slots]
 
     def signals(self) -> FleetSignals:
-        """The categorized fleet signal set for the current interval.
-
-        Tenants are processed in tiles of ``tile`` rows (the whole fleet
-        when unset); every batched kernel is row-independent, so the tile
-        boundaries cannot change any value.
-        """
+        """The categorized fleet signal set for the current interval."""
         if self._count == 0:
             raise InsufficientDataError(
                 "no telemetry observed yet: observe() at least one interval "
@@ -536,17 +487,14 @@ class VectorizedTelemetry:
             )
         n = self.n_tenants
         out = _empty_fleet_signals(n)
-        tile = self._tile if self._tile is not None else n
-        for lo in range(0, n, tile):
-            hi = min(lo + tile, n)
-            self._signals_into(out, slice(lo, hi), hi - lo)
+        self._signals_into(out, slice(0, n), n)
         return out
 
     def _signals_into(self, out: FleetSignals, idx, m: int) -> None:
         """Fill ``out[..., idx]`` from the ``m`` ring columns ``idx``.
 
-        ``idx`` is a column slice (the shared-cursor tiles) or an array
-        of row indices (a masked wave's tile); only :meth:`_tail_slots`,
+        ``idx`` is a column slice (the whole shared-cursor fleet) or an
+        array of row indices (a masked wave); only :meth:`_tail_slots`,
         :meth:`_gather` and :meth:`_trend_x` differ between the two.
         """
         cfg = self.thresholds
@@ -597,7 +545,7 @@ class VectorizedTelemetry:
     def _categorize_into(
         self, out: FleetSignals, idx, smoothed: np.ndarray
     ) -> None:
-        """Threshold the smoothed medians into levels/status for a tile."""
+        """Threshold the smoothed medians into levels/status for ``idx``."""
         cfg = self.thresholds
         util_s, wait_s, wpct_s = (
             smoothed[:K],
@@ -655,12 +603,9 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
         n_tenants: int,
         thresholds: ThresholdConfig,
         goal: LatencyGoal | None = None,
-        *,
-        dtype: str | np.dtype = np.float64,
-        tile: int | None = None,
     ) -> None:
-        super().__init__(n_tenants, thresholds, goal, dtype=dtype, tile=tile)
-        self._t = np.full((self._window, n_tenants), np.nan, dtype=self._dtype)
+        super().__init__(n_tenants, thresholds, goal)
+        self._t = np.full((self._window, n_tenants), np.nan)
         self._cursor_rows = np.zeros(n_tenants, dtype=np.int64)
         self._count_rows = np.zeros(n_tenants, dtype=np.int64)
 
@@ -745,16 +690,13 @@ class MaskedVectorizedTelemetry(VectorizedTelemetry):
         status, zeros elsewhere).  Every selected row must have at least
         one observed sample (in the degraded sweep only tenants whose
         delivery was *admitted* this interval reach the full decision
-        body, which guarantees it).  Rows are processed in tiles of
-        ``tile`` (all at once when unset); every kernel is
-        row-independent so tiling cannot change a value.
+        body, which guarantees it).  An empty ``rows`` (a wave whose
+        deliveries were all quarantined) returns the inert set without
+        reaching the kernels.
         """
         out = _empty_fleet_signals(self.n_tenants, inert=True)
-        n = rows.size
-        tile = self._tile if self._tile is not None else max(n, 1)
-        for lo in range(0, n, tile):
-            tile_rows = rows[lo : lo + tile]
-            self._signals_into(out, tile_rows, tile_rows.size)
+        if rows.size:
+            self._signals_into(out, rows, rows.size)
         return out
 
     # -- checkpointing -----------------------------------------------------
@@ -909,6 +851,9 @@ class VectorizedAutoScaler:
             byte-stable across hosts.
     """
 
+    #: The signal-window store; the degraded engine swaps in per-row clocks.
+    _telemetry_cls: type[VectorizedTelemetry] = VectorizedTelemetry
+
     def __init__(
         self,
         catalog: ContainerCatalog,
@@ -926,8 +871,6 @@ class VectorizedAutoScaler:
         damper: OscillationDamper | None = None,
         record_actions: bool = True,
         clock: Callable[[], float] | None = None,
-        dtype: str | np.dtype = np.float64,
-        tile: int | None = None,
     ) -> None:
         if len(catalog) != catalog.num_levels:
             raise CatalogError(
@@ -974,11 +917,7 @@ class VectorizedAutoScaler:
         if np.any((self.level < 0) | (self.level >= self._n_levels)):
             raise CatalogError("initial_level outside the catalog")
 
-        self.telemetry = VectorizedTelemetry(
-            n_tenants, self.thresholds, goal, dtype=dtype, tile=tile
-        )
-        self._dtype = self.telemetry.dtype
-        self._tile = tile
+        self.telemetry = self._telemetry_cls(n_tenants, self.thresholds, goal)
         self._init_budget(budget)
 
         #: Cumulative actuation tally, updated on every decide_batch.  The
@@ -1010,7 +949,7 @@ class VectorizedAutoScaler:
 
         self._low_streak = np.zeros(n_tenants, dtype=np.int64)
         window = self.thresholds.signal_window
-        self._disk_reads = np.full((n_tenants, window), np.nan, dtype=self._dtype)
+        self._disk_reads = np.full((n_tenants, window), np.nan)
         self._disk_cursor = 0
 
         self._damper = damper
@@ -1101,7 +1040,7 @@ class VectorizedAutoScaler:
         state = {
             "n_tenants": self.n_tenants,
             "n_levels": self._n_levels,
-            "dtype": str(self._dtype),
+            "dtype": "float64",
             "action_counts": dict(self.action_counts),
             "level": self.level.copy(),
             "budget": {
@@ -1159,13 +1098,7 @@ class VectorizedAutoScaler:
             raise ConfigurationError(
                 "damper presence mismatch between checkpoint and live engine"
             )
-        ckpt_dtype = str(state.get("dtype", "float64"))
-        if ckpt_dtype != str(self._dtype):
-            raise ConfigurationError(
-                f"fleet checkpoint ring dtype {ckpt_dtype} does not match "
-                f"this engine's {self._dtype}; rebuild the engine with the "
-                "checkpoint's dtype"
-            )
+        _check_ring_dtype("fleet", state)
         budget, balloon = state["budget"], state["balloon"]
         damper = state["damper"]
         raw = {
@@ -2165,8 +2098,6 @@ def run_synthetic_sweep(
     *,
     goal_ms: float | None = 100.0,
     closed_loop: bool = False,
-    dtype: str | np.dtype = np.float64,
-    tile: int | None = None,
     lo: int = 0,
     n_total: int | None = None,
 ) -> dict:
@@ -2184,12 +2115,10 @@ def run_synthetic_sweep(
     controller's own levels and balloon limits — this is the mode that
     exercises actuation (resizes, budget spend, balloon transitions).
     Generation is excluded from the timed window either way; only
-    ``decide_batch`` is measured.  ``dtype``/``tile`` configure the
-    engine's telemetry rings (see :class:`VectorizedTelemetry`).
-    ``lo``/``n_total`` place this engine at rows ``[lo, lo+n_tenants)``
-    of an ``n_total``-wide closed-loop fleet, which is how
-    :func:`sharded_synthetic_sweep` keeps shard telemetry identical to an
-    unsharded run.
+    ``decide_batch`` is measured.  ``lo``/``n_total`` place this engine
+    at rows ``[lo, lo+n_tenants)`` of an ``n_total``-wide closed-loop
+    fleet, which is how :func:`sharded_synthetic_sweep` keeps shard
+    telemetry identical to an unsharded run.
     """
     from repro.engine.containers import default_catalog
 
@@ -2204,12 +2133,7 @@ def run_synthetic_sweep(
     else:
         data = synthesize_fleet_telemetry(n_tenants, n_intervals, seed)
     scaler = VectorizedAutoScaler(
-        catalog,
-        n_tenants,
-        goal=goal,
-        record_actions=False,
-        dtype=dtype,
-        tile=tile,
+        catalog, n_tenants, goal=goal, record_actions=False
     )
     per_interval = []
     resizes = 0
@@ -2236,8 +2160,6 @@ def run_synthetic_sweep(
         "n_intervals": n_intervals,
         "seed": seed,
         "closed_loop": closed_loop,
-        "dtype": str(np.dtype(dtype)),
-        "tile": tile,
         "total_s": float(sum(per_interval)),
         "per_interval_s": [float(v) for v in per_interval],
         "mean_interval_s": float(np.mean(per_interval)),
@@ -2322,15 +2244,13 @@ def _shard_bounds(n_tenants: int, n_shards: int) -> list[tuple[int, int]]:
 
 
 def _run_shard(args: tuple) -> dict:
-    lo, hi, n_total, n_intervals, seed, goal_ms, dtype, tile = args
+    lo, hi, n_total, n_intervals, seed, goal_ms = args
     return run_synthetic_sweep(
         hi - lo,
         n_intervals,
         seed=seed,
         goal_ms=goal_ms,
         closed_loop=True,
-        dtype=dtype,
-        tile=tile,
         lo=lo,
         n_total=n_total,
     )
@@ -2343,8 +2263,6 @@ def sharded_synthetic_sweep(
     *,
     n_shards: int = 4,
     goal_ms: float | None = 100.0,
-    dtype: str | np.dtype = np.float64,
-    tile: int | None = None,
 ) -> dict:
     """Split a closed-loop fleet sweep across processes.
 
@@ -2362,10 +2280,8 @@ def sharded_synthetic_sweep(
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
     bounds = _shard_bounds(n_tenants, n_shards)
-    dtype_str = str(np.dtype(dtype))
     jobs = [
-        (lo, hi, n_tenants, n_intervals, seed, goal_ms, dtype_str, tile)
-        for lo, hi in bounds
+        (lo, hi, n_tenants, n_intervals, seed, goal_ms) for lo, hi in bounds
     ]
     start = time.perf_counter()
     if len(jobs) == 1:
@@ -2382,8 +2298,6 @@ def sharded_synthetic_sweep(
         "n_intervals": n_intervals,
         "n_shards": len(bounds),
         "closed_loop": True,
-        "dtype": dtype_str,
-        "tile": tile,
         "wall_s": float(wall),
         "wall_per_interval_s": float(wall / n_intervals),
         "resizes": int(sum(r["resizes"] for r in results)),

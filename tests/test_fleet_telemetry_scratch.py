@@ -14,16 +14,16 @@ import numpy as np
 from repro.core.latency import LatencyGoal
 from repro.core.thresholds import default_thresholds
 from repro.engine.resources import SCALABLE_KINDS
-from repro.fleet.vectorized import MaskedVectorizedTelemetry, VectorizedTelemetry
+from repro.fleet.vectorized import LAT_UNKNOWN, MaskedVectorizedTelemetry
 
 K = len(SCALABLE_KINDS)
 N = 300
 
 
-def _fed(cls, n=N, seed=0, **kwargs):
+def _fed(cls, n=N, seed=0):
     """A telemetry ring past its first full window, with idle gaps."""
     thresholds = default_thresholds()
-    tel = cls(n, thresholds, LatencyGoal(100.0), **kwargs)
+    tel = cls(n, thresholds, LatencyGoal(100.0))
     rng = np.random.default_rng(seed)
     for i in range(thresholds.signal_window + 3):
         latency = rng.gamma(2.0, 30.0, n)
@@ -60,12 +60,22 @@ def test_wave_scratch_is_one_largest_request_per_name():
     assert _scratch_bytes(tel) == _scratch_bytes(widest)
 
 
-def test_tiles_keep_one_full_tile_of_scratch():
-    tiled = _fed(VectorizedTelemetry, tile=70)  # tiles of 70, 70, 70, 70, 20
-    tiled.signals()
-    one_tile = _fed(VectorizedTelemetry, n=70)
-    one_tile.signals()
-    assert _scratch_bytes(tiled) == _scratch_bytes(one_tile)
+def test_empty_wave_returns_inert_signals(monkeypatch):
+    """A wave whose deliveries were all quarantined selects no rows."""
+    tel = _fed(MaskedVectorizedTelemetry)
+
+    def no_kernels(*args):
+        raise AssertionError("an empty wave reached the signal kernels")
+
+    monkeypatch.setattr(tel, "_signals_into", no_kernels)
+    out = tel.signals_rows(np.empty(0, dtype=np.int64))
+    assert np.isnan(out.latency_ms).all()
+    assert (out.latency_status == LAT_UNKNOWN).all()
+    for field in out._fields:
+        if field not in ("latency_ms", "latency_status"):
+            assert not getattr(out, field).any(), field
+    assert out.util_pct.shape == (K, N)
+    assert tel._scratch == {}
 
 
 def test_reused_scratch_does_not_change_signals():

@@ -132,12 +132,12 @@ def test_smoke_fleet_scale_arm(smoke_result):
     The s/interval and peak-RSS ceilings are full-geometry numbers gated
     by ``check_perf_gate.py`` against the committed JSON; the smoke run
     verifies the truncated arm exercises the same machinery — subprocess
-    isolation, float32 rings, tiled extraction, and a loop that resizes.
+    isolation, the float64 rings, and a loop that resizes.
     """
     result, _ = smoke_result
     big = result["fleet_1m"]
     assert big["closed_loop"] is True
-    assert big["dtype"] == "float32"
+    assert "dtype" not in big and "tile" not in big
     assert big["actuated"], (
         "closed-loop sweep made no resizes / spent no budget / never "
         "probed a balloon — the synthesizer is not reacting to levels"
