@@ -10,11 +10,12 @@ with per-tenant objects (:class:`~repro.core.telemetry_guard.TelemetryGuard`,
 *same* degraded control loop for the whole fleet at once:
 
 * :class:`DegradedVectorizedAutoScaler` — guard admission verdicts,
-  safe-mode gating, budget settlement with refund drain, and the resize
-  executor's retry / backoff / circuit-breaker state, all as ``(T,)`` /
-  ``(T, W)`` numpy arrays.  The decision itself (balloon, scaling,
-  damper, budget enforcement) is the healthy engine's one body, run
-  over each wave's row mask.
+  safe-mode gating, the refund drain, and the resize executor's retry /
+  backoff / circuit-breaker state, all as ``(T,)`` numpy arrays.  The
+  rest is the healthy engine's: the per-row telemetry rings and the
+  observe helper that feeds them, the ledger charge, and the decision
+  body (balloon, scaling, damper, budget enforcement), run over each
+  wave's row mask.
 * **Waves** — one billing interval delivers 0..3 counters per tenant
   (held + fresh + duplicate).  :meth:`decide_wave` consumes one delivery
   *wave*: a boolean ``present`` mask plus per-tenant field arrays.  Each
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,11 +57,11 @@ from repro.core.budget import BudgetManager
 from repro.core.damper import OscillationDamper
 from repro.core.explanations import ActionKind
 from repro.core.latency import LatencyGoal
+from repro.core.resize_executor import ResizeExecutor
+from repro.core.telemetry_guard import TelemetryGuard
 from repro.engine.containers import ContainerCatalog
-from repro.engine.resources import SCALABLE_KINDS
 from repro.engine.server import DatabaseServer
 from repro.engine.telemetry import IntervalCounters
-from repro.engine.waits import RESOURCE_WAIT_CLASS
 from repro.errors import (
     ActuationError,
     ConfigurationError,
@@ -76,10 +78,11 @@ from repro.faults.vectorized import (
 from repro.fleet.vectorized import (
     _B_COOLDOWN,
     _B_PROBING,
+    _INTERVAL_FIELDS,
     K,
-    MaskedVectorizedTelemetry,
     VectorizedAutoScaler,
     _checked_arrays,
+    _counter_fields,
     estimate_fleet,  # noqa: F401 - kept importable here; perfbench wraps it
     synthesize_fleet_telemetry,
 )
@@ -105,6 +108,33 @@ __all__ = [
 # CIRCUIT_CODES order: codes index into the tuple).
 _C_CLOSED, _C_OPEN, _C_HALF = 0, 1, 2
 CIRCUIT_CODES = ("closed", "open", "half-open")
+
+#: The executor settings a fleet chooses; its backoff schedule and the
+#: guard's tunables are the scalar defaults, so checkpoints omit them.
+_EXECUTOR_OPTIONS = ("max_attempts", "failure_threshold", "open_intervals")
+
+#: Per-row degraded arrays on the checkpoint wire: (section, key, attribute).
+_DEGRADED_ARRAYS = (
+    ("guard", "expected", "_g_expected"),
+    ("guard", "last_end_s", "_g_last_end"),
+    ("guard", "admitted", "g_admitted"),
+    ("guard", "admitted_late", "g_admitted_late"),
+    ("guard", "quarantined", "g_quarantined"),
+    ("guard", "discarded", "g_discarded"),
+    ("guard", "missed", "g_missed"),
+    ("guard", "consecutive", "g_consecutive"),
+    (None, "safe_mode", "_safe"),
+    (None, "pending_refund", "_pending_refund"),
+    (None, "refunded", "_refunded"),
+    ("executor", "state", "_x_state"),
+    ("executor", "consecutive_failures", "_x_consec"),
+    ("executor", "open_left", "_x_open_left"),
+    ("executor", "total_attempts", "x_total_attempts"),
+    ("executor", "total_failures", "x_total_failures"),
+    ("executor", "total_refunds", "x_total_refunds"),
+    ("executor", "circuit_opens", "x_circuit_opens"),
+    (None, "dead", "_dead"),
+)
 
 
 class WaveDecisions(NamedTuple):
@@ -164,13 +194,15 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
 
     Drive it with :meth:`decide_wave` (one call per delivery wave, plus
     the wave-0 gap mask) and :meth:`execute_interval` (once per billing
-    interval).  Both engines run one shared decision body; the healthy
-    entry points :meth:`decide_batch` and :meth:`attach_recorder` raise
-    here.
-    """
+    interval).  Both engines share the telemetry rings, the observe
+    helper, the ledger charge and the decision body; the healthy entry
+    points :meth:`decide_batch` and :meth:`attach_recorder` raise here.
 
-    # Per-row ring clocks: fault injection breaks fleet lock step.
-    _telemetry_cls = MaskedVectorizedTelemetry
+    The guard's tunables and the executor's backoff schedule are the
+    scalar :class:`TelemetryGuard` and :class:`ResizeExecutor` defaults;
+    ``max_attempts``, ``failure_threshold`` and ``open_intervals`` are
+    validated by the scalar executor itself.
+    """
 
     def __init__(
         self,
@@ -179,25 +211,22 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         *,
         executor_seeds: int | Sequence[int] = 0,
         max_attempts: int = 3,
-        backoff_base_ms: float = 200.0,
-        backoff_factor: float = 2.0,
-        jitter: float = 0.25,
         failure_threshold: int = 3,
         open_intervals: int = 10,
-        guard_max_tracked_gaps: int = 64,
-        guard_degraded_after: int = 3,
         record_guard_reasons: bool = True,
         **kwargs,
     ) -> None:
         super().__init__(catalog, n_tenants, **kwargs)
-        self._disk_cursor_rows = np.zeros(n_tenants, dtype=np.int64)
-
-        if guard_max_tracked_gaps < 1:
-            raise ConfigurationError("max_tracked_gaps must be >= 1")
-        if guard_degraded_after < 1:
-            raise ConfigurationError("degraded_after must be >= 1")
-        self._g_max_gaps = int(guard_max_tracked_gaps)
-        self._g_degraded_after = int(guard_degraded_after)
+        # One source of truth with the scalar path, as for the balloon
+        # tunables: reference objects that are read, never driven.
+        self._guard = TelemetryGuard()
+        self._executor = ResizeExecutor(
+            None,
+            None,
+            max_attempts=max_attempts,
+            failure_threshold=failure_threshold,
+            open_intervals=open_intervals,
+        )
         self._record_guard_reasons = record_guard_reasons
         self._g_expected = np.full(n_tenants, -1, dtype=np.int64)  # -1 = None
         self._g_last_end = np.full(n_tenants, np.nan)  # NaN = None
@@ -216,14 +245,6 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         self._pending_refund = np.zeros(n_tenants)
         self._refunded = np.zeros(n_tenants)
 
-        if max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        self._x_max_attempts = int(max_attempts)
-        self._x_backoff_base_ms = float(backoff_base_ms)
-        self._x_backoff_factor = float(backoff_factor)
-        self._x_jitter = float(jitter)
-        self._x_failure_threshold = int(failure_threshold)
-        self._x_open_intervals = int(open_intervals)
         if isinstance(executor_seeds, (int, np.integer)):
             seeds = [int(executor_seeds)] * n_tenants
         else:
@@ -266,20 +287,15 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         return self._refunded
 
     def telemetry_degraded(self) -> np.ndarray:
-        return self.g_consecutive >= self._g_degraded_after
+        return self.g_consecutive >= self._guard.degraded_after
 
     # -- the healthy entry points do not apply -----------------------------
 
     def decide_batch(self, *args, **kwargs):
-        """Refused: lock-step input would bypass the guard and ledger.
-
-        The healthy path writes the shared disk-read cursor (waves keep
-        one per row) and settles without the refund drain or the
-        per-row death a wave applies.
-        """
+        """Refused: lock-step input would bypass the guard and ledger."""
         raise ConfigurationError(
             "the degraded engine is driven by decide_wave(); decide_batch() "
-            "would desynchronize its per-row disk windows and budget ledger"
+            "would bypass its telemetry guard and refund ledger"
         )
 
     def attach_recorder(self, recorder) -> None:
@@ -318,7 +334,9 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         ``index`` / ``start_s`` / ``end_s`` / ``anomalous`` /
         ``anomaly_reasons`` describe each delivery as the scalar guard
         would see it (``counters.interval_index`` / timestamps /
-        ``counters.anomalies()``); ``billed_cost`` is each delivery's
+        ``counters.anomalies()``); ``anomaly_reasons`` is indexed by row
+        and read only for anomalous rows, and only when guard reasons
+        are recorded.  ``billed_cost`` is each delivery's
         ``counters.container.cost``.
         """
         n = self.n_tenants
@@ -331,6 +349,12 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         start_s = np.asarray(start_s, dtype=float)
         end_s = np.asarray(end_s, dtype=float)
         anomalous = np.asarray(anomalous, dtype=bool)
+        latency_ms = np.asarray(latency_ms, dtype=float)
+        util_pct = np.asarray(util_pct, dtype=float)
+        wait_ms = np.asarray(wait_ms, dtype=float)
+        wait_pct = np.asarray(wait_pct, dtype=float)
+        memory_used_gb = np.asarray(memory_used_gb, dtype=float)
+        disk_reads = np.asarray(disk_physical_reads, dtype=float)
 
         # -- guard classification (one verdict per present row) ------------
         exp = self._g_expected
@@ -360,27 +384,22 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         quarantine = quar_anom | skewed
         discard = stale | dup
 
-        # Per-row verdict reason strings (guard stats + explanations).
-        reasons: list[tuple[str, ...]] = [()] * n
-        for r in np.flatnonzero(stale):
-            reasons[r] = (
-                f"stale corrupt delivery for interval {int(index[r])}",
-                *anomaly_reasons[r],
-            )
-        for r in np.flatnonzero(dup):
-            reasons[r] = (f"duplicate delivery for interval {int(index[r])}",)
-        for r in np.flatnonzero(late):
-            reasons[r] = (
-                f"late delivery for already-settled interval {int(index[r])}",
-            )
-        for r in np.flatnonzero(quar_anom):
-            reasons[r] = tuple(anomaly_reasons[r])
-        for r in np.flatnonzero(skewed):
-            reasons[r] = (
-                f"clock skew: interval {int(index[r])} starts at "
-                f"{start_s[r]:g}s, before the previous interval ended "
-                f"({self._g_last_end[r]:g}s)",
-            )
+        # The guard's reason strings, built only when they are kept.
+        if self._record_guard_reasons:
+            kept = self._g_reasons
+            for r in np.flatnonzero(stale):
+                kept[r].append(f"stale corrupt delivery for interval {int(index[r])}")
+                kept[r].extend(anomaly_reasons[r])
+            for r in np.flatnonzero(dup):
+                kept[r].append(f"duplicate delivery for interval {int(index[r])}")
+            for r in np.flatnonzero(quar_anom):
+                kept[r].extend(anomaly_reasons[r])
+            for r in np.flatnonzero(skewed):
+                kept[r].append(
+                    f"clock skew: interval {int(index[r])} starts at "
+                    f"{start_s[r]:g}s, before the previous interval ended "
+                    f"({self._g_last_end[r]:g}s)"
+                )
 
         # -- guard state updates -------------------------------------------
         self.g_discarded[discard] += 1
@@ -405,9 +424,6 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         self._g_expected[gap_tracked] += 1
         self.g_missed[gap] += 1
         self.g_consecutive[gap] += 1
-        if self._record_guard_reasons:
-            for r in np.flatnonzero(discard | quarantine):
-                self._g_reasons[r].extend(reasons[r])
 
         # -- budget settlement, in scalar decide order ---------------------
         # ADMIT first pays the believed cost for each missed interval, then
@@ -423,22 +439,15 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
             self._settle_rows(m, believed)
             k += 1
 
-        observe = late | (admit & ~self._dead)
-        rows = np.flatnonzero(observe)
-        if rows.size:
-            self.telemetry.observe_rows(
-                rows,
-                index[rows].astype(float),
-                np.asarray(latency_ms, dtype=float)[rows],
-                np.asarray(util_pct, dtype=float)[:, rows],
-                np.asarray(wait_ms, dtype=float)[:, rows],
-                np.asarray(wait_pct, dtype=float)[:, rows],
-            )
-            cur = self._disk_cursor_rows[rows]
-            self._disk_reads[rows, cur] = np.asarray(
-                disk_physical_reads, dtype=float
-            )[rows]
-            self._disk_cursor_rows[rows] = (cur + 1) % self._disk_reads.shape[1]
+        self._observe(
+            np.flatnonzero(late | (admit & ~self._dead)),
+            index.astype(float),
+            latency_ms,
+            util_pct,
+            wait_ms,
+            wait_pct,
+            disk_reads,
+        )
 
         self._settle_rows(admit, np.asarray(billed_cost, dtype=float))
         self._settle_rows(quarantine | gap, believed)
@@ -459,9 +468,9 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         decided = self._decide(
             signals,
             self._estimate(signals),
-            np.asarray(util_pct, dtype=float),
-            np.asarray(disk_physical_reads, dtype=float),
-            np.asarray(memory_used_gb, dtype=float),
+            util_pct,
+            disk_reads,
+            memory_used_gb,
             rows=full,
             held=held,
             prefix=[
@@ -507,21 +516,14 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
     def _remember_missing(self, r: int, index: int) -> None:
         missing = self._g_missing[r]
         missing.add(index)
-        while len(missing) > self._g_max_gaps:
+        while len(missing) > self._guard.max_tracked_gaps:
             missing.discard(min(missing))
 
-    def _kill(self, r: int, message: str) -> None:
-        self._dead[r] = True
-        self._dead_error[r] = message
-
     def _settle_rows(self, mask: np.ndarray, cost: np.ndarray) -> None:
-        """Refund drain + ``end_interval`` for the masked rows.
+        """Refund drain, then the shared ledger charge, for the masked rows.
 
         Mirrors the scalar ``AutoScaler._settle_budget``: pending refunds
-        are credited first (and stick even if the charge then fails), the
-        period / affordability checks raise *before* any charge mutation —
-        here a failing row is marked dead with the scalar's formatted
-        error instead of aborting the fleet.
+        are credited first (and stick even if the charge then fails).
         """
         mask = mask & ~self._dead
         if not np.any(mask):
@@ -537,24 +539,20 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
             self._spent[drain] = np.maximum(self._spent[drain] - credited, 0.0)
             self._refunded[drain] += credited
             self._pending_refund[drain] = 0.0
-        finished = mask & (self._interval_i >= self._period_n)
+        self._charge(cost, mask)
+
+    def _refuse_charge(
+        self, finished: np.ndarray, unaffordable: np.ndarray, cost: np.ndarray
+    ) -> None:
+        """Kill each refused row with its scalar twin's error message."""
+        self._dead |= finished | unaffordable
         for r in np.flatnonzero(finished):
-            self._kill(r, "BudgetError: budgeting period already finished")
-        mask &= ~finished
-        unaffordable = mask & (cost > self._tokens + 1e-9)
+            self._dead_error[r] = "BudgetError: budgeting period already finished"
         for r in np.flatnonzero(unaffordable):
-            self._kill(
-                r,
+            self._dead_error[r] = (
                 f"BudgetError: cost {cost[r]} exceeds available budget "
-                f"{self._tokens[r]:.2f}",
+                f"{self._tokens[r]:.2f}"
             )
-        mask &= ~unaffordable
-        self._interval_i[mask] += 1
-        self._spent[mask] += cost[mask]
-        after = np.maximum(self._tokens[mask] - cost[mask], 0.0)
-        self._tokens[mask] = np.minimum(
-            after + self._fill[mask], self._depth[mask]
-        )
 
     # -- actuation ---------------------------------------------------------
 
@@ -620,7 +618,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
             att = 0
             error: Exception | None = None
             backoff_ms = 0.0
-            while att < self._x_max_attempts:
+            while att < self._executor.max_attempts:
                 att += 1
                 self.x_total_attempts[r] += 1
                 try:
@@ -629,7 +627,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
                     break
                 except TransientActuationError as exc:
                     error = exc
-                    if att < self._x_max_attempts:
+                    if att < self._executor.max_attempts:
                         backoff_ms += self._backoff_row(r, att)
                 except PermanentActuationError as exc:
                     error = exc
@@ -714,12 +712,11 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         return extra
 
     def _backoff_row(self, r: int, attempt: int) -> float:
-        base = self._x_backoff_base_ms * self._x_backoff_factor ** (attempt - 1)
-        if self._x_jitter == 0.0:
+        x = self._executor
+        base = x.backoff_base_ms * x.backoff_factor ** (attempt - 1)
+        if x.jitter == 0.0:
             return base  # deterministic path draws nothing from the RNG
-        return float(
-            base * (1.0 + self._x_rngs[r].uniform(-self._x_jitter, self._x_jitter))
-        )
+        return float(base * (1.0 + self._x_rngs[r].uniform(-x.jitter, x.jitter)))
 
     def _on_failure_row(
         self, r: int, explanations: list[tuple[str, str]]
@@ -727,7 +724,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         self._x_consec[r] += 1
         half_open_failed = self._x_state[r] == _C_HALF
         if not (
-            half_open_failed or self._x_consec[r] >= self._x_failure_threshold
+            half_open_failed or self._x_consec[r] >= self._executor.failure_threshold
         ):
             return
         reason = (
@@ -736,13 +733,13 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
             else f"{int(self._x_consec[r])} consecutive actuation failures"
         )
         self._x_state[r] = _C_OPEN
-        self._x_open_left[r] = self._x_open_intervals
+        self._x_open_left[r] = self._executor.open_intervals
         self.x_circuit_opens[r] += 1
         explanations.append(
             (
                 ActionKind.SAFE_MODE.value,
                 f"circuit breaker opened ({reason}); holding the current "
-                f"container for {self._x_open_intervals} interval(s)",
+                f"container for {self._executor.open_intervals} interval(s)",
             )
         )
         self.metrics.counter("fleet.circuit_opens").inc()
@@ -757,45 +754,23 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
 
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["degraded"] = {
+        x = self._executor
+        degraded = {
             "guard": {
-                "max_tracked_gaps": self._g_max_gaps,
-                "degraded_after": self._g_degraded_after,
-                "expected": self._g_expected.copy(),
-                "last_end_s": self._g_last_end.copy(),
                 "missing": [sorted(s) for s in self._g_missing],
-                "admitted": self.g_admitted.copy(),
-                "admitted_late": self.g_admitted_late.copy(),
-                "quarantined": self.g_quarantined.copy(),
-                "discarded": self.g_discarded.copy(),
-                "missed": self.g_missed.copy(),
-                "consecutive": self.g_consecutive.copy(),
                 "reasons": [list(r) for r in self._g_reasons],
             },
-            "safe_mode": self._safe.copy(),
             "safe_reasons": list(self._safe_reason),
-            "pending_refund": self._pending_refund.copy(),
-            "refunded": self._refunded.copy(),
-            "disk_cursor_rows": self._disk_cursor_rows.copy(),
             "executor": {
-                "max_attempts": self._x_max_attempts,
-                "backoff_base_ms": self._x_backoff_base_ms,
-                "backoff_factor": self._x_backoff_factor,
-                "jitter": self._x_jitter,
-                "failure_threshold": self._x_failure_threshold,
-                "open_intervals": self._x_open_intervals,
-                "state": self._x_state.copy(),
-                "consecutive_failures": self._x_consec.copy(),
-                "open_left": self._x_open_left.copy(),
-                "total_attempts": self.x_total_attempts.copy(),
-                "total_failures": self.x_total_failures.copy(),
-                "total_refunds": self.x_total_refunds.copy(),
-                "circuit_opens": self.x_circuit_opens.copy(),
+                **{option: getattr(x, option) for option in _EXECUTOR_OPTIONS},
                 "rng_states": [g.bit_generator.state for g in self._x_rngs],
             },
-            "dead": self._dead.copy(),
             "dead_errors": list(self._dead_error),
         }
+        for section, key, attr in _DEGRADED_ARRAYS:
+            part = degraded[section] if section else degraded
+            part[key] = getattr(self, attr).copy()
+        state["degraded"] = degraded
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -807,57 +782,18 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         """
         degraded = state["degraded"]
         guard, executor = degraded["guard"], degraded["executor"]
-        config = (int(guard["max_tracked_gaps"]), int(guard["degraded_after"]))
-        live = (self._g_max_gaps, self._g_degraded_after)
+        config = {option: int(executor[option]) for option in _EXECUTOR_OPTIONS}
+        live = {option: getattr(self._executor, option) for option in _EXECUTOR_OPTIONS}
         if config != live:
             raise ConfigurationError(
-                f"guard configuration mismatch: checkpoint has {config}, "
-                f"live guard has {live}"
-            )
-        exec_config = (
-            int(executor["max_attempts"]),
-            float(executor["backoff_base_ms"]),
-            float(executor["backoff_factor"]),
-            float(executor["jitter"]),
-            int(executor["failure_threshold"]),
-            int(executor["open_intervals"]),
-        )
-        exec_live = (
-            self._x_max_attempts,
-            self._x_backoff_base_ms,
-            self._x_backoff_factor,
-            self._x_jitter,
-            self._x_failure_threshold,
-            self._x_open_intervals,
-        )
-        if exec_config != exec_live:
-            raise ConfigurationError(
                 f"executor configuration mismatch: checkpoint has "
-                f"{exec_config}, live executor has {exec_live}"
+                f"{config}, live executor has {live}"
             )
         arrays = _checked_arrays(
             self,
             {
-                "_g_expected": guard["expected"],
-                "_g_last_end": guard["last_end_s"],
-                "g_admitted": guard["admitted"],
-                "g_admitted_late": guard["admitted_late"],
-                "g_quarantined": guard["quarantined"],
-                "g_discarded": guard["discarded"],
-                "g_missed": guard["missed"],
-                "g_consecutive": guard["consecutive"],
-                "_safe": degraded["safe_mode"],
-                "_pending_refund": degraded["pending_refund"],
-                "_refunded": degraded["refunded"],
-                "_disk_cursor_rows": degraded["disk_cursor_rows"],
-                "_x_state": executor["state"],
-                "_x_consec": executor["consecutive_failures"],
-                "_x_open_left": executor["open_left"],
-                "x_total_attempts": executor["total_attempts"],
-                "x_total_failures": executor["total_failures"],
-                "x_total_refunds": executor["total_refunds"],
-                "x_circuit_opens": executor["circuit_opens"],
-                "_dead": degraded["dead"],
+                attr: (degraded[section] if section else degraded)[key]
+                for section, key, attr in _DEGRADED_ARRAYS
             },
         )
         rows = {
@@ -1085,13 +1021,7 @@ class FleetChaosResult(NamedTuple):
     reports: list[FleetActuationReports]
 
     def decision_trace(self, tenant: int) -> list[str]:
-        names = [
-            c.name
-            for c in (
-                self.scaler.catalog.at_level(i)
-                for i in range(len(self.scaler.catalog))
-            )
-        ]
+        names = self.scaler._names
         return [names[int(levels[tenant])] for levels in self.decided_levels]
 
 
@@ -1103,61 +1033,45 @@ def _delivery_wave_arrays(
 ) -> dict:
     """Extract one wave's decide_wave inputs from per-tenant deliveries.
 
-    Field extraction matches
-    :func:`repro.fleet.vectorized.counters_to_interval_arrays` (latency
-    via the goal's metric / p95 / NaN-when-idle) plus the guard-facing
-    fields (interval index, timestamps, anomalies).
+    The decide fields come from the extractor
+    :func:`repro.fleet.vectorized.counters_to_interval_arrays` uses;
+    the guard-facing fields (interval index, timestamps, anomalies) are
+    added here.
     """
     n = len(deliveries_rows)
-    index = np.zeros(n, dtype=np.int64)
-    start_s = np.zeros(n)
-    end_s = np.zeros(n)
-    anomalous = np.zeros(n, dtype=bool)
-    anomaly_reasons: list[tuple[str, ...]] = [()] * n
-    latency = np.full(n, np.nan)
-    util = np.zeros((K, n))
-    wait = np.zeros((K, n))
-    wpct = np.zeros((K, n))
-    memory = np.full(n, np.nan)
-    disk = np.full(n, np.nan)
-    billed = np.zeros(n)
+    out = {
+        "index": np.zeros(n, dtype=np.int64),
+        "start_s": np.zeros(n),
+        "end_s": np.zeros(n),
+        "anomalous": np.zeros(n, dtype=bool),
+        "anomaly_reasons": {},
+        "latency_ms": np.full(n, np.nan),
+        "util_pct": np.zeros((K, n)),
+        "wait_ms": np.zeros((K, n)),
+        "wait_pct": np.zeros((K, n)),
+        "memory_used_gb": np.full(n, np.nan),
+        "disk_physical_reads": np.full(n, np.nan),
+        "billed_cost": np.zeros(n),
+    }
     for r in np.flatnonzero(present):
         c = deliveries_rows[r][wave]
-        index[r] = c.interval_index
-        start_s[r] = c.start_s
-        end_s[r] = c.end_s
+        out["index"][r] = c.interval_index
+        out["start_s"][r] = c.start_s
+        out["end_s"][r] = c.end_s
         found = c.anomalies()
         if found:
-            anomalous[r] = True
-            anomaly_reasons[r] = tuple(found)
-        if c.latencies_ms.size:
-            latency[r] = (
-                goal.measure(c.latencies_ms)
-                if goal is not None
-                else c.latency_percentile(95.0)
-            )
-        for k, kind in enumerate(SCALABLE_KINDS):
-            wait_class = RESOURCE_WAIT_CLASS[kind]
-            util[k, r] = c.utilization_percent(kind)
-            wait[k, r] = c.wait_ms(wait_class)
-            wpct[k, r] = c.wait_percent(wait_class)
-        memory[r] = c.memory_used_gb
-        disk[r] = c.disk_physical_reads
-        billed[r] = c.container.cost
-    return {
-        "index": index,
-        "start_s": start_s,
-        "end_s": end_s,
-        "anomalous": anomalous,
-        "anomaly_reasons": anomaly_reasons,
-        "latency_ms": latency,
-        "util_pct": util,
-        "wait_ms": wait,
-        "wait_pct": wpct,
-        "memory_used_gb": memory,
-        "disk_physical_reads": disk,
-        "billed_cost": billed,
-    }
+            out["anomalous"][r] = True
+            out["anomaly_reasons"][r] = tuple(found)
+        (
+            out["latency_ms"][r],
+            out["util_pct"][:, r],
+            out["wait_ms"][:, r],
+            out["wait_pct"][:, r],
+        ) = _counter_fields(c, goal)
+        out["memory_used_gb"][r] = c.memory_used_gb
+        out["disk_physical_reads"][r] = c.disk_physical_reads
+        out["billed_cost"][r] = c.container.cost
+    return out
 
 
 def _drive_interval(
@@ -1460,15 +1374,28 @@ class _ArrayActuator:
             "transient_left": self._transient_left.copy(),
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        self._index = int(state["index"])
-        self.level = np.asarray(state["level"], dtype=np.int64).copy()
-        self.balloon_limit_gb = np.asarray(
-            state["balloon_limit_gb"], dtype=float
-        ).copy()
-        self._transient_left = np.asarray(
-            state["transient_left"], dtype=np.int64
-        ).copy()
+    def _checked_state(self, state: dict) -> dict:
+        """``state`` as this actuator's attributes, checked, unassigned."""
+        checked = _checked_arrays(
+            self,
+            {
+                "level": state["level"],
+                "balloon_limit_gb": state["balloon_limit_gb"],
+                "_transient_left": state["transient_left"],
+            },
+        )
+        level = checked["level"]
+        if np.any((level < 0) | (level >= len(self.names))):
+            raise ConfigurationError(
+                "fleet checkpoint applied level outside the catalog"
+            )
+        checked["_index"] = int(state["index"])
+        return checked
+
+    def _assign_state(self, checked: dict) -> None:
+        """Assign what :meth:`_checked_state` returned."""
+        for attr, value in checked.items():
+            setattr(self, attr, value)
 
 
 #: Nominal wall-clock seconds per synthetic billing interval.
@@ -1504,33 +1431,21 @@ class DegradedSyntheticFleet:
         self.scaler = scaler
         self.arrays = arrays
         self.masks = masks
-        names = [
-            scaler.catalog.at_level(i).name for i in range(len(scaler.catalog))
-        ]
-        self.actuator = _ArrayActuator(masks, names)
+        self.actuator = _ArrayActuator(masks, scaler._names)
         self.interval = 0
         self.n_intervals = arrays.latency_ms.shape[0]
-        self._held_present = np.zeros(n, dtype=bool)
-        self._held_index = np.zeros(n, dtype=np.int64)
-        self._held_billed = np.zeros(n)
-        self._held_fields = {
+        # The one-delivery held buffer: a late delivery's fields, its
+        # interval index and billed cost, and which rows hold one.
+        self._held = {
+            "present": np.zeros(n, dtype=bool),
+            "index": np.zeros(n, dtype=np.int64),
+            "billed": np.zeros(n),
             "latency_ms": np.full(n, np.nan),
             "util_pct": np.zeros((K, n)),
             "wait_ms": np.zeros((K, n)),
             "wait_pct": np.zeros((K, n)),
             "memory_used_gb": np.full(n, np.nan),
             "disk_physical_reads": np.full(n, np.nan),
-        }
-
-    def _fresh_fields(self, i: int) -> dict:
-        a = self.arrays
-        return {
-            "latency_ms": a.latency_ms[i].copy(),
-            "util_pct": a.util_pct[i].copy(),
-            "wait_ms": a.wait_ms[i].copy(),
-            "wait_pct": a.wait_pct[i].copy(),
-            "memory_used_gb": a.memory_used_gb[i].copy(),
-            "disk_physical_reads": a.disk_physical_reads[i].copy(),
         }
 
     def step(self) -> list[WaveDecisions]:
@@ -1549,8 +1464,8 @@ class DegradedSyntheticFleet:
         dup = m.duplicate[:, i] & ~drop & ~late & ~corrupt & ~skew & alive
         delivered = alive & ~drop & ~late
 
-        held = self._held_present & alive
-        fresh = self._fresh_fields(i)
+        held = self._held["present"] & alive
+        fresh = {name: getattr(self.arrays, name)[i] for name in _INTERVAL_FIELDS}
         billed = scaler._costs[self.actuator.level]
         start = np.full(n, i * _SYNTHETIC_INTERVAL_S)
         end = start + _SYNTHETIC_INTERVAL_S
@@ -1564,44 +1479,41 @@ class DegradedSyntheticFleet:
         ]
         gap = alive & ~held & ~delivered
         waves = []
-        empty_reasons = [()] * n
         corrupt_reason = ("synthetic corruption flag",)
+        held_index = self._held["index"]
         for w, (present, use_held) in enumerate(wave_plans):
             present = present & ~scaler.dead
             if w > 0 and not np.any(present):
                 break
             fields = {
-                name: np.where(use_held, self._held_fields[name], fresh_col)
+                name: np.where(use_held, self._held[name], fresh_col)
                 for name, fresh_col in fresh.items()
             }
-            index = np.where(use_held, self._held_index, i)
+            index = np.where(use_held, held_index, i)
             anomalous = corrupt & ~use_held
-            reasons = [
-                corrupt_reason if anomalous[r] else ()
-                for r in range(n)
-            ] if np.any(anomalous) else empty_reasons
+            reasons = {r: corrupt_reason for r in np.flatnonzero(anomalous)}
             waves.append(
                 scaler.decide_wave(
                     present=present,
                     gap=gap if w == 0 else None,
                     index=index,
-                    start_s=np.where(use_held, self._held_index * _SYNTHETIC_INTERVAL_S, start),
-                    end_s=np.where(use_held, (self._held_index + 1) * _SYNTHETIC_INTERVAL_S, end),
+                    start_s=np.where(use_held, held_index * _SYNTHETIC_INTERVAL_S, start),
+                    end_s=np.where(use_held, (held_index + 1) * _SYNTHETIC_INTERVAL_S, end),
                     anomalous=anomalous,
                     anomaly_reasons=reasons,
-                    billed_cost=np.where(use_held, self._held_billed, billed),
+                    billed_cost=np.where(use_held, self._held["billed"], billed),
                     **fields,
                 )
             )
 
         # Late deliveries are held clean (the scalar wrapper holds the
         # unperturbed counters); they surface next interval.
-        self._held_present = late
+        self._held["present"] = late
         if np.any(late):
-            self._held_index[late] = i
-            self._held_billed[late] = billed[late]
+            self._held["index"][late] = i
+            self._held["billed"][late] = billed[late]
             for name, fresh_col in fresh.items():
-                self._held_fields[name][..., late] = fresh_col[..., late]
+                self._held[name][..., late] = fresh_col[..., late]
 
         self.scaler.execute_interval(self.actuator)
         self.interval += 1
@@ -1614,29 +1526,36 @@ class DegradedSyntheticFleet:
             "interval": self.interval,
             "scaler": self.scaler.state_dict(),
             "actuator": self.actuator.state_dict(),
-            "held": {
-                "present": self._held_present.copy(),
-                "index": self._held_index.copy(),
-                "billed": self._held_billed.copy(),
-                "fields": {
-                    name: value.copy()
-                    for name, value in self._held_fields.items()
-                },
-            },
+            "held": {name: value.copy() for name, value in self._held.items()},
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self.interval = int(state["interval"])
+        """Restore a fleet built over the same arrays and masks.
+
+        The interval, the actuator and the held buffers are checked
+        first, and the scaler checks itself before it assigns anything,
+        so a refused state raises :class:`ConfigurationError` and leaves
+        the whole fleet as it was.
+        """
+        interval = int(state["interval"])
+        actuator = self.actuator._checked_state(state["actuator"])
+        if not (
+            0 <= interval <= self.n_intervals
+            and actuator["_index"] == interval - 1
+        ):
+            raise ConfigurationError(
+                f"fleet checkpoint interval {interval} / actuator index "
+                f"{actuator['_index']} do not fit this "
+                f"{self.n_intervals}-interval sweep"
+            )
+        held = _checked_arrays(
+            SimpleNamespace(**self._held),
+            {name: state["held"][name] for name in self._held},
+        )
         self.scaler.load_state_dict(state["scaler"])
-        self.actuator.load_state_dict(state["actuator"])
-        held = state["held"]
-        self._held_present = np.asarray(held["present"], dtype=bool).copy()
-        self._held_index = np.asarray(held["index"], dtype=np.int64).copy()
-        self._held_billed = np.asarray(held["billed"], dtype=float).copy()
-        self._held_fields = {
-            name: np.asarray(value, dtype=float).copy()
-            for name, value in held["fields"].items()
-        }
+        self.interval = interval
+        self.actuator._assign_state(actuator)
+        self._held = held
 
 
 def run_degraded_synthetic_sweep(

@@ -8,9 +8,11 @@ every tenant per cycle) the Python-object dispatch dominates wall-clock.
 This module runs the *same* control loop for all tenants at once:
 
 * :class:`VectorizedTelemetry` — the fleet's signal windows as time-major
-  ``(W, T)`` ring matrices sharing one cursor, with signal extraction
-  batched through :mod:`repro.stats.batched` (one Theil–Sen kernel call
-  covers the latency + 4 utilization + 4 wait trends of every tenant).
+  ``(W, T)`` ring matrices with one clock and cursor per row, read
+  through shared slots whenever the rows are in lock step, with signal
+  extraction batched through :mod:`repro.stats.batched` (one Theil–Sen
+  kernel call covers the latency + 4 utilization + 4 wait trends of
+  every tenant).
 * :func:`estimate_fleet` — the rule hierarchy as stacked boolean condition
   masks; first-match selection is an ``argmax`` over the stack.  Rule ids
   and step sizes are read from :func:`repro.core.rules.high_demand_rules`
@@ -96,7 +98,6 @@ __all__ = [
     "FleetDecisions",
     "FleetTelemetryArrays",
     "VectorizedTelemetry",
-    "MaskedVectorizedTelemetry",
     "VectorizedAutoScaler",
     "ClosedLoopFleetSynthesizer",
     "estimate_fleet",
@@ -163,6 +164,12 @@ _HIGH_STEPS = np.array([r.steps for r in _HIGH_RULES], dtype=np.int8)
 
 # Balloon phases, integer mirror of BalloonPhase.
 _B_IDLE, _B_PROBING, _B_COOLDOWN = 0, 1, 2
+
+#: Ledger and balloon arrays on the checkpoint wire, keyed without their
+#: attribute prefixes (``_`` and ``_b_``).
+_BUDGET = ("tokens", "depth", "fill", "period_n", "interval_i", "spent")
+_BALLOON = ("phase", "limit", "target", "baseline", "cooldown", "failed")
+
 
 class FleetSignals(NamedTuple):
     """Struct-of-arrays :class:`repro.core.signals.WorkloadSignals`.
@@ -331,18 +338,28 @@ def _trend_into(out: FleetSignals, idx, trend: BatchedTrend) -> None:
 
 
 class VectorizedTelemetry:
-    """Fleet-wide signal windows as ring matrices with one shared cursor.
+    """Fleet-wide signal windows as ring matrices, one clock and cursor per row.
 
-    The rings are time-major — ``(W, T)`` for latency, ``(W, K, T)`` per
-    resource — so one :meth:`observe` per billing interval writes one
-    contiguous slot, and the batched kernels read ``(W, series)`` views
-    without a transposing copy.  Checkpoints keep the tenant-major wire
-    layout (``(T, W)`` / ``(K, T, W)``).  Ring order is irrelevant to every
-    downstream statistic (see module docstring), so :meth:`signals`
-    gathers the last-k ring slots without rotation.
-    Unwritten slots hold NaN, which the batched kernels drop exactly like
-    the scalar paths drop absent samples — so a cold window needs no
-    special-casing either.
+    The rings are time-major — ``(W, T)`` for the clock and latency,
+    ``(W, K, T)`` per resource — so the batched kernels read
+    ``(W, series)`` views without a transposing copy; checkpoints keep
+    the tenant-major wire layout (``(T, W)`` / ``(K, T, W)``).  Fault
+    injection breaks lock step (a dropped delivery leaves a row a sample
+    short, a late one admits two in one interval), so every row has its
+    own clock and cursor; :meth:`observe` / :meth:`signals` are the
+    all-rows cases of the wave calls :meth:`observe_rows` /
+    :meth:`signals_rows`.
+
+    Every write lands at each row's own cursor.  Lock step is a property
+    of the input: a read whose rows share a cursor and a clock goes
+    through shared slots under one clock, with slices for the whole
+    fleet — every row of a healthy sweep, and cold rings, whose
+    unwritten slots are NaN in every row.  Other reads address each row
+    at its own slots and clock; both read the same samples, so signals
+    are byte-identical.
+    Ring order is irrelevant to every statistic (see module docstring),
+    and unwritten NaN slots are dropped by the kernels exactly as the
+    scalar paths drop absent samples.
     """
 
     def __init__(
@@ -359,13 +376,14 @@ class VectorizedTelemetry:
         window = thresholds.signal_window
         self._window = window
         self._smooth = min(thresholds.smooth_intervals, window)
-        self._t = np.full(window, np.nan)  # one shared clock
+        self._t = np.full((window, n_tenants), np.nan)  # per-row clocks
         self._lat = np.full((window, n_tenants), np.nan)
         self._util = np.full((window, K, n_tenants), np.nan)
         self._wait = np.full((window, K, n_tenants), np.nan)
         self._wpct = np.full((window, K, n_tenants), np.nan)
-        self._cursor = 0
-        self._count = 0
+        self._cursor_rows = np.zeros(n_tenants, dtype=np.int64)
+        self._count_rows = np.zeros(n_tenants, dtype=np.int64)
+        self._rows = np.arange(n_tenants)
         cuts = [thresholds.wait_thresholds[kind] for kind in SCALABLE_KINDS]
         self._wait_low = np.array([c.low_ms for c in cuts])[:, None]
         self._wait_high = np.array([c.high_ms for c in cuts])[:, None]
@@ -384,9 +402,6 @@ class VectorizedTelemetry:
             self._scratch[name] = flat
         return flat[:size].reshape(shape)
 
-    def __len__(self) -> int:
-        return min(self._count, self._window)
-
     def observe(
         self,
         t: float,
@@ -401,23 +416,64 @@ class VectorizedTelemetry:
         ``float(counters.interval_index)``); per-resource inputs are
         ``(K, T)`` in ``SCALABLE_KINDS`` order, utilization in percent.
         """
-        c = self._cursor
-        self._t[c] = float(t)
-        self._lat[c] = latency_ms
-        self._util[c] = util_pct
-        self._wait[c] = wait_ms
-        self._wpct[c] = wait_pct
-        self._cursor = (c + 1) % self._window
-        self._count += 1
+        self._write(slice(None), float(t), latency_ms, util_pct, wait_ms, wait_pct)
+
+    def observe_rows(
+        self,
+        rows: np.ndarray,
+        t: np.ndarray,
+        latency_ms: np.ndarray,
+        util_pct: np.ndarray,
+        wait_ms: np.ndarray,
+        wait_pct: np.ndarray,
+    ) -> None:
+        """Absorb one admitted delivery for the ``rows`` subset.
+
+        ``rows`` is a 1-D integer index array (no duplicates); ``t`` and
+        ``latency_ms`` are ``(len(rows),)``, per-resource inputs are
+        ``(K, len(rows))`` in ``SCALABLE_KINDS`` order.
+        """
+        if rows.size:
+            self._write(rows, t, latency_ms, util_pct, wait_ms, wait_pct)
+
+    def _write(self, idx, t, latency_ms, util_pct, wait_ms, wait_pct) -> None:
+        """One sample per row of ``idx``, at each row's own cursor."""
+        rows = self._rows[idx]
+        c = self._cursor_rows[rows]
+        self._t[c, rows] = t
+        self._lat[c, rows] = latency_ms
+        # [c, :, rows] is (n, K): the paired indices come first.
+        self._util[c, :, rows] = np.transpose(util_pct)
+        self._wait[c, :, rows] = np.transpose(wait_ms)
+        self._wpct[c, :, rows] = np.transpose(wait_pct)
+        self._cursor_rows[rows] = (c + 1) % self._window
+        self._count_rows[rows] += 1
+
+    def _lock_step(self, idx) -> int | None:
+        """The cursor of rows that share one cursor and one clock, or None.
+
+        Cold slots are NaN in every row's clock; NaN never compares
+        equal, so they are matched by position.
+        """
+        cursors = self._cursor_rows[idx]
+        c = int(cursors[0])
+        if not (cursors == c).all():
+            return None
+        clock = self._t[:, idx]
+        ref = clock[:, :1]
+        same = clock == ref
+        if not same.all():
+            same |= np.isnan(clock) & np.isnan(ref)
+        return c if same.all() else None
 
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Exact serializable state (ring matrices, cursor, count).
+        """Exact serializable state (ring matrices, per-row cursors, counts).
 
         Rings go out in the tenant-major wire layout, the time axis last:
-        ``lat`` ``(T, W)``, ``util``/``wait``/``wpct`` ``(K, T, W)``.  Arrays
-        are copies: the returned dict is an immutable-by-convention
+        ``t``/``lat`` ``(T, W)``, ``util``/``wait``/``wpct`` ``(K, T, W)``.
+        Arrays are copies: the returned dict is an immutable-by-convention
         snapshot, safe to serialize off the hot path while the next
         interval's ``observe`` mutates the live rings.
         """
@@ -426,14 +482,16 @@ class VectorizedTelemetry:
             "window": self._window,
             "smooth": self._smooth,
             "dtype": "float64",
-            "cursor": self._cursor,
-            "count": self._count,
+            "cursor_rows": self._cursor_rows.copy(),
+            "count_rows": self._count_rows.copy(),
         }
         for name in _RINGS:
             state[name] = np.moveaxis(getattr(self, "_" + name), 0, -1).copy()
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore rings and cursors; a bad state is refused before any
+        assignment with :class:`ConfigurationError`."""
         if (
             state["n_tenants"] != self.n_tenants
             or state["window"] != self._window
@@ -446,41 +504,77 @@ class VectorizedTelemetry:
                 f"(T={self.n_tenants}, W={self._window}, S={self._smooth})"
             )
         _check_ring_dtype("fleet telemetry", state)
+        if "cursor_rows" not in state:
+            raise ConfigurationError(
+                "fleet telemetry checkpoint has one shared clock and cursor; "
+                "fleet rings keep one per row"
+            )
         rings = {}
         for name in _RINGS:
             live = getattr(self, "_" + name)
             wire = np.asarray(state[name], dtype=np.float64)
             _check_shape(name, wire, live.shape[1:] + live.shape[:1])
             rings[name] = np.moveaxis(wire, -1, 0).copy()
+        per_row = {}
+        for name in ("cursor_rows", "count_rows"):
+            per_row[name] = np.asarray(state[name], dtype=np.int64).copy()
+            _check_shape(name, per_row[name], (self.n_tenants,))
+        cursor, count = per_row["cursor_rows"], per_row["count_rows"]
+        if np.any(
+            (cursor < 0) | (cursor >= self._window) | (count < 0)
+            | (cursor != count % self._window)
+        ):
+            raise ConfigurationError(
+                "fleet telemetry checkpoint cursor_rows / count_rows are "
+                f"not valid positions in a {self._window}-slot ring"
+            )
         for name, ring in rings.items():
             setattr(self, "_" + name, ring)
-        self._cursor = int(state["cursor"])
-        self._count = int(state["count"])
+        self._cursor_rows = cursor
+        self._count_rows = count
 
-    def _tail_slots(self, k: int, idx) -> np.ndarray:
+    def _tail_slots(self, k: int, idx, c: int | None) -> np.ndarray:
         """Ring indices of the last ``min(k, window)`` written slots.
 
-        Oldest first, so the shared clock read through them ascends and
-        the trend kernel takes the stack in place.  When fewer than ``k``
-        slots are written the extra slots are the NaN-initialized ones,
-        which every consumer drops — the surviving sample set is exactly
-        the scalar window's.  One vector serves every column ``idx``.
+        A shared cursor ``c`` gives one vector, oldest first so the one
+        clock ascends and the trend kernel takes the stack in place;
+        otherwise each row's own slots form a ``(k, m)`` matrix.  Unwritten
+        slots are NaN and dropped, leaving exactly the scalar window.
         """
         k = min(k, self._window)
-        return (self._cursor - k + np.arange(k)) % self._window
+        if c is not None:
+            return (c - k + np.arange(k)) % self._window
+        cursors = self._cursor_rows[idx]
+        return (cursors - 1 - np.arange(k)[:, None]) % self._window
 
     def _gather(self, dst: np.ndarray, ring: np.ndarray, slots, idx) -> None:
-        """Copy ``ring``'s ``slots`` for columns ``idx`` into ``dst`` (k, ..., m)."""
-        for row, c in zip(dst, slots):
-            row[...] = ring[c][..., idx]
+        """Copy ``ring``'s ``slots`` for rows ``idx`` into ``dst`` (k, ..., m)."""
+        if slots.ndim == 1:
+            for row, c in zip(dst, slots):
+                row[...] = ring[c][..., idx]
+        elif ring.ndim == 2:
+            dst[...] = ring[slots, self._rows[idx]]
+        else:
+            # [slot, kind, row] gathers land in (k, K, m) order.
+            dst[...] = ring[slots[:, None], _KINDS, self._rows[idx]]
 
     def _trend_x(self, slots, idx, shape: tuple[int, ...]) -> np.ndarray:
-        """The trend kernel's x axis: the shared clock at ``slots``."""
-        return self._t[slots]
+        """The trend kernel's x axis: the rows' clock at ``slots``.
+
+        Shared slots read the one clock of a lock-step read; per-row
+        slots give each row its own clock, repeated across its stacked
+        series.
+        """
+        rows = self._rows[idx]
+        if slots.ndim == 1:
+            return self._t[slots, rows[0]]
+        x_rep = self._buf("trend_x", shape)
+        x_rep[:] = self._t[slots, rows][:, None]
+        return x_rep.reshape(shape[0], -1).T
 
     def signals(self) -> FleetSignals:
         """The categorized fleet signal set for the current interval."""
-        if self._count == 0:
+        if not self._count_rows.any():
             raise InsufficientDataError(
                 "no telemetry observed yet: observe() at least one interval "
                 "before requesting signals()"
@@ -490,19 +584,35 @@ class VectorizedTelemetry:
         self._signals_into(out, slice(0, n), n)
         return out
 
+    def signals_rows(self, rows: np.ndarray) -> FleetSignals:
+        """Fleet-width signal set with only the ``rows`` subset computed.
+
+        Every other row holds the inert defaults (NaN latency, UNKNOWN
+        status, zeros elsewhere).  Every selected row must have at least
+        one observed sample (in the degraded sweep only tenants whose
+        delivery was *admitted* this interval reach the full decision
+        body, which guarantees it).  An empty ``rows`` (a wave whose
+        deliveries were all quarantined) returns the inert set without
+        reaching the kernels.
+        """
+        out = _empty_fleet_signals(self.n_tenants, inert=True)
+        if rows.size:
+            self._signals_into(out, rows, rows.size)
+        return out
+
     def _signals_into(self, out: FleetSignals, idx, m: int) -> None:
         """Fill ``out[..., idx]`` from the ``m`` ring columns ``idx``.
 
-        ``idx`` is a column slice (the whole shared-cursor fleet) or an
-        array of row indices (a masked wave); only :meth:`_tail_slots`,
-        :meth:`_gather` and :meth:`_trend_x` differ between the two.
+        ``idx`` is a column slice (the whole fleet) or an array of row
+        indices (a wave); a lock-step read gathers shared slots.
         """
         cfg = self.thresholds
+        c = self._lock_step(idx)
 
         # Trends: one kernel call for latency + K utilization + K wait
         # series over the trend sub-window, stacked (tw, series, m) so its
         # transpose is the kernel's (series, tw) input without a copy.
-        tslots = self._tail_slots(cfg.trend_window, idx)
+        tslots = self._tail_slots(cfg.trend_window, idx, c)
         tw = len(tslots)
         stack = self._buf("trend", (tw, 1 + 2 * K, m))
         self._gather(stack[:, 0], self._lat, tslots, idx)
@@ -526,7 +636,7 @@ class VectorizedTelemetry:
 
         # Smoothed "current" values: tail medians (defaults: latency NaN,
         # resources 0.0 — the scalar manager's defaults).
-        sslots = self._tail_slots(self._smooth, idx)
+        sslots = self._tail_slots(self._smooth, idx, c)
         sw = len(sslots)
         lat_stack = self._buf("smooth_lat", (sw, m))
         self._gather(lat_stack, self._lat, sslots, idx)
@@ -578,143 +688,6 @@ class VectorizedTelemetry:
                     np.int8(LAT_BAD),
                 ),
             ).astype(np.int8)
-
-
-class MaskedVectorizedTelemetry(VectorizedTelemetry):
-    """Fleet signal windows with **per-tenant** ring clocks and cursors.
-
-    Under fault injection tenants fall out of lock step: a dropped
-    delivery leaves one tenant's window a sample short, a late delivery
-    admits two samples in one interval, and a quarantined interval admits
-    none.  The parent's single shared ``t`` vector and cursor cannot
-    represent that, so this subclass gives every tenant its own interval
-    clock (``_t`` becomes a ``(W, T)`` ring like the others) and its own
-    cursor/count, and adds row-subset ``observe_rows`` / ``signals_rows``
-    so a *wave* of admitted deliveries touches only the affected rows.
-
-    With lock-step input (``observe`` over all rows each interval) the
-    gathered sample sets equal the parent's, so signals are byte-identical
-    to :class:`VectorizedTelemetry` — held by the empty-schedule parity
-    tests.
-    """
-
-    def __init__(
-        self,
-        n_tenants: int,
-        thresholds: ThresholdConfig,
-        goal: LatencyGoal | None = None,
-    ) -> None:
-        super().__init__(n_tenants, thresholds, goal)
-        self._t = np.full((self._window, n_tenants), np.nan)
-        self._cursor_rows = np.zeros(n_tenants, dtype=np.int64)
-        self._count_rows = np.zeros(n_tenants, dtype=np.int64)
-
-    def observe_rows(
-        self,
-        rows: np.ndarray,
-        t: np.ndarray,
-        latency_ms: np.ndarray,
-        util_pct: np.ndarray,
-        wait_ms: np.ndarray,
-        wait_pct: np.ndarray,
-    ) -> None:
-        """Absorb one admitted delivery for the ``rows`` subset.
-
-        ``rows`` is a 1-D integer index array (no duplicates); ``t`` and
-        ``latency_ms`` are ``(len(rows),)``, per-resource inputs are
-        ``(K, len(rows))`` in ``SCALABLE_KINDS`` order.
-        """
-        if rows.size == 0:
-            return
-        c = self._cursor_rows[rows]
-        self._t[c, rows] = t
-        self._lat[c, rows] = latency_ms
-        # [c, :, rows] is (n, K): the paired indices come first.
-        self._util[c, :, rows] = np.transpose(util_pct)
-        self._wait[c, :, rows] = np.transpose(wait_ms)
-        self._wpct[c, :, rows] = np.transpose(wait_pct)
-        self._cursor_rows[rows] = (c + 1) % self._window
-        self._count_rows[rows] += 1
-        self._count = int(self._count_rows.max())
-
-    def observe(
-        self,
-        t: float,
-        latency_ms: np.ndarray,
-        util_pct: np.ndarray,
-        wait_ms: np.ndarray,
-        wait_pct: np.ndarray,
-    ) -> None:
-        rows = np.arange(self.n_tenants)
-        self.observe_rows(
-            rows,
-            np.full(self.n_tenants, float(t)),
-            latency_ms,
-            util_pct,
-            wait_ms,
-            wait_pct,
-        )
-
-    def _tail_slots(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """Per-row ring indices of the last ``min(k, window)`` slots, (k, m)."""
-        k = min(k, self._window)
-        cur = self._cursor_rows[rows]
-        return (cur - 1 - np.arange(k)[:, None]) % self._window
-
-    def _gather(self, dst: np.ndarray, ring: np.ndarray, slots, rows) -> None:
-        # Rings index as [slot, row] and [slot, kind, row], so each gather
-        # lands in (k, [K,] m) order.
-        if ring.ndim == 2:
-            dst[...] = ring[slots, rows]
-        else:
-            dst[...] = ring[slots[:, None], _KINDS, rows]
-
-    def _trend_x(self, slots, rows, shape: tuple[int, ...]) -> np.ndarray:
-        """Each row's own clock, repeated across its stacked series."""
-        x_rep = self._buf("trend_x", shape)
-        x_rep[:] = self._t[slots, rows][:, None]
-        return x_rep.reshape(shape[0], -1).T
-
-    def signals(self) -> FleetSignals:
-        if self._count == 0:
-            raise InsufficientDataError(
-                "no telemetry observed yet: observe() at least one interval "
-                "before requesting signals()"
-            )
-        return self.signals_rows(np.arange(self.n_tenants))
-
-    def signals_rows(self, rows: np.ndarray) -> FleetSignals:
-        """Fleet-width signal set with only the ``rows`` subset computed.
-
-        Every other row holds the inert defaults (NaN latency, UNKNOWN
-        status, zeros elsewhere).  Every selected row must have at least
-        one observed sample (in the degraded sweep only tenants whose
-        delivery was *admitted* this interval reach the full decision
-        body, which guarantees it).  An empty ``rows`` (a wave whose
-        deliveries were all quarantined) returns the inert set without
-        reaching the kernels.
-        """
-        out = _empty_fleet_signals(self.n_tenants, inert=True)
-        if rows.size:
-            self._signals_into(out, rows, rows.size)
-        return out
-
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["cursor_rows"] = self._cursor_rows.copy()
-        state["count_rows"] = self._count_rows.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        per_row = {}
-        for name in ("cursor_rows", "count_rows"):
-            per_row[name] = np.asarray(state[name], dtype=np.int64).copy()
-            _check_shape(name, per_row[name], (self.n_tenants,))
-        super().load_state_dict(state)
-        self._cursor_rows = per_row["cursor_rows"]
-        self._count_rows = per_row["count_rows"]
 
 
 def estimate_fleet(
@@ -851,9 +824,6 @@ class VectorizedAutoScaler:
             byte-stable across hosts.
     """
 
-    #: The signal-window store; the degraded engine swaps in per-row clocks.
-    _telemetry_cls: type[VectorizedTelemetry] = VectorizedTelemetry
-
     def __init__(
         self,
         catalog: ContainerCatalog,
@@ -917,7 +887,7 @@ class VectorizedAutoScaler:
         if np.any((self.level < 0) | (self.level >= self._n_levels)):
             raise CatalogError("initial_level outside the catalog")
 
-        self.telemetry = self._telemetry_cls(n_tenants, self.thresholds, goal)
+        self.telemetry = VectorizedTelemetry(n_tenants, self.thresholds, goal)
         self._init_budget(budget)
 
         #: Cumulative actuation tally, updated on every decide_batch.  The
@@ -948,9 +918,10 @@ class VectorizedAutoScaler:
         self.balloon_limit_gb = np.full(n_tenants, np.nan)  # scaler-side cap
 
         self._low_streak = np.zeros(n_tenants, dtype=np.int64)
-        window = self.thresholds.signal_window
-        self._disk_reads = np.full((n_tenants, window), np.nan)
-        self._disk_cursor = 0
+        # Written at the telemetry rings' own row cursors (see _observe).
+        self._disk_reads = np.full(
+            (n_tenants, self.thresholds.signal_window), np.nan
+        )
 
         self._damper = damper
         if damper is not None:
@@ -998,12 +969,6 @@ class VectorizedAutoScaler:
     def budget_available(self) -> np.ndarray:
         return self._tokens
 
-    def container_names(self) -> list[str]:
-        return [self._names[lvl] for lvl in self.level]
-
-    def rule_names(self, rules_row: np.ndarray) -> list[str | None]:
-        return [RULE_NAMES[code] for code in rules_row]
-
     def attach_recorder(self, recorder) -> None:
         """Attach a columnar trace recorder (duck-typed).
 
@@ -1014,7 +979,7 @@ class VectorizedAutoScaler:
         attached mid-run could not reconstruct the scalar-equivalent
         history.
         """
-        if self.telemetry._count != 0:
+        if self.telemetry._count_rows.any():
             raise ValueError(
                 "attach_recorder() before the first decide_batch: the "
                 "columnar store must cover the run from interval 0"
@@ -1034,7 +999,7 @@ class VectorizedAutoScaler:
         pays for the memcpy, and encoding/writing can proceed on the
         snapshot while the next ``decide_batch`` mutates the live engine.
         The clamp scratch masks (``_clamp_zero`` / ``_clamp_depth``) are
-        transient — rebuilt by the next ``_settle_budget`` — and an
+        transient — rebuilt by the next ``_charge`` — and an
         attached recorder is the caller's to re-attach.
         """
         state = {
@@ -1043,26 +1008,13 @@ class VectorizedAutoScaler:
             "dtype": "float64",
             "action_counts": dict(self.action_counts),
             "level": self.level.copy(),
-            "budget": {
-                "tokens": self._tokens.copy(),
-                "depth": self._depth.copy(),
-                "fill": self._fill.copy(),
-                "period_n": self._period_n.copy(),
-                "interval_i": self._interval_i.copy(),
-                "spent": self._spent.copy(),
-            },
+            "budget": {key: getattr(self, "_" + key).copy() for key in _BUDGET},
             "balloon": {
-                "phase": self._b_phase.copy(),
-                "limit": self._b_limit.copy(),
-                "target": self._b_target.copy(),
-                "baseline": self._b_baseline.copy(),
-                "cooldown": self._b_cooldown.copy(),
-                "failed": self._b_failed.copy(),
+                **{key: getattr(self, "_b_" + key).copy() for key in _BALLOON},
                 "limit_gb": self.balloon_limit_gb.copy(),
             },
             "low_streak": self._low_streak.copy(),
             "disk_reads": self._disk_reads.copy(),
-            "disk_cursor": self._disk_cursor,
             "telemetry": self.telemetry.state_dict(),
             "metrics": self.metrics.state_dict(),
             "damper": None,
@@ -1107,9 +1059,9 @@ class VectorizedAutoScaler:
             "_low_streak": state["low_streak"],
             "_disk_reads": state["disk_reads"],
         }
-        for key in "tokens depth fill period_n interval_i spent".split():
+        for key in _BUDGET:
             raw["_" + key] = budget[key]
-        for key in "phase limit target baseline cooldown failed".split():
+        for key in _BALLOON:
             raw["_b_" + key] = balloon[key]
         if damper is not None:
             if damper["window"] != self._damper.window:
@@ -1133,7 +1085,6 @@ class VectorizedAutoScaler:
         counts = state.get("action_counts")
         if counts is not None:
             self.action_counts = {k: int(v) for k, v in counts.items()}
-        self._disk_cursor = int(state["disk_cursor"])
         self._clamp_zero = None
         self._clamp_depth = None
         if damper is not None:
@@ -1165,14 +1116,14 @@ class VectorizedAutoScaler:
         memory_used_gb = np.asarray(memory_used_gb, dtype=float)
         disk_physical_reads = np.asarray(disk_physical_reads, dtype=float)
 
-        self.telemetry.observe(t, latency_ms, util_pct, wait_ms, wait_pct)
-        self._disk_reads[:, self._disk_cursor] = disk_physical_reads
-        self._disk_cursor = (self._disk_cursor + 1) % self._disk_reads.shape[1]
-
         if billed_cost is None:
             billed_cost = self._costs[self.level]
         billed_cost = np.asarray(billed_cost, dtype=float)
-        self._settle_budget(billed_cost)
+        # The ledger refuses before anything is written, rings included.
+        self._charge(billed_cost)
+        self._observe(
+            None, t, latency_ms, util_pct, wait_ms, wait_pct, disk_physical_reads
+        )
 
         signals = self.telemetry.signals()
         t_signals = clock() if clock is not None else 0.0
@@ -1386,24 +1337,73 @@ class VectorizedAutoScaler:
 
     # -- pieces of the loop, in scalar-source order ------------------------
 
-    def _settle_budget(self, cost: np.ndarray) -> None:
-        if np.any(self._interval_i >= self._period_n):
-            raise BudgetError("budgeting period already finished")
-        if np.any(cost > self._tokens + 1e-9):
-            worst = int(np.argmax(cost - self._tokens))
-            raise BudgetError(
-                f"cost {cost[worst]} exceeds available budget "
-                f"{self._tokens[worst]:.2f} (tenant {worst})"
+    def _observe(
+        self,
+        rows: np.ndarray | None,
+        t,
+        latency_ms: np.ndarray,
+        util_pct: np.ndarray,
+        wait_ms: np.ndarray,
+        wait_pct: np.ndarray,
+        disk_reads: np.ndarray,
+    ) -> None:
+        """One sample per tenant of ``rows`` (all when None) into the windows.
+
+        Inputs are full-width arrays; ``t`` is the shared interval clock
+        without ``rows`` and a ``(T,)`` per-row clock with them.  The disk-read
+        window is written at the telemetry rings' own row cursors, so the
+        two windows advance together.
+        """
+        tel = self.telemetry
+        idx = slice(None) if rows is None else rows
+        self._disk_reads[tel._rows[idx], tel._cursor_rows[idx]] = disk_reads[idx]
+        if rows is None:
+            tel.observe(t, latency_ms, util_pct, wait_ms, wait_pct)
+        else:
+            tel.observe_rows(
+                rows,
+                t[rows],
+                latency_ms[rows],
+                util_pct[:, rows],
+                wait_ms[:, rows],
+                wait_pct[:, rows],
             )
-        self._interval_i += 1
-        self._spent += cost
+
+    def _charge(self, cost: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """``BudgetManager.end_interval`` for ``rows`` (every tenant when None).
+
+        As in the scalar ledger, a row whose period is over or whose cost
+        exceeds its tokens is refused before it is charged: this engine
+        raises :class:`BudgetError` from :meth:`_refuse_charge` before
+        any row is charged, and a wave's engine kills the refused rows and
+        charges the rest.
+        """
+        pay = np.ones(self.n_tenants, dtype=bool) if rows is None else rows.copy()
+        finished = pay & (self._interval_i >= self._period_n)
+        unaffordable = pay & ~finished & (cost > self._tokens + 1e-9)
+        if np.any(finished) or np.any(unaffordable):
+            self._refuse_charge(finished, unaffordable, cost)
+            pay &= ~(finished | unaffordable)
+        np.add(self._interval_i, 1, out=self._interval_i, where=pay)
+        np.add(self._spent, cost, out=self._spent, where=pay)
         after = np.maximum(self._tokens - cost, 0.0)
         if self._recorder is not None:
             # The scalar ledger's clamp events, as masks, captured before
             # the in-place refill mutates the token array.
             self._clamp_zero = (self._tokens - cost) < 0.0
             self._clamp_depth = (after + self._fill) > self._depth
-        np.minimum(after + self._fill, self._depth, out=self._tokens)
+        np.minimum(after + self._fill, self._depth, out=self._tokens, where=pay)
+
+    def _refuse_charge(
+        self, finished: np.ndarray, unaffordable: np.ndarray, cost: np.ndarray
+    ) -> None:
+        if np.any(finished):
+            raise BudgetError("budgeting period already finished")
+        worst = int(np.argmax(cost - self._tokens))
+        raise BudgetError(
+            f"cost {cost[worst]} exceeds available budget "
+            f"{self._tokens[worst]:.2f} (tenant {worst})"
+        )
 
     def _latency_needs_help(self, signals: FleetSignals) -> np.ndarray:
         """BAD latency, or a significant *material* degrading trend."""
@@ -1725,6 +1725,30 @@ class VectorizedAutoScaler:
 # -- replay: drive the vectorized loop from recorded IntervalCounters ---------
 
 
+def _counter_fields(
+    c: IntervalCounters, goal: LatencyGoal | None
+) -> tuple[float, list[float], list[float], list[float]]:
+    """One delivery's decide inputs: latency, then K util / wait / wait-%.
+
+    Latency is reduced exactly as the scalar manager's
+    ``_interval_latency`` does: the goal's metric when a goal is set,
+    p95 otherwise, NaN when idle.
+    """
+    latency = math.nan
+    if c.latencies_ms.size:
+        if goal is not None:
+            latency = goal.measure(c.latencies_ms)
+        else:
+            latency = c.latency_percentile(95.0)
+    classes = [RESOURCE_WAIT_CLASS[kind] for kind in SCALABLE_KINDS]
+    return (
+        latency,
+        [c.utilization_percent(kind) for kind in SCALABLE_KINDS],
+        [c.wait_ms(w) for w in classes],
+        [c.wait_percent(w) for w in classes],
+    )
+
+
 def counters_to_interval_arrays(
     counters_row: Sequence[IntervalCounters],
     goal: LatencyGoal | None,
@@ -1734,9 +1758,7 @@ def counters_to_interval_arrays(
     """One interval's fleet telemetry, as decide_batch's array inputs.
 
     ``counters_row`` holds one :class:`IntervalCounters` per tenant for
-    the *same* billing interval.  Latency is reduced exactly as the scalar
-    manager's ``_interval_latency`` does: the goal's metric when a goal is
-    set, p95 otherwise, NaN when idle.
+    the *same* billing interval, each read by :func:`_counter_fields`.
 
     With ``include_aux`` the dict gains an ``"aux"`` entry carrying the
     raw pieces the columnar trace store needs to rebuild bit-identical
@@ -1749,22 +1771,12 @@ def counters_to_interval_arrays(
     first = counters_row[0]
     if any(c.interval_index != first.interval_index for c in counters_row):
         raise ValueError("fleet replay needs one shared interval clock")
-    latency = np.full(n, np.nan)
-    for i, c in enumerate(counters_row):
-        if c.latencies_ms.size:
-            if goal is not None:
-                latency[i] = goal.measure(c.latencies_ms)
-            else:
-                latency[i] = c.latency_percentile(95.0)
+    latency = np.empty(n)
     util = np.empty((K, n))
     wait = np.empty((K, n))
     wpct = np.empty((K, n))
-    for k, kind in enumerate(SCALABLE_KINDS):
-        wait_class = RESOURCE_WAIT_CLASS[kind]
-        for i, c in enumerate(counters_row):
-            util[k, i] = c.utilization_percent(kind)
-            wait[k, i] = c.wait_ms(wait_class)
-            wpct[k, i] = c.wait_percent(wait_class)
+    for i, c in enumerate(counters_row):
+        latency[i], util[:, i], wait[:, i], wpct[:, i] = _counter_fields(c, goal)
     out = {
         "t": float(first.interval_index),
         "latency_ms": latency,
@@ -1839,6 +1851,18 @@ def replay_decisions(
 
 
 # -- synthetic fleet telemetry (benchmark / 100k sweep) -----------------------
+
+
+#: One interval's per-tenant decide inputs, named as ``decide_batch``'s
+#: keywords and the :class:`FleetTelemetryArrays` columns.
+_INTERVAL_FIELDS = (
+    "latency_ms",
+    "util_pct",
+    "wait_ms",
+    "wait_pct",
+    "memory_used_gb",
+    "disk_physical_reads",
+)
 
 
 class FleetTelemetryArrays(NamedTuple):
@@ -2141,14 +2165,7 @@ def run_synthetic_sweep(
         if synth is not None:
             fields = synth.interval(i, scaler.level, scaler.balloon_limit_gb)
         else:
-            fields = {
-                "latency_ms": data.latency_ms[i],
-                "util_pct": data.util_pct[i],
-                "wait_ms": data.wait_ms[i],
-                "wait_pct": data.wait_pct[i],
-                "memory_used_gb": data.memory_used_gb[i],
-                "disk_physical_reads": data.disk_physical_reads[i],
-            }
+            fields = {name: getattr(data, name)[i] for name in _INTERVAL_FIELDS}
         start = time.perf_counter()
         decision = scaler.decide_batch(float(i), **fields)
         per_interval.append(time.perf_counter() - start)

@@ -18,7 +18,7 @@ from repro.core.budget import BudgetManager
 from repro.core.damper import OscillationDamper
 from repro.core.latency import LatencyGoal
 from repro.engine.containers import default_catalog
-from repro.errors import ConfigurationError
+from repro.errors import BudgetError, ConfigurationError
 from repro.faults.schedule import FaultSchedule
 from repro.faults.vectorized import compile_schedules
 from repro.fleet.degraded import (
@@ -295,3 +295,120 @@ def test_degraded_restore_rejects_misshapen_guard_array():
     for _ in range(2):
         target.step()
     _assert_refused(target.scaler, state)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cursor_is_window", "negative_cursor", "negative_count", "cursor_off_count"],
+)
+def test_restore_rejects_impossible_ring_cursor(case):
+    state = _driven_engine(6).state_dict()
+    tel = state["telemetry"]
+    w, c = tel["window"], 6
+    cursor, count = {
+        # The next observe would index one past the ring.
+        "cursor_is_window": (w, w),
+        "negative_cursor": (c - w, c),
+        # The right residue, but no ring has a negative sample count.
+        "negative_count": (c, c - w),
+        "cursor_off_count": (c, c + 1),
+    }[case]
+    tel["cursor_rows"] = tel["cursor_rows"].copy()
+    tel["count_rows"] = tel["count_rows"].copy()
+    tel["cursor_rows"][1] = cursor
+    tel["count_rows"][1] = count
+    state["level"] = np.full(4, 5)
+    _assert_refused(_driven_engine(2), state)
+
+
+def test_restore_rejects_shared_clock_ring_layout():
+    # One clock vector and one cursor for the whole fleet: the layout
+    # before rings kept a clock and a cursor per row.
+    state = _driven_engine(6).state_dict()
+    tel = state["telemetry"]
+    tel["t"] = tel["t"][0].copy()
+    tel["cursor"] = int(tel.pop("cursor_rows")[0])
+    tel["count"] = int(tel.pop("count_rows")[0])
+    state["disk_cursor"] = tel["cursor"]
+    _assert_refused(_driven_engine(2), state)
+
+
+def _stepped_fleet(steps, **kwargs):
+    fleet = _build_degraded_fleet(default_catalog(), **kwargs)
+    for _ in range(steps):
+        fleet.step()
+    return fleet
+
+
+def test_degraded_fleet_restore_refuses_before_moving_interval():
+    state = _stepped_fleet(4).state_dict()
+    _assert_refused(_stepped_fleet(1, failure_threshold=5), state)
+
+
+@pytest.mark.parametrize(
+    "part, key",
+    [
+        ("actuator", "level"),
+        ("actuator", "transient_left"),
+        ("held", "present"),
+        ("held", "util_pct"),
+    ],
+)
+def test_degraded_fleet_restore_rejects_misshapen_buffers(part, key):
+    state = _stepped_fleet(4).state_dict()
+    state[part][key] = state[part][key][..., :-1]
+    _assert_refused(_stepped_fleet(2), state)
+
+
+def test_degraded_fleet_restore_rejects_applied_level_outside_catalog():
+    state = _stepped_fleet(4).state_dict()
+    state["actuator"]["level"] = np.full(_N_TENANTS, 99)
+    _assert_refused(_stepped_fleet(2), state)
+
+
+# -- construction guard rails ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "option", [dict(failure_threshold=0), dict(open_intervals=0), dict(max_attempts=0)]
+)
+def test_degraded_engine_refuses_what_the_scalar_executor_refuses(option):
+    with pytest.raises(ConfigurationError):
+        DegradedVectorizedAutoScaler(default_catalog(), 4, **option)
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        "guard_max_tracked_gaps",
+        "guard_degraded_after",
+        "backoff_base_ms",
+        "backoff_factor",
+        "jitter",
+    ],
+)
+def test_degraded_engine_takes_scalar_guard_and_backoff_defaults(option):
+    with pytest.raises(TypeError, match=option):
+        DegradedVectorizedAutoScaler(default_catalog(), 4, **{option: 1})
+
+
+def test_decide_batch_budget_error_leaves_engine_untouched():
+    # The ledger refuses before the rings, the disk window or any token
+    # move: a period that is over raises and the engine stays as it was.
+    catalog = default_catalog()
+    budget = BudgetManager(
+        budget=catalog.min_cost * 2,
+        n_intervals=2,
+        min_cost=catalog.min_cost,
+        max_cost=catalog.max_cost,
+    )
+    engine = VectorizedAutoScaler(catalog, 4, goal=LatencyGoal(100.0), budget=budget)
+    synth = ClosedLoopFleetSynthesizer(4, catalog, _SEED)
+    for i in range(2):
+        fields = synth.interval(i, engine.level, engine.balloon_limit_gb)
+        engine.decide_batch(float(i), **fields)
+    before = json.dumps(encode_state(engine.state_dict()), sort_keys=True)
+    fields = synth.interval(2, engine.level, engine.balloon_limit_gb)
+    with pytest.raises(BudgetError, match="period already finished"):
+        engine.decide_batch(2.0, **fields)
+    assert json.dumps(encode_state(engine.state_dict()), sort_keys=True) == before

@@ -1,10 +1,10 @@
 """The fleet telemetry's checkpoint wire layout, pinned against its memory layout.
 
 The rings live time-major in memory (``(W, T)`` / ``(W, K, T)``) while
-checkpoints carry them tenant-major with the time axis last (``(T, W)`` /
-``(K, T, W)``, and the degraded engine's per-row clock ``(T, W)``).  These
-tests build the wire arrays independently — each observed column written
-at its ring slot — so a change to the in-memory layout can never leak into
+checkpoints carry them tenant-major with the time axis last (``(T, W)`` for
+the per-row clock and latency, ``(K, T, W)`` per resource).  These tests
+build the wire arrays independently — each observed column written at its
+ring slot — so a change to the in-memory layout can never leak into
 checkpoint bytes, and a ring of the wrong shape is refused at load.
 """
 
@@ -17,7 +17,7 @@ from repro.core.latency import LatencyGoal
 from repro.core.thresholds import default_thresholds
 from repro.engine.resources import SCALABLE_KINDS
 from repro.errors import ConfigurationError
-from repro.fleet.vectorized import MaskedVectorizedTelemetry, VectorizedTelemetry
+from repro.fleet.vectorized import VectorizedTelemetry
 
 K = len(SCALABLE_KINDS)
 N = 7  # != the signal window, so a transposed ring has the wrong shape
@@ -34,10 +34,9 @@ def _inputs(rng, n):
     )
 
 
-def _reference(n, window, shared_clock):
-    shape_t = (window,) if shared_clock else (n, window)
+def _reference(n, window):
     return {
-        "t": np.full(shape_t, np.nan),
+        "t": np.full((n, window), np.nan),
         "lat": np.full((n, window), np.nan),
         "util": np.full((K, n, window), np.nan),
         "wait": np.full((K, n, window), np.nan),
@@ -63,19 +62,21 @@ def test_healthy_wire_layout_is_tenant_major():
     thresholds = default_thresholds()
     window = thresholds.signal_window
     tel = VectorizedTelemetry(N, thresholds, LatencyGoal(100.0))
-    ref = _reference(N, window, shared_clock=True)
+    ref = _reference(N, window)
     rng = np.random.default_rng(3)
     for i in range(window + 4):  # wraps the ring
         lat, util, wait, wpct = _inputs(rng, N)
         tel.observe(float(i), lat, util, wait, wpct)
         c = i % window
-        ref["t"][c] = i
+        ref["t"][:, c] = i
         ref["lat"][:, c] = lat
         ref["util"][:, :, c] = util
         ref["wait"][:, :, c] = wait
         ref["wpct"][:, :, c] = wpct
     state = tel.state_dict()
     _assert_wire_equal(state, ref)
+    assert np.array_equal(state["cursor_rows"], np.full(N, (window + 4) % window))
+    assert np.array_equal(state["count_rows"], np.full(N, window + 4))
 
     restored = VectorizedTelemetry(N, thresholds, LatencyGoal(100.0))
     restored.load_state_dict({**state, **ref})
@@ -85,8 +86,8 @@ def test_healthy_wire_layout_is_tenant_major():
 def test_masked_wire_layout_is_tenant_major():
     thresholds = default_thresholds()
     window = thresholds.signal_window
-    tel = MaskedVectorizedTelemetry(N, thresholds, LatencyGoal(100.0))
-    ref = _reference(N, window, shared_clock=False)
+    tel = VectorizedTelemetry(N, thresholds, LatencyGoal(100.0))
+    ref = _reference(N, window)
     count = np.zeros(N, dtype=np.int64)
     rng = np.random.default_rng(4)
     for i in range(2 * window):
@@ -107,24 +108,39 @@ def test_masked_wire_layout_is_tenant_major():
     assert np.array_equal(state["cursor_rows"], count % window)
     assert np.array_equal(state["count_rows"], count)
 
-    restored = MaskedVectorizedTelemetry(N, thresholds, LatencyGoal(100.0))
+    restored = VectorizedTelemetry(N, thresholds, LatencyGoal(100.0))
     restored.load_state_dict({**state, **ref})
     rows = np.flatnonzero(count > 0)
     _assert_signals_equal(restored.signals_rows(rows), tel.signals_rows(rows))
 
 
-def _fed(cls):
+def _fed(lock_step):
     thresholds = default_thresholds()
-    tel = cls(N, thresholds, LatencyGoal(100.0))
+    tel = VectorizedTelemetry(N, thresholds, LatencyGoal(100.0))
     rng = np.random.default_rng(5)
     for i in range(3):
-        tel.observe(float(i), *_inputs(rng, N))
+        if lock_step:
+            tel.observe(float(i), *_inputs(rng, N))
+            continue
+        # Every row reports first, then only some: per-row cursors diverge.
+        rows = np.arange(N) if i == 0 else np.flatnonzero(rng.random(N) < 0.6)
+        tel.observe_rows(
+            rows, np.full(rows.size, float(i)), *_inputs(rng, rows.size)
+        )
     return tel
 
 
-@pytest.mark.parametrize("cls", [VectorizedTelemetry, MaskedVectorizedTelemetry])
-def test_restore_rejects_misshapen_rings(cls):
-    tel = _fed(cls)
+# The ids keep the names of the two ring classes that VectorizedTelemetry
+# replaced: one fed in lock step, one whose rows fall out of step.
+@pytest.mark.parametrize(
+    "lock_step",
+    [
+        pytest.param(True, id="VectorizedTelemetry"),
+        pytest.param(False, id="MaskedVectorizedTelemetry"),
+    ],
+)
+def test_restore_rejects_misshapen_rings(lock_step):
+    tel = _fed(lock_step)
     state = tel.state_dict()
     bad = {
         "lat": state["lat"].T,  # (W, T): the memory layout, not the wire's
@@ -132,13 +148,12 @@ def test_restore_rejects_misshapen_rings(cls):
         "t": state["t"][..., :-1],
         "wait": state["wait"][:2],
         "wpct": state["wpct"][:, :-1],
+        "cursor_rows": state["cursor_rows"][:-1],
+        "count_rows": np.zeros((N, 1), dtype=np.int64),
     }
-    if cls is MaskedVectorizedTelemetry:
-        bad["cursor_rows"] = state["cursor_rows"][:-1]
-        bad["count_rows"] = np.zeros((N, 1), dtype=np.int64)
     signals = tel.signals()
     for name, value in bad.items():
-        fresh = cls(N, default_thresholds(), LatencyGoal(100.0))
+        fresh = VectorizedTelemetry(N, default_thresholds(), LatencyGoal(100.0))
         with pytest.raises(ConfigurationError, match=name):
             fresh.load_state_dict({**state, name: value})
         # A refused checkpoint leaves the target's rings as they were.

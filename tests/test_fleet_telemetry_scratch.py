@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.latency import LatencyGoal
 from repro.core.thresholds import default_thresholds
 from repro.engine.resources import SCALABLE_KINDS
-from repro.fleet.vectorized import LAT_UNKNOWN, MaskedVectorizedTelemetry
+from repro.fleet.vectorized import LAT_UNKNOWN, VectorizedTelemetry
 
 K = len(SCALABLE_KINDS)
 N = 300
@@ -50,19 +50,19 @@ def _assert_signals_equal(a, b):
 
 
 def test_wave_scratch_is_one_largest_request_per_name():
-    tel = _fed(MaskedVectorizedTelemetry)
+    tel = _fed(VectorizedTelemetry)
     rng = np.random.default_rng(1)
     widths = [37, N, 5, 120, N - 1, 1, 64, 211]
     for width in widths:
         tel.signals_rows(np.sort(rng.choice(N, width, replace=False)))
-    widest = _fed(MaskedVectorizedTelemetry)
+    widest = _fed(VectorizedTelemetry)
     widest.signals_rows(np.arange(N))
     assert _scratch_bytes(tel) == _scratch_bytes(widest)
 
 
 def test_empty_wave_returns_inert_signals(monkeypatch):
     """A wave whose deliveries were all quarantined selects no rows."""
-    tel = _fed(MaskedVectorizedTelemetry)
+    tel = _fed(VectorizedTelemetry)
 
     def no_kernels(*args):
         raise AssertionError("an empty wave reached the signal kernels")
@@ -79,10 +79,48 @@ def test_empty_wave_returns_inert_signals(monkeypatch):
 
 
 def test_reused_scratch_does_not_change_signals():
-    tel = _fed(MaskedVectorizedTelemetry)
+    tel = _fed(VectorizedTelemetry)
     rng = np.random.default_rng(2)
     for width in (N, 13, 190):
         tel.signals_rows(np.sort(rng.choice(N, width, replace=False)))
     rows = np.sort(rng.choice(N, 77, replace=False))
-    fresh = _fed(MaskedVectorizedTelemetry)
+    fresh = _fed(VectorizedTelemetry)
+    _assert_signals_equal(tel.signals_rows(rows), fresh.signals_rows(rows))
+
+
+def _out_of_step(tel):
+    """Give row 0 one extra delivery: reads that include it go per row."""
+    rng = np.random.default_rng(9)
+    tel.observe_rows(
+        np.array([0]),
+        np.array([99.0]),
+        rng.gamma(2.0, 30.0, 1),
+        rng.uniform(0.0, 100.0, (K, 1)),
+        rng.gamma(2.0, 5.0, (K, 1)),
+        rng.uniform(0.0, 60.0, (K, 1)),
+    )
+    return tel
+
+
+def test_per_row_wave_scratch_is_one_largest_request_per_name():
+    tel = _out_of_step(_fed(VectorizedTelemetry))
+    rng = np.random.default_rng(3)
+    for width in [37, N, 5, 120, N - 1, 64, 211]:
+        tel.signals_rows(np.union1d(rng.choice(N, width, replace=False), [0]))
+    widest = _out_of_step(_fed(VectorizedTelemetry))
+    widest.signals_rows(np.arange(N))
+    assert "trend_x" in tel._scratch  # the per-row clock was gathered
+    assert _scratch_bytes(tel) == _scratch_bytes(widest)
+
+
+def test_reused_per_row_scratch_does_not_change_signals():
+    # Every read includes the out-of-step row 0, so each one gathers per
+    # row into the reused scratch, the per-row clock (trend_x) included.
+    tel = _out_of_step(_fed(VectorizedTelemetry))
+    rng = np.random.default_rng(2)
+    for width in (N, 13, 190):
+        tel.signals_rows(np.union1d(rng.choice(N, width, replace=False), [0]))
+    rows = np.union1d(rng.choice(N, 77, replace=False), [0])
+    assert tel._lock_step(rows) is None
+    fresh = _out_of_step(_fed(VectorizedTelemetry))
     _assert_signals_equal(tel.signals_rows(rows), fresh.signals_rows(rows))
