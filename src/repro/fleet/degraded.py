@@ -47,7 +47,6 @@ is reported per tenant, as :func:`~repro.fleet.chaos.chaos_sweep` does.
 from __future__ import annotations
 
 import dataclasses
-import time
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
@@ -84,7 +83,6 @@ from repro.fleet.vectorized import (
     _checked_arrays,
     _counter_fields,
     estimate_fleet,  # noqa: F401 - kept importable here; perfbench wraps it
-    synthesize_fleet_telemetry,
 )
 from repro.harness.experiment import ExperimentConfig
 from repro.workloads.base import Workload
@@ -101,7 +99,6 @@ __all__ = [
     "run_fleet_chaos",
     "fleet_chaos_sweep",
     "DegradedSyntheticFleet",
-    "run_degraded_synthetic_sweep",
 ]
 
 # Circuit-breaker codes (integer mirror of CircuitState, in
@@ -1556,73 +1553,3 @@ class DegradedSyntheticFleet:
         self.interval = interval
         self.actuator._assign_state(actuator)
         self._held = held
-
-
-def run_degraded_synthetic_sweep(
-    n_tenants: int,
-    n_intervals: int,
-    seed: int = 7,
-    *,
-    fault_rate: float = 0.05,
-) -> dict:
-    """Benchmark arm: the degraded wave loop over a faulted synthetic fleet.
-
-    ``fault_rate`` scales the number of fault events drawn per tenant
-    (roughly that fraction of tenant-intervals perturbed).  Mirrors
-    :func:`repro.fleet.vectorized.run_synthetic_sweep`'s result shape so
-    the perf gate can compare the two arms directly: the same default
-    catalog and thresholds, and the same 100 ms latency goal.
-    """
-    from repro.engine.containers import default_catalog
-
-    arrays = synthesize_fleet_telemetry(n_tenants, n_intervals, seed=seed)
-    n_faults = max(1, int(round(fault_rate * n_intervals)))
-    schedules = [
-        FaultSchedule.random(
-            seed=seed + 17 * t, n_intervals=n_intervals, n_faults=n_faults
-        )
-        for t in range(n_tenants)
-    ]
-    masks = compile_schedules(schedules, n_intervals)
-    scaler = DegradedVectorizedAutoScaler(
-        default_catalog(),
-        n_tenants,
-        goal=LatencyGoal(100.0),
-        record_actions=False,
-        record_guard_reasons=False,
-        executor_seeds=seed,
-    )
-    fleet = DegradedSyntheticFleet(scaler, arrays, masks)
-    resizes = 0
-    per_interval: list[float] = []
-    t_total = time.perf_counter()
-    for _ in range(n_intervals):
-        t0 = time.perf_counter()
-        waves = fleet.step()
-        per_interval.append(time.perf_counter() - t0)
-        resizes += int(sum(np.count_nonzero(w.resized) for w in waves))
-    total_s = time.perf_counter() - t_total
-    levels, counts = np.unique(scaler.level, return_counts=True)
-    return {
-        "n_tenants": n_tenants,
-        "n_intervals": n_intervals,
-        "seed": seed,
-        "fault_rate": fault_rate,
-        "total_s": total_s,
-        "per_interval_s": per_interval,
-        "mean_interval_s": float(np.mean(per_interval)),
-        "max_interval_s": float(np.max(per_interval)),
-        "resizes": resizes,
-        "faulted_tenant_intervals": int(
-            np.count_nonzero(
-                masks.any_telemetry
-                | masks.permanent
-                | masks.partial
-                | (masks.transient_magnitude > 0)
-                | masks.balloon_fail
-            )
-        ),
-        "final_level_histogram": {
-            int(level): int(count) for level, count in zip(levels, counts)
-        },
-    }

@@ -105,7 +105,6 @@ __all__ = [
     "replay_decisions",
     "synthesize_fleet_telemetry",
     "run_synthetic_sweep",
-    "run_synthetic_sweep_subprocess",
     "sharded_synthetic_sweep",
 ]
 
@@ -473,9 +472,12 @@ class VectorizedTelemetry:
 
         Rings go out in the tenant-major wire layout, the time axis last:
         ``t``/``lat`` ``(T, W)``, ``util``/``wait``/``wpct`` ``(K, T, W)``.
-        Arrays are copies: the returned dict is an immutable-by-convention
-        snapshot, safe to serialize off the hot path while the next
-        interval's ``observe`` mutates the live rings.
+        Each ring is copied in its own time-major layout (a memcpy, not a
+        transposing copy) and returned as a tenant-major view of that
+        copy; ``encode_state`` makes it contiguous off the hot path.  The
+        returned dict is an immutable-by-convention snapshot, safe to
+        serialize while the next interval's ``observe`` mutates the live
+        rings.
         """
         state = {
             "n_tenants": self.n_tenants,
@@ -486,7 +488,7 @@ class VectorizedTelemetry:
             "count_rows": self._count_rows.copy(),
         }
         for name in _RINGS:
-            state[name] = np.moveaxis(getattr(self, "_" + name), 0, -1).copy()
+            state[name] = np.moveaxis(getattr(self, "_" + name).copy(), 0, -1)
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -1889,15 +1891,15 @@ def synthesize_fleet_telemetry(
     n_intervals: int,
     seed: int = 7,
 ) -> FleetTelemetryArrays:
-    """Seeded synthetic fleet telemetry mirroring the benchmark streams.
+    """Seeded open-loop synthetic fleet telemetry.
 
-    Matches the *distributions* of ``bench_perf_telemetry.make_stream``
-    (gamma-ish latencies with a per-tenant burst window, six-class waits
-    reduced to the four resource classes' magnitude/percentage, uniform
-    utilization) without simulating an engine, so generation stays cheap
-    at 100k tenants.  Telemetry is open-loop: it does not react to the
-    controller's decisions, exactly like the benchmark's pre-built
-    streams.  5% of tenant-intervals are idle (NaN latency).
+    Per-tenant base latencies with a 10-interval 3x burst window, waits
+    for the four resource classes as magnitude and percentage, and
+    uniform utilization, drawn without simulating an engine, so
+    generation stays cheap at 100k tenants.  Telemetry is open-loop: it
+    does not react to the controller's decisions (see
+    :class:`ClosedLoopFleetSynthesizer` for the reactive twin).  5% of
+    tenant-intervals are idle (NaN latency).
     """
     rng = np.random.default_rng(seed)
     shape = (n_intervals, n_tenants)
@@ -2192,60 +2194,6 @@ def run_synthetic_sweep(
         "final_level_histogram": [int(v) for v in level_hist],
         "peak_rss_gb": _peak_rss_gb(),
     }
-
-
-def _sweep_subprocess_entry(conn, kwargs: dict) -> None:
-    """Child entry for :func:`run_synthetic_sweep_subprocess`.
-
-    Lives at module scope in an importable-by-name module so a ``spawn``
-    child can unpickle it even when the *caller* loaded its own module by
-    file path (the benchmark harness does).
-    """
-    try:
-        conn.send(("ok", run_synthetic_sweep(**kwargs)))
-    except Exception as exc:  # pragma: no cover - transport for the parent
-        conn.send(("err", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
-
-
-def run_synthetic_sweep_subprocess(
-    n_tenants: int,
-    n_intervals: int,
-    seed: int = 7,
-    **kwargs,
-) -> dict:
-    """Run :func:`run_synthetic_sweep` in a fresh ``spawn`` subprocess.
-
-    The point is the digest's ``peak_rss_gb``: ``ru_maxrss`` is a
-    process-lifetime high-water mark, so measuring an arm inside a
-    long-lived benchmark process would report the *largest* arm so far.
-    A spawned child starts from a clean slate, making the reading
-    attributable to this sweep alone.
-    """
-    import multiprocessing as mp
-
-    ctx = mp.get_context("spawn")
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    payload = dict(kwargs, n_tenants=n_tenants, n_intervals=n_intervals, seed=seed)
-    proc = ctx.Process(
-        target=_sweep_subprocess_entry, args=(child_conn, payload)
-    )
-    proc.start()
-    child_conn.close()
-    try:
-        status, result = parent_conn.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(
-            f"sweep subprocess died without a result (exit {proc.exitcode})"
-        ) from None
-    finally:
-        parent_conn.close()
-    proc.join()
-    if status != "ok":
-        raise RuntimeError(f"sweep subprocess failed: {result}")
-    return result
 
 
 def _shard_bounds(n_tenants: int, n_shards: int) -> list[tuple[int, int]]:

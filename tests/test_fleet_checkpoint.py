@@ -103,6 +103,41 @@ def test_mid_sweep_restore_is_bit_identical():
     _assert_same_decisions(resumed, all_decisions[half:])
 
 
+def _wire(state):
+    return json.dumps(encode_state(state), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("engine", ["healthy", "degraded"])
+def test_deferred_encode_matches_the_snapshot_not_the_live_engine(engine):
+    # The tick loop pays only for state_dict(); encoding and writing run
+    # later, while the engine keeps deciding.  The snapshot must hold no
+    # live views: encoding it two intervals on gives the same bytes.
+    catalog = default_catalog()
+    if engine == "healthy":
+        rng = np.random.default_rng(_SEED + 999)
+        levels = rng.integers(0, catalog.num_levels, _N_TENANTS)
+        streams = make_streams(_N_TENANTS, _N_INTERVALS, _SEED, catalog, levels)
+        live = _build_engine(catalog, levels)
+        columns = iter(
+            [[s[i : i + 1] for s in streams] for i in range(_N_INTERVALS)]
+        )
+
+        def step():
+            replay_decisions(next(columns), live)
+
+    else:
+        live = _build_degraded_fleet(catalog)
+        step = live.step
+    for _ in range(_N_INTERVALS // 2):
+        step()
+    snapshot = live.state_dict()
+    wire = _wire(snapshot)
+    step()
+    step()
+    assert _wire(live.state_dict()) != wire
+    assert _wire(snapshot) == wire
+
+
 def _build_degraded_fleet(catalog, failure_threshold=2):
     arrays = synthesize_fleet_telemetry(_N_TENANTS, _N_INTERVALS, seed=_SEED)
     schedules = [
