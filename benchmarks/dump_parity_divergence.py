@@ -1,16 +1,18 @@
 """Dump diverging decision columns: vectorized degraded fleet vs scalar twins.
 
-CI's chaos-parity job runs this when the differential suite
-(``tests/test_fleet_degraded_parity.py``) fails.  It replays the
-canonical parity geometry — the same seed/trace/schedule derivation the
-sweep uses — through both engines, compares the per-tenant decision
-columns, and writes one JSON file per diverging tenant under ``--out``.
-The uploaded artifact then shows *which* columns diverged and *at which
-interval*, without anyone having to re-run hypothesis locally.
+It replays the canonical parity geometry through both engines — the
+tenants :func:`repro.fleet.chaos.chaos_population` draws for
+``chaos_sweep``, budgets included — compares the per-tenant decision
+columns, writes ``parity-index.json`` (one entry per tenant run, with
+its ``diverged_columns``) and one JSON file per diverging tenant under
+``--out``.  The artifact then shows *which* columns diverged and *at
+which interval*, without anyone having to re-run hypothesis locally.
 
 Unlike the test suite this script never raises on divergence: it is a
 post-mortem collector, so it records everything it can and exits 0 even
-when the engines disagree (the suite already failed the job).
+when the engines disagree.  CI's ``chaos-parity`` step runs it on every
+build and fails the job itself unless every index entry has empty
+``diverged_columns``; the artifact is uploaded when the job fails.
 
 Usage::
 
@@ -24,43 +26,16 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.latency import LatencyGoal
-from repro.engine.server import EngineConfig
-from repro.faults.schedule import FaultSchedule
-from repro.fleet.chaos import _tenant_trace
+from repro.fleet.chaos import chaos_population
 from repro.fleet.degraded import CIRCUIT_CODES, run_fleet_chaos
 from repro.harness.chaos import run_chaos
-from repro.harness.experiment import ExperimentConfig
 from repro.workloads import cpuio_workload
 
 TICKS = 6
 WARM = 3
-
-
-def _config(seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        engine=EngineConfig(interval_ticks=TICKS),
-        warmup_intervals=WARM,
-        seed=seed,
-    )
-
-
-def _population(n_tenants: int, base_seed: int, n_intervals: int, n_faults: int):
-    last = max(n_intervals - max(n_intervals // 4, 2) - 1, 0)
-    seeds, traces, schedules = [], [], []
-    for t in range(n_tenants):
-        seed = base_seed + t
-        seeds.append(seed)
-        rng = np.random.default_rng(seed)
-        traces.append(_tenant_trace(rng, t, n_intervals))
-        schedules.append(
-            FaultSchedule.random(
-                seed=seed, n_intervals=n_intervals, n_faults=n_faults, last=last
-            )
-        )
-    return seeds, traces, schedules
+#: ``chaos_sweep``'s default budget position.
+BUDGET_FACTOR = 0.35
 
 
 def _vector_columns(fleet, t: int) -> dict:
@@ -185,24 +160,27 @@ def dump(base_seeds, n_tenants, n_intervals, n_faults, goal_ms, out_dir):
     total_diverged = 0
     index = []
     for base_seed in base_seeds:
-        seeds, traces, schedules = _population(
-            n_tenants, base_seed, n_intervals, n_faults
+        population = chaos_population(
+            n_tenants, base_seed, n_intervals, n_faults, TICKS, WARM,
+            BUDGET_FACTOR,
         )
         fleet = run_fleet_chaos(
             workload,
-            traces,
-            schedules,
-            config=_config(base_seed),
-            seeds=seeds,
+            [draw.trace for draw in population],
+            [draw.schedule for draw in population],
+            config=population[0].config,
+            seeds=[draw.seed for draw in population],
             goal=goal,
+            budgets=[draw.budget for draw in population],
         )
-        for t in range(n_tenants):
+        for t, draw in enumerate(population):
             res = run_chaos(
                 workload,
-                traces[t],
-                schedules[t],
-                config=_config(seeds[t]),
+                draw.trace,
+                draw.schedule,
+                config=draw.config,
                 goal=goal,
+                budget=draw.budget,
             )
             vector = _vector_columns(fleet, t)
             scalar = _scalar_columns(res)
@@ -210,10 +188,10 @@ def dump(base_seeds, n_tenants, n_intervals, n_faults, goal_ms, out_dir):
             entry = {
                 "base_seed": base_seed,
                 "tenant": t,
-                "seed": seeds[t],
+                "seed": draw.seed,
                 "schedule": [
                     [e.kind.value, e.interval, e.duration, e.magnitude]
-                    for e in schedules[t].events
+                    for e in draw.schedule.events
                 ],
                 "diverged_columns": sorted(diverged),
             }
@@ -231,9 +209,8 @@ def dump(base_seeds, n_tenants, n_intervals, n_faults, goal_ms, out_dir):
     (out_dir / "parity-index.json").write_text(json.dumps(index, indent=2))
     if total_diverged == 0:
         print(
-            f"no divergence across {len(index)} tenant runs "
-            "(the suite failure may be geometry-specific; re-run with the "
-            "failing seed via --base-seeds)"
+            f"no divergence across {len(index)} tenant runs (after a suite "
+            "failure, re-run with the failing seed via --base-seeds)"
         )
     else:
         print(f"{total_diverged}/{len(index)} tenant runs diverged")

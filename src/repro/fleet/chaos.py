@@ -14,8 +14,11 @@ degraded-mode invariants checked on every one:
 * the breaker / guard diagnostics are surfaced per tenant so a sweep can
   be summarized in one table.
 
-Every tenant is deterministic given ``base_seed``; a failing tenant can be
-replayed alone from its reported seed.
+The population is drawn once (:func:`chaos_population`: each tenant's
+seed, trace, schedule, config and budget) and handed to either engine:
+the vectorized degraded fleet, or one scalar :func:`run_chaos` per
+tenant.  Every tenant is deterministic given ``base_seed``; a failing
+tenant can be replayed alone from its reported seed.
 """
 
 from __future__ import annotations
@@ -28,13 +31,20 @@ from repro.core.budget import BudgetManager
 from repro.core.latency import LatencyGoal
 from repro.engine.server import EngineConfig
 from repro.faults.schedule import FaultSchedule
-from repro.harness.chaos import ChaosResult, run_chaos
+from repro.fleet.degraded import run_fleet_chaos
+from repro.harness.chaos import run_chaos
 from repro.harness.experiment import ExperimentConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import Trace, cpuio_workload
 from repro.workloads.base import Workload
 
-__all__ = ["TenantChaosOutcome", "ChaosSweepResult", "chaos_sweep"]
+__all__ = [
+    "TenantChaosOutcome",
+    "ChaosSweepResult",
+    "ChaosTenantDraw",
+    "chaos_population",
+    "chaos_sweep",
+]
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,47 @@ class ChaosSweepResult:
         return sum(o.refunded for o in self.outcomes)
 
 
+@dataclass(frozen=True)
+class ChaosTenantDraw:
+    """One sweep tenant, derived from ``base_seed + tenant_id`` alone;
+    ``config`` carries its seed."""
+
+    tenant_id: int
+    seed: int
+    trace: Trace
+    schedule: FaultSchedule
+    config: ExperimentConfig
+    budget: BudgetManager
+
+
+def chaos_population(
+    n_tenants: int, base_seed: int, n_intervals: int, n_faults: int,
+    interval_ticks: int, warmup_intervals: int, budget_factor: float,
+) -> list[ChaosTenantDraw]:
+    """Every tenant of a :func:`chaos_sweep`, whichever engine runs it."""
+    # Leave fault-free tail room so runs have a chance to stabilize.
+    last = max(n_intervals - max(n_intervals // 4, 2) - 1, 0)
+    draws = []
+    for tenant in range(n_tenants):
+        seed = base_seed + tenant
+        config = ExperimentConfig(
+            engine=EngineConfig(interval_ticks=interval_ticks),
+            warmup_intervals=warmup_intervals,
+            seed=seed,
+        )
+        trace = _tenant_trace(np.random.default_rng(seed), tenant, n_intervals)
+        schedule = FaultSchedule.random(
+            seed=seed, n_intervals=n_intervals, n_faults=n_faults, last=last
+        )
+        budget = _tenant_budget(
+            config, budget_factor, warmup_intervals + n_intervals + 2
+        )
+        draws.append(
+            ChaosTenantDraw(tenant, seed, trace, schedule, config, budget)
+        )
+    return draws
+
+
 def chaos_sweep(
     n_tenants: int = 20,
     base_seed: int = 0,
@@ -111,7 +162,7 @@ def chaos_sweep(
     Args:
         n_tenants: population size (one fault schedule each).
         base_seed: master seed; tenant ``t`` derives everything from
-            ``base_seed + t``.
+            ``base_seed + t`` (:func:`chaos_population`).
         n_intervals: measured billing intervals per tenant.
         n_faults: fault events drawn per schedule.
         interval_ticks: engine ticks per billing interval (small by
@@ -128,50 +179,108 @@ def chaos_sweep(
             exporters as the fleet pipeline.
         engine: ``"vectorized"`` (default) runs the whole population
             through the struct-of-arrays degraded fleet path
-            (:func:`repro.fleet.degraded.fleet_chaos_sweep`), which is
-            byte-identical to the scalar runs; ``"scalar"`` keeps the
-            original one-:func:`run_chaos`-per-tenant loop, the reference
-            the parity suite compares against.  To trace one tenant,
-            replay it alone with :func:`run_chaos` from its reported seed.
+            (:func:`repro.fleet.degraded.run_fleet_chaos`), which is
+            byte-identical to the scalar runs; ``"scalar"`` runs one
+            :func:`run_chaos` per tenant, the reference the parity suite
+            compares against.  Both engines run the same population.  To
+            trace one tenant, replay it alone with :func:`run_chaos` from
+            its reported seed.
     """
-    if engine not in ("vectorized", "scalar"):
+    if engine not in _ENGINES:
         raise ValueError(f"unknown chaos sweep engine {engine!r}")
-    if engine == "vectorized":
-        from repro.fleet.degraded import fleet_chaos_sweep
-
-        return fleet_chaos_sweep(
-            n_tenants=n_tenants,
-            base_seed=base_seed,
-            n_intervals=n_intervals,
-            n_faults=n_faults,
-            interval_ticks=interval_ticks,
-            warmup_intervals=warmup_intervals,
-            goal_ms=goal_ms,
-            budget_factor=budget_factor,
-            workload=workload,
-            metrics=metrics,
-        )
-    workload = workload or cpuio_workload()
-    outcomes: list[TenantChaosOutcome] = []
-    for tenant in range(n_tenants):
-        seed = base_seed + tenant
-        outcomes.append(
-            _run_tenant(
-                tenant,
-                seed,
-                workload,
-                n_intervals=n_intervals,
-                n_faults=n_faults,
-                interval_ticks=interval_ticks,
-                warmup_intervals=warmup_intervals,
-                goal_ms=goal_ms,
-                budget_factor=budget_factor,
-            )
-        )
+    population = chaos_population(
+        n_tenants, base_seed, n_intervals, n_faults, interval_ticks,
+        warmup_intervals, budget_factor,
+    )
+    goal = LatencyGoal(goal_ms) if goal_ms is not None else None
+    outcomes = _ENGINES[engine](population, workload or cpuio_workload(), goal)
     result = ChaosSweepResult(outcomes=outcomes)
     if metrics is not None:
         _record_sweep_metrics(metrics, result)
     return result
+
+
+def _scalar_outcomes(
+    population: list[ChaosTenantDraw],
+    workload: Workload,
+    goal: LatencyGoal | None,
+) -> list[TenantChaosOutcome]:
+    """One :func:`run_chaos` per tenant; a raise is reported, not thrown."""
+    outcomes = []
+    for draw in population:
+        error, stats = None, ()
+        try:
+            result = run_chaos(
+                workload, draw.trace, draw.schedule, config=draw.config,
+                goal=goal, budget=draw.budget,
+            )
+            guard, executor = result.guard.stats, result.executor
+            stats = (
+                executor.total_failures, executor.circuit_opens,
+                guard.quarantined, guard.missed, guard.discarded,
+            )
+        except Exception as exc:  # noqa: BLE001 - the sweep *reports* failures
+            error = f"{type(exc).__name__}: {exc}"
+        budget = draw.budget
+        outcomes.append(
+            _outcome(
+                draw, error, budget.spent, budget.refunded, budget.available,
+                stats,
+            )
+        )
+    return outcomes
+
+
+def _fleet_outcomes(
+    population: list[ChaosTenantDraw],
+    workload: Workload,
+    goal: LatencyGoal | None,
+) -> list[TenantChaosOutcome]:
+    """One :func:`run_fleet_chaos` over the population; a row whose
+    scalar twin would raise is dead, with the same error."""
+    if not population:  # run_fleet_chaos needs a tenant
+        return []
+    sc = run_fleet_chaos(
+        workload, [d.trace for d in population],
+        [d.schedule for d in population], config=population[0].config,
+        seeds=[d.seed for d in population], goal=goal,
+        budgets=[d.budget for d in population],
+    ).scaler
+    columns = (
+        sc.x_total_failures, sc.x_circuit_opens,
+        sc.g_quarantined, sc.g_missed, sc.g_discarded,
+    )
+    return [
+        _outcome(
+            draw, sc.dead_error(t), float(sc.budget_spent[t]),
+            float(sc.budget_refunded[t]), float(sc.budget_available[t]),
+            tuple(int(column[t]) for column in columns),
+        )
+        for t, draw in enumerate(population)
+    ]
+
+
+_ENGINES = {"vectorized": _fleet_outcomes, "scalar": _scalar_outcomes}
+
+
+def _outcome(
+    draw: ChaosTenantDraw, error: str | None, spent: float, refunded: float,
+    available: float, stats: tuple[int, ...],
+) -> TenantChaosOutcome:
+    """``stats``: resize failures, circuit opens, then the quarantined,
+    missed and discarded tallies; a tenant that raised reports none."""
+    failures, opens, quarantined, missed, discarded = (
+        stats if error is None else (0,) * 5
+    )
+    total = draw.budget.budget
+    return TenantChaosOutcome(
+        draw.tenant_id, draw.seed, draw.schedule, error,
+        budget_overdrawn=spent > total + 1e-6 or available < -1e-9,
+        spent=spent, refunded=refunded, budget_total=total,
+        resize_failures=failures, circuit_opens=opens,
+        quarantined=quarantined, missed=missed, discarded=discarded,
+        entered_safe_mode=opens > 0,
+    )
 
 
 def _record_sweep_metrics(
@@ -196,71 +305,6 @@ def _record_sweep_metrics(
         if value:
             metrics.counter(name).inc(float(value))
     metrics.gauge("chaos.total_refunded").set(result.total_refunded)
-
-
-def _run_tenant(
-    tenant: int,
-    seed: int,
-    workload: Workload,
-    n_intervals: int,
-    n_faults: int,
-    interval_ticks: int,
-    warmup_intervals: int,
-    goal_ms: float | None,
-    budget_factor: float,
-) -> TenantChaosOutcome:
-    rng = np.random.default_rng(seed)
-    trace = _tenant_trace(rng, tenant, n_intervals)
-    # Leave fault-free tail room so runs have a chance to stabilize.
-    last = max(n_intervals - max(n_intervals // 4, 2) - 1, 0)
-    schedule = FaultSchedule.random(
-        seed=seed, n_intervals=n_intervals, n_faults=n_faults, last=last
-    )
-    config = ExperimentConfig(
-        engine=EngineConfig(interval_ticks=interval_ticks),
-        warmup_intervals=warmup_intervals,
-        seed=seed,
-    )
-    budget = _tenant_budget(
-        config, budget_factor, warmup_intervals + n_intervals + 2
-    )
-    goal = LatencyGoal(goal_ms) if goal_ms is not None else None
-
-    error: str | None = None
-    result: ChaosResult | None = None
-    try:
-        result = run_chaos(
-            workload, trace, schedule, config=config, goal=goal, budget=budget
-        )
-    except Exception as exc:  # noqa: BLE001 - the sweep *reports* failures
-        error = f"{type(exc).__name__}: {exc}"
-
-    overdrawn = (
-        budget.spent > budget.budget + 1e-6 or budget.available < -1e-9
-    )
-    guard = result.guard if result is not None else None
-    return TenantChaosOutcome(
-        tenant_id=tenant,
-        seed=seed,
-        schedule=schedule,
-        error=error,
-        budget_overdrawn=overdrawn,
-        spent=budget.spent,
-        refunded=budget.refunded,
-        budget_total=budget.budget,
-        resize_failures=(
-            result.executor.total_failures if result is not None else 0
-        ),
-        circuit_opens=(
-            result.executor.circuit_opens if result is not None else 0
-        ),
-        quarantined=guard.stats.quarantined if guard is not None else 0,
-        missed=guard.stats.missed if guard is not None else 0,
-        discarded=guard.stats.discarded if guard is not None else 0,
-        entered_safe_mode=(
-            result is not None and result.executor.circuit_opens > 0
-        ),
-    )
 
 
 def _tenant_trace(rng: np.random.Generator, tenant: int, n_intervals: int) -> Trace:

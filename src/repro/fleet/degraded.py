@@ -41,7 +41,7 @@ schedules.
 A tenant whose scalar twin would *raise* (budget exhaustion) is marked
 dead instead of aborting the fleet: its state freezes at the raise point
 (exactly where the scalar run stopped mutating) and the formatted error
-is reported per tenant, as :func:`~repro.fleet.chaos.chaos_sweep` does.
+is reported per tenant in the scalar sweep's ``"Type: message"`` form.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ __all__ = [
     "MaskedFaultDataPlane",
     "FleetChaosResult",
     "run_fleet_chaos",
-    "fleet_chaos_sweep",
     "DegradedSyntheticFleet",
 ]
 
@@ -1107,7 +1106,6 @@ def run_fleet_chaos(
     seeds: Sequence[int] | None = None,
     goal: LatencyGoal | None = None,
     budgets: Sequence[BudgetManager] | None = None,
-    damper: OscillationDamper | None = None,
     scaler_kwargs: dict | None = None,
     executor_kwargs: dict | None = None,
 ) -> FleetChaosResult:
@@ -1140,7 +1138,7 @@ def run_fleet_chaos(
         goal=goal,
         budget=budgets,
         thresholds=config.thresholds,
-        damper=damper or OscillationDamper(),
+        damper=OscillationDamper(),
         executor_seeds=[s + 3 for s in seeds],
         **(executor_kwargs or {}),
         **(scaler_kwargs or {}),
@@ -1202,108 +1200,6 @@ def run_fleet_chaos(
         waves=all_waves,
         reports=reports,
     )
-
-
-def fleet_chaos_sweep(
-    n_tenants: int = 20,
-    base_seed: int = 0,
-    n_intervals: int = 24,
-    n_faults: int = 5,
-    interval_ticks: int = 15,
-    warmup_intervals: int = 6,
-    goal_ms: float | None = 150.0,
-    budget_factor: float = 0.35,
-    workload: Workload | None = None,
-    metrics=None,
-):
-    """One vectorized sweep equal to ``n_tenants`` scalar chaos runs.
-
-    Derives each tenant's trace, schedule, budget, and seeds exactly as
-    :func:`repro.fleet.chaos.chaos_sweep` does (same RNG draw order), so
-    the returned outcomes are byte-comparable with the scalar sweep's.
-    """
-    from repro.fleet.chaos import (
-        ChaosSweepResult,
-        TenantChaosOutcome,
-        _record_sweep_metrics,
-        _tenant_budget,
-        _tenant_trace,
-    )
-    from repro.workloads import cpuio_workload
-
-    workload = workload or cpuio_workload()
-    config = ExperimentConfig(
-        engine=dataclasses.replace(
-            ExperimentConfig().engine, interval_ticks=interval_ticks
-        ),
-        warmup_intervals=warmup_intervals,
-        seed=base_seed,
-    )
-    goal = LatencyGoal(goal_ms) if goal_ms is not None else None
-    seeds, traces, schedules, budgets = [], [], [], []
-    last = max(n_intervals - max(n_intervals // 4, 2) - 1, 0)
-    for tenant in range(n_tenants):
-        seed = base_seed + tenant
-        seeds.append(seed)
-        rng = np.random.default_rng(seed)
-        traces.append(_tenant_trace(rng, tenant, n_intervals))
-        schedules.append(
-            FaultSchedule.random(
-                seed=seed, n_intervals=n_intervals, n_faults=n_faults, last=last
-            )
-        )
-        budgets.append(
-            _tenant_budget(
-                config, budget_factor, warmup_intervals + n_intervals + 2
-            )
-        )
-
-    result = run_fleet_chaos(
-        workload,
-        traces,
-        schedules,
-        config=config,
-        seeds=seeds,
-        goal=goal,
-        budgets=budgets,
-    )
-    scaler = result.scaler
-    outcomes = []
-    for t in range(n_tenants):
-        error = scaler.dead_error(t)
-        overdrawn = bool(
-            scaler.budget_spent[t] > budgets[t].budget + 1e-6
-            or scaler.budget_available[t] < -1e-9
-        )
-        healthy_run = error is None
-        outcomes.append(
-            TenantChaosOutcome(
-                tenant_id=t,
-                seed=seeds[t],
-                schedule=schedules[t],
-                error=error,
-                budget_overdrawn=overdrawn,
-                spent=float(scaler.budget_spent[t]),
-                refunded=float(scaler.budget_refunded[t]),
-                budget_total=budgets[t].budget,
-                resize_failures=(
-                    int(scaler.x_total_failures[t]) if healthy_run else 0
-                ),
-                circuit_opens=(
-                    int(scaler.x_circuit_opens[t]) if healthy_run else 0
-                ),
-                quarantined=int(scaler.g_quarantined[t]) if healthy_run else 0,
-                missed=int(scaler.g_missed[t]) if healthy_run else 0,
-                discarded=int(scaler.g_discarded[t]) if healthy_run else 0,
-                entered_safe_mode=(
-                    healthy_run and int(scaler.x_circuit_opens[t]) > 0
-                ),
-            )
-        )
-    sweep = ChaosSweepResult(outcomes=outcomes)
-    if metrics is not None:
-        _record_sweep_metrics(metrics, sweep)
-    return sweep
 
 
 # -- synthetic degraded sweep (benchmark / 100k recipe) -----------------------

@@ -1,6 +1,7 @@
 """Chaos-mode experiment runner: the closed loop under injected faults.
 
-:func:`run_chaos` drives the full production-shaped control loop —
+:class:`ChaosTenant` is the one per-tenant driver of the full
+production-shaped control loop —
 
     :class:`~repro.faults.chaos.FaultyServer` (unreliable telemetry +
     actuation) → :class:`~repro.core.telemetry_guard.TelemetryGuard`
@@ -9,7 +10,10 @@
     refunds, circuit breaker) → back into the server
 
 — for one tenant over one trace, under a seeded
-:class:`~repro.faults.schedule.FaultSchedule`.  The flow mirrors
+:class:`~repro.faults.schedule.FaultSchedule`, one billing interval per
+:meth:`~ChaosTenant.step`.  :func:`run_chaos` steps it to the end of the
+trace; the controller service (:mod:`repro.service.controller`) steps
+it tick by tick and checkpoints its controller.  The flow mirrors
 :func:`~repro.harness.experiment.run_policy` step for step (same seeds,
 same warm-up, same billing), so a run with an **empty** schedule produces
 a byte-identical decision trace to the plain harness — the chaos suite's
@@ -37,6 +41,7 @@ from repro.core.latency import LatencyGoal
 from repro.core.resize_executor import ActuationReport, ResizeExecutor
 from repro.core.telemetry_guard import TelemetryGuard
 from repro.engine.billing import BillingMeter
+from repro.engine.containers import ContainerSpec
 from repro.engine.server import DatabaseServer
 from repro.engine.telemetry import IntervalCounters
 from repro.faults.chaos import FaultyServer
@@ -48,7 +53,7 @@ from repro.workloads.base import Workload
 from repro.workloads.loadgen import LoadGenerator
 from repro.workloads.traces import Trace
 
-__all__ = ["ChaosResult", "run_chaos", "reconvergence_interval"]
+__all__ = ["ChaosResult", "ChaosTenant", "run_chaos", "reconvergence_interval"]
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,122 @@ class ChaosResult:
         return [d.container.name for d in self.interval_decisions]
 
 
+class ChaosTenant:
+    """One tenant's closed loop under a fault schedule, one interval a step.
+
+    The one per-tenant driver: :func:`run_chaos` builds it, warms it up
+    and steps it to the end of the trace; the controller service's
+    ``TenantRuntime`` subclasses it to step it tick by tick and
+    checkpoint its controller.  Seeds derive from ``config.seed``: the
+    engine takes it as is, the load generator ``+ 1``, the fault
+    wrapper's corruption stream ``+ 2`` and the executor's jitter
+    stream ``+ 3``.
+
+    The *environment* (``server``, ``loadgen``, ``meter``) and the
+    bookkeeping lists describe what ran; the *controller* (``scaler``,
+    ``executor``, ``tracer``) is what a controller process would own.
+    """
+
+    def __init__(
+        self,
+        workload: Workload,
+        trace: Trace,
+        schedule: FaultSchedule,
+        config: ExperimentConfig,
+        goal: LatencyGoal | None = None,
+        budget: BudgetManager | None = None,
+        scaler_kwargs: dict | None = None,
+        executor_kwargs: dict | None = None,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.trace = trace
+        self.config = config
+        self.goal = goal
+        self._scaler_kwargs = scaler_kwargs or {}
+        self._executor_kwargs = executor_kwargs or {}
+        engine = dc_replace(config.engine, seed=config.seed)
+        self.tracer = tracer
+        self.scaler = self._build_scaler(budget)
+        base = DatabaseServer(
+            specs=workload.specs, dataset=workload.dataset,
+            container=self.scaler.container, config=engine,
+            n_hot_locks=workload.n_hot_locks,
+        )
+        self.server = FaultyServer(
+            base, schedule.shifted(config.warmup_intervals), config.catalog,
+            seed=config.seed + 2,
+        )
+        self.executor = self._build_executor(self.scaler, tracer)
+        self.loadgen = LoadGenerator(
+            trace, interval_ticks=engine.interval_ticks, seed=config.seed + 1
+        )
+        self.meter = BillingMeter()
+        self.decisions: list[ScalingDecision] = []
+        self.interval_decisions: list[ScalingDecision | None] = []
+        self.reports: list[ActuationReport | None] = []
+        self.containers: list[str] = []
+        self.counters: list[IntervalCounters] = []
+        self.env_interval = 0  # measured intervals the environment has run
+
+    def _build_scaler(self, budget: BudgetManager | None) -> AutoScaler:
+        """A fresh scaler with the default guard and damper."""
+        return AutoScaler(
+            catalog=self.config.catalog, goal=self.goal, budget=budget,
+            thresholds=self.config.thresholds, guard=TelemetryGuard(),
+            damper=OscillationDamper(), **self._scaler_kwargs,
+        )
+
+    def _build_executor(
+        self, scaler: AutoScaler, tracer: Tracer | None
+    ) -> ResizeExecutor:
+        """Attach ``tracer`` to ``scaler`` and wire it to the server."""
+        if tracer is not None:
+            scaler.attach_tracer(tracer)
+        return ResizeExecutor(
+            scaler, self.server, seed=self.config.seed + 3, tracer=tracer,
+            **self._executor_kwargs,
+        )
+
+    def warmup(self) -> None:
+        """Fault-free warm-up, identical to ``run_policy``'s (the schedule
+        is shifted past it, so deliveries arrive one per interval)."""
+        warmup_rate = max(float(self.trace.rates[0]), self.trace.mean)
+        for _ in range(self.config.warmup_intervals):
+            deliveries = self.server.run_interval(warmup_rate)
+            decision, _ = _decide(self.scaler, deliveries)
+            self.executor.execute(decision)
+
+    def _advance(self) -> tuple[int, ContainerSpec, list[IntervalCounters]]:
+        """Run and bill the next measured interval; return its index, the
+        container in force and the telemetry deliveries."""
+        index = self.env_interval
+        rates = self.loadgen.interval_rates(index)
+        in_force = self.server.container
+        self.containers.append(in_force.name)
+        deliveries = self.server.run_interval_with_rates(rates)
+        self.meter.charge(index, in_force)
+        self.env_interval += 1
+        return index, in_force, deliveries
+
+    def step(self) -> ScalingDecision:
+        """One measured interval: run, bill, decide, actuate."""
+        index, in_force, deliveries = self._advance()
+        if self.tracer is not None and self.tracer.enabled:
+            self.tracer.emit(
+                "harness", EventKind.BILLING,
+                interval=self.config.warmup_intervals + index,
+                billed_interval=index,
+                container=in_force.name,
+                cost=in_force.cost,
+            )
+        self.counters.extend(deliveries)
+        decision, per_delivery = _decide(self.scaler, deliveries)
+        self.decisions.extend(per_delivery)
+        self.interval_decisions.append(decision)
+        self.reports.append(self.executor.execute(decision))
+        return decision
+
+
 def run_chaos(
     workload: Workload,
     trace: Trace,
@@ -102,8 +223,6 @@ def run_chaos(
     config: ExperimentConfig | None = None,
     goal: LatencyGoal | None = None,
     budget: BudgetManager | None = None,
-    guard: TelemetryGuard | None = None,
-    damper: OscillationDamper | None = None,
     scaler_kwargs: dict | None = None,
     executor_kwargs: dict | None = None,
     tracer: Tracer | None = None,
@@ -119,97 +238,25 @@ def run_chaos(
         budget: tenant budget; when given, its period must cover the
             warm-up intervals too (they are billed).  Unconstrained when
             omitted.
-        guard / damper: degraded-mode components; a default
-            :class:`TelemetryGuard` and :class:`OscillationDamper` are
-            attached when omitted.
         scaler_kwargs / executor_kwargs: extra keyword arguments for
             :class:`AutoScaler` / :class:`ResizeExecutor`.
         tracer: optional run tracer, threaded through the scaler, guard,
             estimator, budget, and executor; the harness adds one BILLING
             event per measured interval.
     """
-    config = config or ExperimentConfig()
-    engine = dc_replace(config.engine, seed=config.seed)
-    scaler = AutoScaler(
-        catalog=config.catalog,
-        goal=goal,
-        budget=budget,
-        thresholds=config.thresholds,
-        guard=guard or TelemetryGuard(),
-        damper=damper or OscillationDamper(),
-        **(scaler_kwargs or {}),
+    tenant = ChaosTenant(
+        workload, trace, schedule, config or ExperimentConfig(), goal, budget,
+        scaler_kwargs, executor_kwargs, tracer,
     )
-    base = DatabaseServer(
-        specs=workload.specs,
-        dataset=workload.dataset,
-        container=scaler.container,
-        config=engine,
-        n_hot_locks=workload.n_hot_locks,
-    )
-    server = FaultyServer(
-        base,
-        schedule.shifted(config.warmup_intervals),
-        config.catalog,
-        seed=config.seed + 2,
-    )
-    if tracer is not None:
-        scaler.attach_tracer(tracer)
-    executor = ResizeExecutor(
-        scaler, server, seed=config.seed + 3, tracer=tracer,
-        **(executor_kwargs or {})
-    )
-    loadgen = LoadGenerator(
-        trace,
-        interval_ticks=engine.interval_ticks,
-        seed=config.seed + 1,
-    )
-
-    # Warm-up, identical to run_policy's (the schedule is shifted past it,
-    # so warm-up is always fault-free and deliveries arrive one per
-    # interval).
-    warmup_rate = max(float(trace.rates[0]), trace.mean)
-    for _ in range(config.warmup_intervals):
-        deliveries = server.run_interval(warmup_rate)
-        decision, _ = _decide(scaler, deliveries)
-        executor.execute(decision)
-
-    meter = BillingMeter()
-    decisions: list[ScalingDecision] = []
-    interval_decisions: list[ScalingDecision] = []
-    reports: list[ActuationReport] = []
-    containers: list[str] = []
-    all_counters: list[IntervalCounters] = []
-    for interval_index in range(trace.n_intervals):
-        rates = loadgen.interval_rates(interval_index)
-        in_force = server.container
-        containers.append(in_force.name)
-        deliveries = server.run_interval_with_rates(rates)
-        meter.charge(interval_index, in_force)
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                "harness", EventKind.BILLING,
-                interval=config.warmup_intervals + interval_index,
-                billed_interval=interval_index,
-                container=in_force.name,
-                cost=in_force.cost,
-            )
-        all_counters.extend(deliveries)
-        decision, per_delivery = _decide(scaler, deliveries)
-        decisions.extend(per_delivery)
-        interval_decisions.append(decision)
-        reports.append(executor.execute(decision))
-
+    tenant.warmup()
+    for _ in range(trace.n_intervals):
+        tenant.step()
+    t = tenant
     return ChaosResult(
-        schedule=schedule,
-        decisions=decisions,
-        interval_decisions=interval_decisions,
-        reports=reports,
-        containers=containers,
-        counters=all_counters,
-        meter=meter,
-        server=server,
-        scaler=scaler,
-        executor=executor,
+        schedule=schedule, decisions=t.decisions,
+        interval_decisions=t.interval_decisions, reports=t.reports,
+        containers=t.containers, counters=t.counters, meter=t.meter,
+        server=t.server, scaler=t.scaler, executor=t.executor,
     )
 
 

@@ -243,6 +243,36 @@ class ComparisonResult:
         return list(self.runs)
 
 
+def _policies(
+    profile: ProfileResult, goal: LatencyGoal, config: ExperimentConfig,
+    auto_kwargs: dict | None,
+) -> dict[str, ScalingPolicy]:
+    """Peak / Avg / Trace sized from the Max profile; Util / Auto for
+    ``goal`` — every compared policy but Max, in report order."""
+    catalog = config.catalog
+    usage = profile.usage_history
+    scaler = AutoScaler(
+        catalog=catalog, goal=goal, thresholds=config.thresholds,
+        **(auto_kwargs or {}),
+    )
+    return {
+        "Peak": StaticPolicy(
+            static_container_for_usage(catalog, usage, 95.0, headroom=1.45),
+            name="Peak",
+        ),
+        "Avg": StaticPolicy(
+            static_container_for_usage(catalog, usage, -1.0), name="Avg"
+        ),
+        "Trace": TraceOraclePolicy(
+            oracle_container_sequence(
+                catalog, usage, headroom=config.oracle_headroom
+            )
+        ),
+        "Util": UtilPolicy(catalog, goal),
+        "Auto": AutoPolicy(scaler),
+    }
+
+
 def run_goal_sweep(
     workload: Workload,
     trace: Trace,
@@ -259,46 +289,20 @@ def run_goal_sweep(
     """
     config = config or ExperimentConfig()
     profile = profile_workload(workload, trace, config)
-    catalog = config.catalog
-
-    offline: dict[str, RunResult] = {"Max": profile.run}
-    peak = StaticPolicy(
-        static_container_for_usage(
-            catalog, profile.usage_history, 95.0, headroom=1.45
-        ),
-        name="Peak",
-    )
-    offline["Peak"] = run_policy(workload, trace, peak, config)
-    avg = StaticPolicy(
-        static_container_for_usage(catalog, profile.usage_history, -1.0),
-        name="Avg",
-    )
-    offline["Avg"] = run_policy(workload, trace, avg, config)
-    oracle = TraceOraclePolicy(
-        oracle_container_sequence(
-            catalog, profile.usage_history, headroom=config.oracle_headroom
-        )
-    )
-    offline["Trace"] = run_policy(workload, trace, oracle, config)
-
+    runs: dict[str, RunResult] = {"Max": profile.run}
     results: dict[float, ComparisonResult] = {}
     for factor in goal_factors:
         goal = profile.latency_goal(factor)
-        runs = dict(offline)
-        util = UtilPolicy(catalog, goal)
-        runs["Util"] = run_policy(workload, trace, util, config)
-        scaler = AutoScaler(
-            catalog=catalog,
-            goal=goal,
-            thresholds=config.thresholds,
-            **(auto_kwargs or {}),
-        )
-        runs["Auto"] = run_policy(workload, trace, AutoPolicy(scaler), config)
+        policies = _policies(profile, goal, config, auto_kwargs)
+        for name, policy in policies.items():
+            # Peak / Avg / Trace do not depend on the goal: run them once.
+            if name in ("Util", "Auto") or name not in runs:
+                runs[name] = run_policy(workload, trace, policy, config)
         results[factor] = ComparisonResult(
             workload_name=workload.name,
             trace_name=trace.name,
             goal=goal,
-            runs=runs,
+            runs=dict(runs),
         )
     return results
 
@@ -329,43 +333,11 @@ def run_comparison(
     config = config or ExperimentConfig()
     profile = profile_workload(workload, trace, config)
     goal = profile.latency_goal(goal_factor, goal_metric)
-
     runs: dict[str, RunResult] = {"Max": profile.run}
-    catalog = config.catalog
-
-    if "Peak" in include:
-        peak = StaticPolicy(
-            static_container_for_usage(
-                catalog, profile.usage_history, 95.0, headroom=1.45
-            ),
-            name="Peak",
-        )
-        runs["Peak"] = run_policy(workload, trace, peak, config)
-    if "Avg" in include:
-        avg = StaticPolicy(
-            static_container_for_usage(catalog, profile.usage_history, -1.0),
-            name="Avg",
-        )
-        runs["Avg"] = run_policy(workload, trace, avg, config)
-    if "Trace" in include:
-        oracle = TraceOraclePolicy(
-            oracle_container_sequence(
-                catalog, profile.usage_history, headroom=config.oracle_headroom
-            )
-        )
-        runs["Trace"] = run_policy(workload, trace, oracle, config)
-    if "Util" in include:
-        util = UtilPolicy(catalog, goal)
-        runs["Util"] = run_policy(workload, trace, util, config)
-    if "Auto" in include:
-        scaler = AutoScaler(
-            catalog=catalog,
-            goal=goal,
-            thresholds=config.thresholds,
-            **(auto_kwargs or {}),
-        )
-        runs["Auto"] = run_policy(workload, trace, AutoPolicy(scaler), config)
-
+    policies = _policies(profile, goal, config, auto_kwargs)
+    for name, policy in policies.items():
+        if name in include:
+            runs[name] = run_policy(workload, trace, policy, config)
     return ComparisonResult(
         workload_name=workload.name,
         trace_name=trace.name,

@@ -6,12 +6,14 @@ telemetry admission → decision → actuation — concurrently via
 ``asyncio.gather``, then writes a versioned checkpoint of *all*
 controller state to a :class:`~repro.service.checkpoint.CheckpointStore`.
 
-Each :class:`TenantRuntime` is built **exactly** like one
-:func:`~repro.harness.chaos.run_chaos` tenant (same components, same
-seed derivation, same warm-up, same per-interval flow), so a service run
-with an empty controller-fault schedule is byte-identical to the batch
-harness — and a service killed after any tick and restored from its last
-checkpoint continues byte-identically too.
+Each :class:`TenantRuntime` *is* a :class:`~repro.harness.chaos.ChaosTenant`
+— the loop :func:`~repro.harness.chaos.run_chaos` runs, with the same
+components, seeds, warm-up and per-interval flow — plus what a service
+adds: decision-less ticks while no controller runs, gap reconciliation,
+and controller checkpoints.  So a service run with an empty
+controller-fault schedule is byte-identical to the batch harness, and a
+service killed after any tick and restored from its last checkpoint
+continues byte-identically too.
 
 The split that makes restore meaningful: the *environment* (database
 server, load generator, fault wrapper, billing meter) is the durable
@@ -27,28 +29,23 @@ import threading
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.autoscaler import AutoScaler, ScalingDecision
+from repro.core.autoscaler import ScalingDecision
 from repro.core.budget import BudgetManager
-from repro.core.damper import OscillationDamper
 from repro.core.latency import LatencyGoal
-from repro.core.resize_executor import ActuationReport, ResizeExecutor
-from repro.core.telemetry_guard import TelemetryGuard
-from repro.engine.billing import BillingMeter
-from repro.engine.server import DatabaseServer
-from repro.engine.telemetry import IntervalCounters
 from repro.errors import CheckpointError
-from repro.faults.chaos import FaultyServer
 from repro.faults.schedule import FaultSchedule
-from repro.harness.chaos import _decide
+from repro.harness.chaos import ChaosTenant
 from repro.harness.experiment import ExperimentConfig
 from repro.obs.events import EventKind, TraceLevel
 from repro.obs.tracer import Tracer
 from repro.service.checkpoint import Checkpoint, CheckpointStore
 from repro.workloads.base import Workload
-from repro.workloads.loadgen import LoadGenerator
 from repro.workloads.traces import Trace
 
 __all__ = ["TenantSpec", "TenantRuntime", "ControllerService"]
+
+#: Events each tenant's decision tracer keeps (checkpointed with it).
+TRACER_CAPACITY = 65536
 
 
 @dataclass(frozen=True)
@@ -67,108 +64,33 @@ class TenantSpec:
     schedule: FaultSchedule = field(default_factory=FaultSchedule.empty)
     goal: LatencyGoal | None = None
     budget_factory: Callable[[], BudgetManager] | None = None
-    guard_factory: Callable[[], TelemetryGuard] = TelemetryGuard
-    damper_factory: Callable[[], OscillationDamper] = OscillationDamper
     trace_level: TraceLevel = TraceLevel.DECISION
-    tracer_capacity: int = 65536
 
 
-class TenantRuntime:
+class TenantRuntime(ChaosTenant):
     """One tenant's environment plus (restorable) controller state."""
 
     def __init__(self, spec: TenantSpec, config: ExperimentConfig) -> None:
-        from dataclasses import replace as dc_replace
-
         self.spec = spec
-        self.config = config
-        engine = dc_replace(config.engine, seed=config.seed)
-        self._engine = engine
-        # Controller side (checkpointed, dies with the process).
-        self.tracer = Tracer(
-            run_id=spec.tenant_id,
-            level=spec.trace_level,
-            capacity=spec.tracer_capacity,
+        super().__init__(
+            spec.workload, spec.trace, spec.schedule, config, goal=spec.goal,
+            budget=spec.budget_factory() if spec.budget_factory else None,
+            tracer=Tracer(
+                spec.tenant_id, level=spec.trace_level,
+                capacity=TRACER_CAPACITY,
+            ),
         )
-        self.scaler = self._build_scaler(
-            budget=spec.budget_factory() if spec.budget_factory else None
-        )
-        # Environment side (durable, survives controller crashes) — the
-        # exact run_chaos construction and seed derivation.
-        base = DatabaseServer(
-            specs=spec.workload.specs,
-            dataset=spec.workload.dataset,
-            container=self.scaler.container,
-            config=engine,
-            n_hot_locks=spec.workload.n_hot_locks,
-        )
-        self.server = FaultyServer(
-            base,
-            spec.schedule.shifted(config.warmup_intervals),
-            config.catalog,
-            seed=config.seed + 2,
-        )
-        self.scaler.attach_tracer(self.tracer)
-        self.executor = ResizeExecutor(
-            self.scaler, self.server, seed=config.seed + 3, tracer=self.tracer
-        )
-        self.loadgen = LoadGenerator(
-            spec.trace, interval_ticks=engine.interval_ticks, seed=config.seed + 1
-        )
-        self.meter = BillingMeter()
-        # Bookkeeping (environment side — results describe what ran).
-        self.containers: list[str] = []
-        self.interval_decisions: list[ScalingDecision | None] = []
-        self.decisions: list[ScalingDecision] = []
-        self.reports: list[ActuationReport | None] = []
-        self.counters: list[IntervalCounters] = []
-        self.env_interval = 0  # measured intervals the environment has run
         self.decided_intervals = 0  # measured intervals the controller decided
         self.warmed_up = False
-
-    def _build_scaler(self, budget: BudgetManager | None) -> AutoScaler:
-        return AutoScaler(
-            catalog=self.config.catalog,
-            goal=self.spec.goal,
-            budget=budget,
-            thresholds=self.config.thresholds,
-            guard=self.spec.guard_factory(),
-            damper=self.spec.damper_factory(),
-        )
 
     # -- lifecycle -------------------------------------------------------------
 
     def warmup(self) -> None:
-        """Fault-free warm-up, identical to the batch harnesses'."""
-        trace = self.spec.trace
-        warmup_rate = max(float(trace.rates[0]), trace.mean)
-        for _ in range(self.config.warmup_intervals):
-            deliveries = self.server.run_interval(warmup_rate)
-            decision, _ = _decide(self.scaler, deliveries)
-            self.executor.execute(decision)
+        super().warmup()
         self.warmed_up = True
 
     def step(self) -> ScalingDecision:
-        """One measured interval with the controller up (run_chaos flow)."""
-        interval_index = self.env_interval
-        rates = self.loadgen.interval_rates(interval_index)
-        in_force = self.server.container
-        self.containers.append(in_force.name)
-        deliveries = self.server.run_interval_with_rates(rates)
-        self.meter.charge(interval_index, in_force)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "harness", EventKind.BILLING,
-                interval=self.config.warmup_intervals + interval_index,
-                billed_interval=interval_index,
-                container=in_force.name,
-                cost=in_force.cost,
-            )
-        self.counters.extend(deliveries)
-        decision, per_delivery = _decide(self.scaler, deliveries)
-        self.decisions.extend(per_delivery)
-        self.interval_decisions.append(decision)
-        self.reports.append(self.executor.execute(decision))
-        self.env_interval += 1
+        decision = super().step()
         self.decided_intervals += 1
         return decision
 
@@ -176,20 +98,9 @@ class TenantRuntime:
         """One measured interval with no controller: the world keeps
         running (and billing) but the telemetry deliveries go unheard and
         no decision is made."""
-        interval_index = self.env_interval
-        rates = self.loadgen.interval_rates(interval_index)
-        in_force = self.server.container
-        self.containers.append(in_force.name)
-        self.server.run_interval_with_rates(rates)  # deliveries lost
-        self.meter.charge(interval_index, in_force)
+        self._advance()  # deliveries lost
         self.interval_decisions.append(None)
         self.reports.append(None)
-        self.env_interval += 1
-
-    @property
-    def lost_intervals(self) -> int:
-        """Measured intervals the environment ran past the controller."""
-        return self.env_interval - self.decided_intervals
 
     def reconcile_gap(self) -> int:
         """Catch the restored controller up with the environment.
@@ -201,7 +112,7 @@ class TenantRuntime:
         multi-interval settle risk an overdraw.  The catch-up decisions
         are actuated so the controller re-asserts its desired state.
         """
-        lost = self.lost_intervals
+        lost = self.env_interval - self.decided_intervals  # ran unheard
         if lost <= 0:
             return 0
         fill_from = len(self.interval_decisions) - lost
@@ -238,13 +149,10 @@ class TenantRuntime:
         )
         tracer.load_state_dict(traced)
         scaler = self._build_scaler(
-            budget=BudgetManager.from_state_dict(state["scaler"]["budget"])
+            BudgetManager.from_state_dict(state["scaler"]["budget"])
         )
         scaler.load_state_dict(state["scaler"])
-        scaler.attach_tracer(tracer)
-        executor = ResizeExecutor(
-            scaler, self.server, seed=self.config.seed + 3, tracer=tracer
-        )
+        executor = self._build_executor(scaler, tracer)
         executor.load_state_dict(state["executor"])
         self.tracer = tracer
         self.scaler = scaler

@@ -111,6 +111,27 @@ class ServiceChaosResult(ServiceRunResult):
         return self.runtime(tenant_id).containers
 
 
+def _warm_service(
+    specs: Sequence[TenantSpec],
+    config: ExperimentConfig | None,
+    n_intervals: int | None,
+    **service_kwargs,
+) -> tuple[ControllerService, int]:
+    """One service over ``specs``' tenants, warmed up, with its bootstrap
+    checkpoint taken, and the intervals to run (by default the shortest
+    tenant trace's)."""
+    if not specs:
+        raise ConfigurationError("a service run needs at least one tenant spec")
+    config = config or ExperimentConfig()
+    service = ControllerService(
+        [TenantRuntime(spec, config) for spec in specs], **service_kwargs
+    )
+    service.warmup()
+    if n_intervals is None:
+        n_intervals = min(spec.trace.n_intervals for spec in specs)
+    return service, n_intervals
+
+
 def _tick(service: ControllerService) -> None:
     asyncio.run(service.run_tick())
 
@@ -131,22 +152,13 @@ def run_service(
     restored from its latest checkpoint (no downtime — the restart
     happens within the tick boundary).
     """
-    if not specs:
-        raise ConfigurationError("run_service needs at least one tenant spec")
-    config = config or ExperimentConfig()
-    if n_intervals is None:
-        n_intervals = min(spec.trace.n_intervals for spec in specs)
-    runtimes = [TenantRuntime(spec, config) for spec in specs]
-    service = ControllerService(
-        runtimes,
-        store=store,
-        checkpoint_every=checkpoint_every,
-        service_tracer=service_tracer,
+    service, n_intervals = _warm_service(
+        specs, config, n_intervals, store=store,
+        checkpoint_every=checkpoint_every, service_tracer=service_tracer,
     )
-    service.warmup()
     service.run_sync(n_intervals, kill_at=kill_at)
     return ServiceRunResult(
-        service=service, runtimes=runtimes, store=service.store
+        service=service, runtimes=service.tenants, store=service.store
     )
 
 
@@ -162,27 +174,19 @@ def run_service_chaos(
     service_tracer: Tracer | None = None,
 ) -> ServiceChaosResult:
     """Primary/standby failover run under controller faults."""
-    if not specs:
-        raise ConfigurationError("run_service_chaos needs at least one tenant")
     for event in controller_schedule:
         if event.kind not in CONTROLLER_KINDS:
             raise ConfigurationError(
                 f"controller schedule may only carry controller faults, "
                 f"got {event.kind.value}@{event.interval}"
             )
-    config = config or ExperimentConfig()
-    if n_intervals is None:
-        n_intervals = min(spec.trace.n_intervals for spec in specs)
-    runtimes = [TenantRuntime(spec, config) for spec in specs]
-    service = ControllerService(
-        runtimes,
-        store=store,
-        checkpoint_every=checkpoint_every,
-        service_tracer=service_tracer,
+    service, n_intervals = _warm_service(
+        specs, config, n_intervals, store=store,
+        checkpoint_every=checkpoint_every, service_tracer=service_tracer,
         holder=holders[0],
     )
+    runtimes = service.tenants
     tracer = service.service_tracer
-    service.warmup()  # includes the bootstrap checkpoint
 
     lease_store = LeaseStore()
     lease_name = ControllerService.LEASE_NAME

@@ -17,10 +17,15 @@ Coverage:
   ablations / kitchen-sink);
 * ≥ 20 hypothesis-drawn randomized seeded schedules;
 * empty-schedule identity between ``decide_wave`` and the existing
-  healthy ``decide_batch`` path.
+  healthy ``decide_batch`` path;
+* dead tenants: a row whose scalar twin raises (its budget period ends
+  mid-run) freezes at the raise point with the same error, and both
+  sweep engines report it alike.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -31,13 +36,20 @@ from repro.core.latency import LatencyGoal
 from repro.core.damper import OscillationDamper
 from repro.engine.containers import default_catalog
 from repro.engine.server import EngineConfig
-from repro.errors import ConfigurationError
+from repro.errors import BudgetError, ConfigurationError
 from repro.faults.schedule import (
     ACTUATION_KINDS,
     TELEMETRY_KINDS,
     FaultSchedule,
 )
-from repro.fleet.chaos import _tenant_budget, _tenant_trace, chaos_sweep
+from repro.fleet.chaos import (
+    _fleet_outcomes,
+    _scalar_outcomes,
+    _tenant_budget,
+    _tenant_trace,
+    chaos_population,
+    chaos_sweep,
+)
 from repro.fleet.degraded import (
     CIRCUIT_CODES,
     DegradedVectorizedAutoScaler,
@@ -47,7 +59,7 @@ from repro.fleet.vectorized import (
     VectorizedAutoScaler,
     synthesize_fleet_telemetry,
 )
-from repro.harness.chaos import run_chaos
+from repro.harness.chaos import ChaosTenant, run_chaos
 from repro.harness.experiment import ExperimentConfig
 from repro.workloads import cpuio_workload
 
@@ -378,6 +390,124 @@ class TestSweepParity:
                 b.discarded,
                 b.entered_safe_mode,
             )
+
+
+# -- a tenant whose scalar twin raises ----------------------------------------
+
+DEAD_PERIODS = {1: WARM + 5, 3: WARM + 7}  # budget periods that end mid-run
+
+
+def _dead_population(base_seed=90):
+    """Four sweep tenants; two budgets' periods end before the run does."""
+    draws = chaos_population(
+        4,
+        base_seed,
+        N_INTERVALS,
+        4,
+        interval_ticks=TICKS,
+        warmup_intervals=WARM,
+        budget_factor=0.35,
+    )
+    return [
+        dataclasses.replace(
+            draw, budget=_tenant_budget(draw.config, 0.35, DEAD_PERIODS[t])
+        )
+        if t in DEAD_PERIODS
+        else draw
+        for t, draw in enumerate(draws)
+    ]
+
+
+def _outcome_fields(outcome):
+    fields = dataclasses.asdict(outcome)
+    fields["schedule"] = outcome.schedule.events
+    return fields
+
+
+class TestDeadTenants:
+    def test_dead_row_freezes_where_its_scalar_twin_raised(self):
+        population = _dead_population()
+        goal = LatencyGoal(100.0)
+        fleet = run_fleet_chaos(
+            WORKLOAD,
+            [d.trace for d in population],
+            [d.schedule for d in population],
+            config=population[0].config,
+            seeds=[d.seed for d in population],
+            goal=goal,
+            budgets=[d.budget for d in population],
+        )
+        sc = fleet.scaler
+        at = sc.catalog.at_level
+        for t, draw in enumerate(population):
+            if t not in DEAD_PERIODS:
+                res = run_chaos(
+                    WORKLOAD,
+                    draw.trace,
+                    draw.schedule,
+                    config=draw.config,
+                    goal=goal,
+                    budget=draw.budget,
+                )
+                _assert_tenant_parity(fleet, t, res)
+                assert not sc.dead[t]
+                continue
+            tenant = ChaosTenant(
+                WORKLOAD,
+                draw.trace,
+                draw.schedule,
+                draw.config,
+                goal=goal,
+                budget=draw.budget,
+            )
+            tenant.warmup()
+            with pytest.raises(BudgetError) as raised:
+                for _ in range(N_INTERVALS):
+                    tenant.step()
+            error = f"{type(raised.value).__name__}: {raised.value}"
+            assert "budgeting period already finished" in error
+            assert sc.dead[t] and sc.dead_error(t) == error
+            decided = tenant.interval_decisions
+            assert [
+                at(int(level[t])).name
+                for level in fleet.decided_levels[: len(decided)]
+            ] == [d.container.name for d in decided], f"tenant {t}"
+            assert [
+                at(int(c[t])).name
+                for c in fleet.containers[: len(tenant.containers)]
+            ] == tenant.containers, f"tenant {t}"
+            budget = draw.budget
+            assert (
+                float(sc.budget_spent[t]),
+                float(sc.budget_refunded[t]),
+            ) == (budget.spent, budget.refunded), f"tenant {t}"
+
+    def test_sweep_engines_report_dead_tenants_alike(self):
+        goal = LatencyGoal(100.0)
+        vec = _fleet_outcomes(_dead_population(), WORKLOAD, goal)
+        sca = _scalar_outcomes(_dead_population(), WORKLOAD, goal)
+        assert [_outcome_fields(o) for o in vec] == [
+            _outcome_fields(o) for o in sca
+        ]
+        for t, outcome in enumerate(vec):
+            if t not in DEAD_PERIODS:
+                assert outcome.error is None
+                continue
+            assert "budgeting period already finished" in outcome.error
+            assert (
+                outcome.resize_failures,
+                outcome.circuit_opens,
+                outcome.quarantined,
+                outcome.missed,
+                outcome.discarded,
+                outcome.entered_safe_mode,
+            ) == (0, 0, 0, 0, 0, False)
+            assert outcome.spent > 0.0
+
+
+def test_empty_sweep_is_empty_on_both_engines():
+    for engine in ("vectorized", "scalar"):
+        assert chaos_sweep(n_tenants=0, engine=engine).outcomes == []
 
 
 class TestHealthyIdentity:
