@@ -722,7 +722,10 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
         print(
             f"  {tenant_id}: container={info['container']} "
             f"decisions={info['decision_seq']} "
-            f"budget_spent={spent:.1f} tokens={info['budget_tokens']:.1f}"
+            f"budget_spent={spent:.1f} tokens={info['budget_tokens']:.1f} "
+            f"trace_events={info['trace_events']} "
+            f"scaler_bytes={info['scaler_bytes']} "
+            f"tracer_bytes={info['tracer_bytes']}"
             + (" SAFE-MODE" if info["safe_mode"] else "")
         )
     return 0

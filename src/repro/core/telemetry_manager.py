@@ -30,6 +30,7 @@ here.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from repro.core.thresholds import ThresholdConfig
 from repro.errors import ConfigurationError, InsufficientDataError
 from repro.engine.resources import ResourceKind
 from repro.engine.telemetry import IntervalCounters
-from repro.engine.waits import RESOURCE_WAIT_CLASS
+from repro.engine.waits import RESOURCE_WAIT_CLASS, WaitClass, WaitProfile
 from repro.core.latency import LatencyGoal
 from repro.obs.events import EventKind, TraceLevel
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -65,6 +66,56 @@ _COLUMNS = 1 + 3 * _K
 _SMOOTH_DEFAULT = np.array([math.nan] + [0.0] * (3 * _K))
 
 
+@dataclass(frozen=True)
+class _LastInterval:
+    """What :meth:`TelemetryManager.signals` reads of the newest interval.
+
+    Only these fields, not the whole :class:`IntervalCounters`: its
+    per-request latency array is already folded into the sample ring, and
+    keeping it would make every checkpoint carry it.
+    """
+
+    interval_index: int
+    waits: WaitProfile
+    memory_used_gb: float
+    container_level: int
+    throughput_per_s: float
+
+    @classmethod
+    def of(cls, counters: IntervalCounters) -> "_LastInterval":
+        return cls(
+            interval_index=counters.interval_index,
+            waits=counters.waits.copy(),
+            memory_used_gb=counters.memory_used_gb,
+            container_level=counters.container.level,
+            throughput_per_s=counters.throughput_per_s,
+        )
+
+    def state_dict(self) -> dict:
+        return {
+            "interval_index": self.interval_index,
+            "waits": {
+                wait_class.value: ms for wait_class, ms in self.waits.wait_ms.items()
+            },
+            "memory_used_gb": self.memory_used_gb,
+            "container_level": self.container_level,
+            "throughput_per_s": self.throughput_per_s,
+        }
+
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "_LastInterval":
+        waits = state["waits"]
+        return cls(
+            interval_index=int(state["interval_index"]),
+            # Class order as a fresh profile has it: dominant_class breaks
+            # ties by that order.
+            waits=WaitProfile({w: float(waits[w.value]) for w in WaitClass}),
+            memory_used_gb=float(state["memory_used_gb"]),
+            container_level=int(state["container_level"]),
+            throughput_per_s=float(state["throughput_per_s"]),
+        )
+
+
 class TelemetryManager:
     """Rolling signal extraction over a stream of interval counters.
 
@@ -88,7 +139,7 @@ class TelemetryManager:
         self._samples = np.full((window, _COLUMNS), math.nan)
         self._cursor = 0
         self._count = 0  # retained samples, at most ``window``
-        self._last: IntervalCounters | None = None
+        self._last: _LastInterval | None = None
         #: Attached by :meth:`AutoScaler.attach_tracer`; DEBUG-level events
         #: record each observation and the trend/correlation evidence behind
         #: every signal set.
@@ -109,7 +160,7 @@ class TelemetryManager:
         ]
         self._cursor = (c + 1) % self._window
         self._count = min(self._count + 1, self._window)
-        self._last = counters
+        self._last = _LastInterval.of(counters)
         if self.tracer.enabled_for(TraceLevel.DEBUG):
             self.tracer.emit(
                 "telemetry", EventKind.TELEMETRY, level=TraceLevel.DEBUG,
@@ -146,8 +197,8 @@ class TelemetryManager:
                 returning NaN-filled signals would poison downstream
                 categorization.
         """
-        counters = self._last
-        if counters is None:
+        last = self._last
+        if last is None:
             raise InsufficientDataError(
                 "no telemetry observed yet: observe() at least one interval "
                 "before requesting signals()"
@@ -202,16 +253,16 @@ class TelemetryManager:
             )
         latency_ms = smoothed[0]
         result = WorkloadSignals(
-            interval_index=counters.interval_index,
+            interval_index=last.interval_index,
             latency_ms=latency_ms,
             latency_status=self._latency_status(latency_ms),
             latency_trend=trends[0],
             resources=resources,
-            wait_percentages=counters.waits.percentages(),
-            dominant_wait=counters.waits.dominant_class(),
-            memory_used_gb=counters.memory_used_gb,
-            container_level=counters.container.level,
-            throughput_per_s=counters.throughput_per_s,
+            wait_percentages=last.waits.percentages(),
+            dominant_wait=last.waits.dominant_class(),
+            memory_used_gb=last.memory_used_gb,
+            container_level=last.container_level,
+            throughput_per_s=last.throughput_per_s,
         )
         if self.tracer.enabled_for(TraceLevel.DEBUG):
             self._trace_signals(result)
@@ -259,11 +310,13 @@ class TelemetryManager:
     # -- checkpointing -----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Exact serializable state: both rings, the cursor and the count.
+        """Exact serializable state: both rings, the cursor, the count and
+        the newest interval's summary.
 
-        Every signal is a pure function of the retained samples, so the
-        rings are the whole state.  Arrays are copies, safe to serialize
-        while the next :meth:`observe` writes the live rings.
+        Every signal is a pure function of the retained samples and that
+        summary, so they are the whole state, and its size does not grow
+        with the request rate.  Arrays are copies, safe to serialize while
+        the next :meth:`observe` writes the live rings.
         """
         return {
             "signal_window": self.thresholds.signal_window,
@@ -322,11 +375,13 @@ class TelemetryManager:
                 f"telemetry checkpoint holds {count} samples but "
                 f"{'no' if last is None else 'a'} last interval"
             )
+        if last is not None:
+            last = _LastInterval.from_state_dict(last)
         self._t = t
         self._samples = samples
         self._cursor = cursor
         self._count = count
-        self._last = None if last is None else IntervalCounters.from_state_dict(last)
+        self._last = last
 
     # Convenience accessors used by diagnostics/tests.
 

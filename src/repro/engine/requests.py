@@ -246,7 +246,7 @@ class RequestTable:
 
     def runnable_rows(self) -> np.ndarray:
         """Indices of requests allowed to progress (not queued on a lock)."""
-        return np.flatnonzero(self.active & (self.lock_state != LOCK_QUEUED))
+        return (self.active & (self.lock_state != LOCK_QUEUED)).nonzero()[0]
 
     def blocked_rows(self) -> np.ndarray:
         """Indices of requests queued on a hot lock."""

@@ -45,7 +45,9 @@ __all__ = ["EngineConfig", "DatabaseServer"]
 _EPS = 1e-9
 
 
-def _fair_share_allocate(want: np.ndarray, capacity: float) -> np.ndarray:
+def _fair_share_allocate(
+    want: np.ndarray, demand: float, capacity: float
+) -> tuple[np.ndarray, float]:
     """Processor-sharing allocation of ``capacity`` across per-request demand.
 
     Each request first receives up to an equal share of the capacity; the
@@ -54,10 +56,13 @@ def _fair_share_allocate(want: np.ndarray, capacity: float) -> np.ndarray:
     proportional-to-demand grant, this lets nearly-finished requests
     complete under saturation (their tiny remainder fits inside the fair
     share), which is how real processor sharing behaves.
+
+    ``demand`` is ``want``'s total.  Returns the grant and its total; a
+    demand that fits is granted as it stands (``want`` itself, which
+    callers only read), without summing it again.
     """
-    total = float(want.sum())
-    if total <= capacity or want.size == 0:
-        return want.copy()
+    if demand <= capacity:
+        return want, demand
     active = int((want > _EPS).sum())
     fair = capacity / max(active, 1)
     first = np.minimum(want, fair)
@@ -68,7 +73,8 @@ def _fair_share_allocate(want: np.ndarray, capacity: float) -> np.ndarray:
         second = residual * (leftover / residual_total)
     else:
         second = 0.0
-    return first + second
+    grant = first + second
+    return grant, float(grant.sum())
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,13 @@ class DatabaseServer:
         self._rng = np.random.default_rng(self.config.seed)
 
         weights = np.asarray([s.weight for s in specs], dtype=float)
-        self._mix_p = weights / weights.sum()
+        # Cumulative mix for admission's type draw: searching it with
+        # uniforms is what ``Generator.choice(len(specs), n, p=mix)`` does
+        # after validating ``p``, so the draws and the stream are the
+        # same, without validating a constant mix on every tick.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._mix_cdf = cdf
         self._spec_lock_p = np.asarray([s.lock_probability for s in specs])
         self._spec_hold_ms = np.asarray([s.lock_hold_ms for s in specs])
         # Per-spec columns that admission gathers by transaction type.
@@ -284,7 +296,7 @@ class DatabaseServer:
         self._acc.rejected += n - admitted
         if admitted == 0:
             return
-        types = self._rng.choice(len(self.specs), size=admitted, p=self._mix_p)
+        types = self._draw_types(admitted)
         needs_lock = self._rng.random(admitted) < self._spec_lock_p[types]
         lock_ids = np.where(
             needs_lock & (self.locks.n_locks > 0),
@@ -314,6 +326,11 @@ class DatabaseServer:
         if locked.any():
             for row, lock_id in zip(rows[locked].tolist(), lock_ids[locked].tolist()):
                 self.locks.enqueue(lock_id, row)
+
+    def _draw_types(self, n: int) -> np.ndarray:
+        """``n`` transaction types from the mix, as ``Generator.choice``
+        would draw them."""
+        return self._mix_cdf.searchsorted(self._rng.random(n), side="right")
 
     def _service_locks(self, tick_ms: float) -> None:
         granted = self.locks.serve_tick(
@@ -346,7 +363,11 @@ class DatabaseServer:
         reads_rem = table.reads_rem[rows]
         log_rem = table.log_rem_kb[rows]
         self._tick_rows = rows
-        self._tick_rem0 = np.column_stack([cpu_rem, reads_rem, log_rem])
+        rem0 = np.empty((rows.size, 3), dtype=float)
+        rem0[:, 0] = cpu_rem
+        rem0[:, 1] = reads_rem
+        rem0[:, 2] = log_rem
+        self._tick_rem0 = rem0
         self._tick_hold0 = table.hold_rem_ms[rows]
         potential = np.zeros((rows.size, 3), dtype=float)
 
@@ -360,7 +381,9 @@ class DatabaseServer:
         cpu_want = np.minimum(tick_ms, np.maximum(cpu_rem, 0.0))
         cpu_demand = float(cpu_want.sum())
         cpu_saturated = cpu_demand > cpu_capacity_ms
-        cpu_progress = _fair_share_allocate(cpu_want, cpu_capacity_ms)
+        cpu_progress, cpu_used_ms = _fair_share_allocate(
+            cpu_want, cpu_demand, cpu_capacity_ms
+        )
         cpu_left = cpu_rem - cpu_progress
         if rows.size:
             table.cpu_rem_ms[rows] = cpu_left
@@ -371,7 +394,6 @@ class DatabaseServer:
             potential[:, 0] = np.maximum(cpu_progress, _EPS)
         else:
             potential[:, 0] = tick_ms
-        cpu_used_ms = float(cpu_progress.sum())
         cpu_wait_ms = cpu_used_ms * cfg.base_cpu_wait_share
         if cpu_saturated:
             cpu_wait_ms += cpu_demand - cpu_used_ms
@@ -402,7 +424,9 @@ class DatabaseServer:
         physical = read_want * miss_rate
         physical_demand = float(physical.sum())
         disk_saturated = physical_demand > workload_disk_capacity
-        served_physical = _fair_share_allocate(physical, workload_disk_capacity)
+        served_physical, served_total = _fair_share_allocate(
+            physical, physical_demand, workload_disk_capacity
+        )
         # logical progress = hits (always served) + physical reads served.
         logical_progress = read_want * hit_rate + served_physical
         reads_left = reads_rem - logical_progress
@@ -412,7 +436,6 @@ class DatabaseServer:
             potential[:, 1] = np.maximum(logical_progress, _EPS)
         else:
             potential[:, 1] = logical_rate * cfg.tick_s
-        served_total = float(served_physical.sum())
         self._acc.disk_physical_reads += served_total
 
         disk_wait_ms = served_total * cfg.base_io_wait_ms
@@ -473,13 +496,14 @@ class DatabaseServer:
             log_want = np.minimum(log_rate_kb, log_rem_ready)
             log_demand = float(log_want.sum())
             log_saturated = log_demand > log_capacity_kb
-            log_progress = _fair_share_allocate(log_want, log_capacity_kb)
+            log_progress, log_served_kb = _fair_share_allocate(
+                log_want, log_demand, log_capacity_kb
+            )
             table.log_rem_kb[ready] = log_rem_ready - log_progress
             if log_saturated:
                 potential[ready_mask, 2] = np.maximum(log_progress, _EPS)
             else:
                 potential[ready_mask, 2] = log_rate_kb
-            log_served_kb = float(log_progress.sum())
             log_wait_ms = log_served_kb * cfg.base_log_wait_ms_per_kb
             if log_saturated:
                 log_wait_ms += (
@@ -501,7 +525,7 @@ class DatabaseServer:
         if rows.size == 0:
             return
         done = table.work_done(rows) & (table.hold_rem_ms[rows] <= _EPS)
-        positions = np.flatnonzero(done)
+        positions = done.nonzero()[0]
         if positions.size == 0:
             return
         finished = rows[positions]

@@ -151,81 +151,6 @@ class IntervalCounters:
             )
         return problems
 
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Exact serializable form (checkpoint codec, not display JSON)."""
-        return {
-            "interval_index": self.interval_index,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "container": {
-                "name": self.container.name,
-                "level": self.container.level,
-                "resources": self.container.resources.as_dict(),
-                "cost": self.container.cost,
-            },
-            "latencies_ms": self.latencies_ms,
-            "arrivals": self.arrivals,
-            "completions": self.completions,
-            "rejected": self.rejected,
-            "utilization_median": {
-                kind.value: value for kind, value in self.utilization_median.items()
-            },
-            "utilization_mean": {
-                kind.value: value for kind, value in self.utilization_mean.items()
-            },
-            "waits": {
-                wait_class.value: ms
-                for wait_class, ms in self.waits.wait_ms.items()
-            },
-            "memory_used_gb": self.memory_used_gb,
-            "disk_physical_reads": self.disk_physical_reads,
-            "memory_hot_gb": self.memory_hot_gb,
-            "balloon_limit_gb": self.balloon_limit_gb,
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "IntervalCounters":
-        from repro.engine.resources import ResourceVector
-
-        raw_container = state["container"]
-        container = ContainerSpec(
-            name=str(raw_container["name"]),
-            level=int(raw_container["level"]),
-            resources=ResourceVector(
-                **{k: float(v) for k, v in raw_container["resources"].items()}
-            ),
-            cost=float(raw_container["cost"]),
-        )
-        waits = WaitProfile()
-        for name, ms in state["waits"].items():
-            waits.add(WaitClass(name), float(ms))
-        balloon = state["balloon_limit_gb"]
-        return cls(
-            interval_index=int(state["interval_index"]),
-            start_s=float(state["start_s"]),
-            end_s=float(state["end_s"]),
-            container=container,
-            latencies_ms=np.asarray(state["latencies_ms"], dtype=float),
-            arrivals=int(state["arrivals"]),
-            completions=int(state["completions"]),
-            rejected=int(state["rejected"]),
-            utilization_median={
-                ResourceKind(k): float(v)
-                for k, v in state["utilization_median"].items()
-            },
-            utilization_mean={
-                ResourceKind(k): float(v)
-                for k, v in state["utilization_mean"].items()
-            },
-            waits=waits,
-            memory_used_gb=float(state["memory_used_gb"]),
-            disk_physical_reads=float(state["disk_physical_reads"]),
-            memory_hot_gb=float(state["memory_hot_gb"]),
-            balloon_limit_gb=None if balloon is None else float(balloon),
-        )
-
 
 class CounterAccumulator:
     """Mutable per-interval scratchpad the server writes into each tick."""

@@ -20,6 +20,7 @@ Determinism rules (enforced by the golden suite):
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -131,6 +132,12 @@ class TraceEvent:
             part of (shared across estimate → budget → resize → refund
             chains), or None for events outside any decision.
         fields: kind-specific payload.
+
+    The event's canonical JSONL line is built the first time
+    :meth:`to_jsonl` asks for it and kept, so a trace exported or
+    checkpointed many times encodes each event once; emitting an event
+    never pays for it.  Like the rest of the event, ``fields`` must not
+    change once emitted.
     """
 
     seq: int
@@ -140,6 +147,7 @@ class TraceEvent:
     level: TraceLevel = TraceLevel.DECISION
     decision_id: str | None = None
     fields: dict[str, Any] = field(default_factory=dict)
+    _line: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical (deterministically serializable) dict form."""
@@ -153,6 +161,14 @@ class TraceEvent:
             "fields": json_safe(self.fields),
         }
 
+    def to_jsonl(self) -> str:
+        """The canonical JSONL line (sorted keys, no newline), cached."""
+        line = self._line
+        if line is None:
+            line = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_line", line)
+        return line
+
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "TraceEvent":
         return cls(
@@ -164,3 +180,15 @@ class TraceEvent:
             decision_id=raw.get("decision_id"),
             fields=dict(raw.get("fields", {})),
         )
+
+    @classmethod
+    def from_jsonl(cls, line: str) -> "TraceEvent":
+        """Parse one line that :meth:`to_jsonl` wrote.
+
+        The event keeps ``line`` as its :meth:`to_jsonl` text: encoding
+        the parsed event again would give the same bytes, because
+        :func:`json_safe` is idempotent on its own output.
+        """
+        event = cls.from_dict(json.loads(line))
+        object.__setattr__(event, "_line", line)
+        return event

@@ -205,17 +205,18 @@ class Tracer:
     def state_dict(self) -> dict:
         """Exact serializable state: ring contents, clocks, and metrics.
 
-        Events are captured in their canonical dict form; re-serializing
-        a restored ring yields byte-identical JSONL because
-        :func:`~repro.obs.events.json_safe` is idempotent on its own
-        output.  The injectable span clock is deliberately not captured —
-        it is a process-local resource the restoring controller supplies.
+        The ring is captured as its :meth:`to_jsonl` text, so the
+        checkpoint form and the export form are one format and each event
+        is encoded once however often the tracer is checkpointed.
+        Re-serializing a restored ring yields byte-identical JSONL.  The
+        injectable span clock is deliberately not captured — it is a
+        process-local resource the restoring controller supplies.
         """
         return {
             "run_id": self.run_id,
             "level": int(self.level),
             "capacity": self.capacity,
-            "events": [event.to_dict() for event in self._events],
+            "events": self.to_jsonl(),
             "seq": self._seq,
             "interval": self._interval,
             "decision_id": self._decision_id,
@@ -234,7 +235,7 @@ class Tracer:
             )
         self.run_id = str(state["run_id"])
         self._events = deque(
-            (TraceEvent.from_dict(raw) for raw in state["events"]),
+            map(TraceEvent.from_jsonl, state["events"].splitlines()),
             maxlen=self.capacity,
         )
         self._seq = int(state["seq"])
@@ -281,10 +282,7 @@ NULL_TRACER = NullTracer()
 
 def events_to_jsonl(events) -> str:
     """Serialize events as canonical JSONL (sorted keys, one per line)."""
-    lines = [
-        json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
-        for event in events
-    ]
+    lines = [event.to_jsonl() for event in events]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

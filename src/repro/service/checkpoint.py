@@ -50,7 +50,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump on any incompatible change to
 #: the payload structure and teach :func:`Checkpoint.from_json` to either
 #: migrate or refuse the old version explicitly.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Tag key marking an encoded ndarray.  Chosen to be implausible as a
 #: real state-dict key.
@@ -321,8 +321,18 @@ def _summarize(node: Any) -> Any:
     return type(node).__name__
 
 
+def _encoded_bytes(node: Any) -> int:
+    """Bytes ``node`` takes in the checkpoint's wire text."""
+    return len(json.dumps(node, sort_keys=True, separators=(",", ":")))
+
+
 def inspect_checkpoint(checkpoint: Checkpoint) -> dict[str, Any]:
-    """Human-oriented summary used by ``repro checkpoint inspect``."""
+    """Human-oriented summary used by ``repro checkpoint inspect``.
+
+    Each tenant's entry also carries its trace event count and the
+    encoded bytes of its ``scaler`` and ``tracer`` sections, so growth
+    between two checkpoints can be attributed to a tenant and a section.
+    """
     payload = checkpoint.payload
     summary: dict[str, Any] = {
         "version": checkpoint.version,
@@ -335,14 +345,21 @@ def inspect_checkpoint(checkpoint: Checkpoint) -> dict[str, Any]:
     if isinstance(tenants, dict):
         per_tenant: dict[str, Any] = {}
         for tenant_id, state in sorted(tenants.items()):
-            scaler = state.get("scaler", {}) if isinstance(state, dict) else {}
+            if not isinstance(state, dict):
+                state = {}
+            scaler = state.get("scaler", {})
+            tracer = state.get("tracer", {})
             budget = scaler.get("budget") or {}
+            events = tracer.get("events", "")
             per_tenant[tenant_id] = {
                 "container": scaler.get("container"),
                 "decision_seq": scaler.get("decision_seq"),
                 "safe_mode": scaler.get("safe_mode"),
                 "budget_spent": budget.get("spent"),
                 "budget_tokens": budget.get("tokens"),
+                "trace_events": events.count("\n") if isinstance(events, str) else None,
+                "scaler_bytes": _encoded_bytes(scaler),
+                "tracer_bytes": _encoded_bytes(tracer),
             }
         summary["tenants"] = per_tenant
         summary["n_tenants"] = len(per_tenant)

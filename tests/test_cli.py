@@ -326,6 +326,36 @@ class TestServeCommand:
         assert summary["n_tenants"] == 1
         assert summary["interval"] == 4
 
+    def test_inspect_attributes_bytes_per_tenant_section(self, tmp_path, capsys):
+        ckpt_dir = tmp_path / "ckpts"
+        assert main(
+            ["serve", "--tenants", "2", "--intervals", "5",
+             "--checkpoint-dir", str(ckpt_dir)]
+        ) == 0
+        capsys.readouterr()
+        latest = str(ckpt_dir / "latest.json")
+        payload = json.loads((ckpt_dir / "latest.json").read_text())["payload"]
+
+        assert main(["checkpoint", "inspect", latest, "--json"]) == 0
+        tenants = json.loads(capsys.readouterr().out)["tenants"]
+        assert sorted(tenants) == sorted(payload["tenants"])
+        for tenant_id, info in tenants.items():
+            state = payload["tenants"][tenant_id]
+            assert info["trace_events"] == state["tracer"]["events"].count("\n") > 0
+            for section in ("scaler", "tracer"):
+                text = json.dumps(
+                    state[section], sort_keys=True, separators=(",", ":")
+                )
+                assert info[f"{section}_bytes"] == len(text)
+
+        assert main(["checkpoint", "inspect", latest]) == 0
+        out = capsys.readouterr().out
+        for tenant_id, info in tenants.items():
+            line = next(row for row in out.splitlines() if f"{tenant_id}:" in row)
+            assert f"trace_events={info['trace_events']}" in line
+            assert f"scaler_bytes={info['scaler_bytes']}" in line
+            assert f"tracer_bytes={info['tracer_bytes']}" in line
+
     def test_inspect_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -113,3 +113,36 @@ def test_more_resources_never_hurt_throughput_much(small, boost, seed):
     little_done = sum(little.run_interval(rate).completions for _ in range(4))
     big_done = sum(big.run_interval(rate).completions for _ in range(4))
     assert big_done >= little_done * 0.9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(
+        st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8
+    ),
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mix_draw_is_generator_choice(weights, n, seed):
+    """Admission's type draw equals ``Generator.choice(len(p), n, p=p)``
+    and leaves the generator where ``choice`` leaves it, so a numpy that
+    changed ``choice`` would show here rather than drift silently."""
+    specs = [
+        TransactionSpec(
+            name=f"q{i}", weight=w, cpu_ms=1.0, logical_reads=1.0, log_kb=1.0
+        )
+        for i, w in enumerate(weights)
+    ]
+    server = DatabaseServer(
+        specs=specs,
+        dataset=DatasetSpec(data_gb=6.0, working_set_gb=1.0),
+        container=CATALOG.at_level(2),
+        config=EngineConfig(seed=seed),
+    )
+    p = np.asarray(weights) / np.sum(weights)
+    reference = np.random.default_rng(seed)
+    want = reference.choice(len(p), n, p=p)
+    got = server._draw_types(n)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert server._rng.bit_generator.state == reference.bit_generator.state

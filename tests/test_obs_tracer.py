@@ -163,6 +163,60 @@ class TestTracer:
             load_events(path)
 
 
+class TestEncodeOnce:
+    def _tracer(self) -> Tracer:
+        tracer = Tracer("t", capacity=4)
+        for i in range(6):  # two events fall out of the ring
+            tracer.set_interval(i)
+            tracer.emit(
+                "budget", EventKind.BUDGET_SPEND,
+                cost=1.0 / 3.0 + i, tail=[float("inf"), np.float64(2.5)],
+                label="caf\u00e9\u2028",  # non-ASCII and a line separator
+            )
+        return tracer
+
+    def test_emit_does_not_encode(self):
+        tracer = self._tracer()
+        assert all(event._line is None for event in tracer.events())
+
+    def test_line_is_encoded_once_and_reused(self, monkeypatch):
+        tracer = self._tracer()
+        first = tracer.to_jsonl()
+        monkeypatch.setattr(
+            TraceEvent, "to_dict", lambda self: pytest.fail("encoded twice")
+        )
+        assert tracer.to_jsonl() == first
+        assert tracer.state_dict()["events"] == first
+
+    def test_checkpoint_form_is_the_export_form(self):
+        tracer = self._tracer()
+        state = tracer.state_dict()
+        assert state["events"] == tracer.to_jsonl()
+        assert state["events"].count("\n") == len(tracer) == 4
+
+    def test_restore_is_byte_identical(self):
+        tracer = self._tracer()
+        state = tracer.state_dict()
+        restored = Tracer("other", capacity=4)
+        restored.load_state_dict(state)
+        assert [e.to_dict() for e in restored.events()] == [
+            e.to_dict() for e in tracer.events()
+        ]
+        assert restored.to_jsonl() == tracer.to_jsonl()
+        assert restored.state_dict() == state
+        # Rebuilt without their cached lines, the events encode the same bytes.
+        fresh = [TraceEvent.from_dict(e.to_dict()) for e in restored.events()]
+        assert "".join(e.to_jsonl() + "\n" for e in fresh) == state["events"]
+
+    def test_empty_ring_round_trips(self):
+        tracer = Tracer("t")
+        state = tracer.state_dict()
+        assert state["events"] == ""
+        restored = Tracer("t")
+        restored.load_state_dict(state)
+        assert len(restored) == 0
+
+
 class TestNullTracer:
     def test_everything_is_a_no_op(self):
         null = NullTracer()
