@@ -23,11 +23,13 @@ with per-tenant objects (:class:`~repro.core.telemetry_guard.TelemetryGuard`,
   participating tenant, so per-tenant decision order is preserved.
 * :func:`repro.faults.vectorized.compile_schedules` turns the per-tenant
   :class:`~repro.faults.schedule.FaultSchedule` s into ``(T, I)`` masks
-  that :class:`MaskedFaultDataPlane` applies at the fleet's telemetry /
+  that one :class:`FaultPlane` applies at the fleet's telemetry /
   actuation boundary — the scalar :class:`~repro.faults.chaos.FaultyServer`
-  semantics (priority order, held buffers, per-interval transient
-  budgets, corruption-mode RNG streams) reproduced over arrays of
-  engines.
+  semantics (priority order, delivery waves, held deliveries,
+  per-interval transient budgets, the resize chain, injection tallies)
+  written once for both degraded sweeps.  :class:`MaskedFaultDataPlane`
+  adds engines and their corruption-mode RNG streams;
+  :class:`DegradedSyntheticFleet` feeds the same waves from arrays.
 
 Byte-identity contract: driven by :func:`run_fleet_chaos` with the same
 workload / trace / schedule / seeds, the fleet path reproduces ``N``
@@ -62,7 +64,6 @@ from repro.engine.containers import ContainerCatalog
 from repro.engine.server import DatabaseServer
 from repro.engine.telemetry import IntervalCounters
 from repro.errors import (
-    ActuationError,
     ConfigurationError,
     PermanentActuationError,
     TransientActuationError,
@@ -94,6 +95,7 @@ __all__ = [
     "WaveDecisions",
     "FleetActuationReports",
     "DegradedVectorizedAutoScaler",
+    "FaultPlane",
     "MaskedFaultDataPlane",
     "FleetChaosResult",
     "run_fleet_chaos",
@@ -552,14 +554,11 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
 
     # -- actuation ---------------------------------------------------------
 
-    def execute_interval(self, actuator) -> FleetActuationReports:
+    def execute_interval(self, plane: FaultPlane) -> FleetActuationReports:
         """One interval's fleet actuation: ``ResizeExecutor.execute`` per row.
 
-        ``actuator`` supplies ``current_levels() -> (T,) int64``,
-        ``current_level(r) -> int``, ``try_resize(r, level)`` (raising
-        the actuation errors), and ``set_balloon_limits(limits, active)
-        -> (T,) bool`` (NaN clears a cap; returns the rows whose cap was
-        rejected).
+        Reads the ``plane``'s applied levels, and resizes and caps
+        balloons through its actuation surface.
         """
         n = self.n_tenants
         alive = ~self._dead
@@ -569,7 +568,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         # cancels the scaler-side probe (the scalar executor applies the
         # decision's value, not the post-adoption scaler state).
         limits = self.balloon_limit_gb.copy()
-        current = np.asarray(actuator.current_levels(), dtype=np.int64).copy()
+        current = plane.level.copy()
         attempts = np.zeros(n, dtype=np.int64)
         backoff = np.zeros(n)
         succeeded = np.zeros(n, dtype=bool)
@@ -618,7 +617,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
                 att += 1
                 self.x_total_attempts[r] += 1
                 try:
-                    actuator.try_resize(r, req_lvl)
+                    plane.try_resize(r, req_lvl)
                     error = None
                     break
                 except TransientActuationError as exc:
@@ -630,7 +629,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
                     break
             attempts[r] = att
             backoff[r] = backoff_ms
-            app_lvl = int(actuator.current_level(r))
+            app_lvl = plane.current_level(r)
             applied[r] = app_lvl
             if error is None and app_lvl == req_lvl:
                 succeeded[r] = True
@@ -662,7 +661,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         # The balloon cap is applied every interval, even under an open
         # circuit or a no-op resize (the scalar always calls
         # _apply_balloon), and its failure can re-open an open breaker.
-        for r in np.flatnonzero(actuator.set_balloon_limits(limits, alive)):
+        for r in np.flatnonzero(plane.set_balloon_limits(limits, alive)):
             notes = explained.setdefault(r, [])
             notes.append(
                 (
@@ -822,19 +821,195 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         ]
 
 
-# -- the fault boundary: compiled masks over an array of engines --------------
+# -- the fault boundary: one planner, one actuation surface ------------------
 
 
-class MaskedFaultDataPlane:
-    """Fault injection at the fleet boundary, driven by compiled masks.
+class DeliveryWave(NamedTuple):
+    """One delivery wave: the rows that deliver, and which of them
+    deliver their held (late) counters rather than the fresh ones."""
+
+    present: np.ndarray  # (T,) bool
+    held: np.ndarray  # (T,) bool
+
+
+class DeliveryPlan(NamedTuple):
+    """One interval's deliveries under ``FaultyServer``'s semantics.
+
+    The five priority masks are disjoint: each row's first active kind
+    in the order drop → late → corrupt → skew → duplicate.  ``waves``
+    run held → fresh → duplicate: wave ``w`` carries each row's ``w``-th
+    delivery, so wave 0 holds every delivering row and only wave 0 ever
+    delivers held counters.
+    """
+
+    drop: np.ndarray
+    late: np.ndarray
+    corrupt: np.ndarray
+    skew: np.ndarray
+    duplicate: np.ndarray
+    waves: tuple[DeliveryWave, ...]
+
+
+def _plan_deliveries(
+    masks: CompiledFaultMasks, i: int, alive: np.ndarray, held: np.ndarray
+) -> DeliveryPlan:
+    """``FaultyServer.run_interval``'s delivery list for every row at once.
+
+    ``held`` marks the rows holding a late delivery from the interval
+    before; it surfaces first.  A dropped or late interval delivers
+    nothing fresh, and only a plainly delivered one is duplicated.
+    """
+    drop = masks.drop[:, i] & alive
+    late = masks.late[:, i] & alive & ~drop
+    corrupt = masks.corrupt[:, i] & alive & ~drop & ~late
+    skew = masks.skew[:, i] & alive & ~drop & ~late & ~corrupt
+    duplicate = masks.duplicate[:, i] & alive & ~(drop | late | corrupt | skew)
+    held = held & alive
+    counts = held.astype(np.int8) + (alive & ~drop & ~late) + duplicate
+    none = np.zeros_like(held)
+    waves = tuple(
+        DeliveryWave(counts > w, held if w == 0 else none) for w in range(3)
+    )
+    return DeliveryPlan(drop, late, corrupt, skew, duplicate, waves)
+
+
+#: ``FaultyServer``'s injection tallies, one ``(T,)`` count column each.
+_TALLIES = (
+    "dropped",
+    "delayed",
+    "duplicated",
+    "corrupted",
+    "skewed",
+    "failed_resizes",
+    "partial_resizes",
+    "failed_balloons",
+)
+
+
+class FaultPlane:
+    """``FaultyServer`` for a whole fleet, over plain arrays.
+
+    Owns what every degraded sweep needs at the telemetry / actuation
+    boundary: the interval index, each row's transient-failure budget,
+    the applied container level and balloon cap, and the eight
+    injection tallies.  :meth:`begin_interval` advances the interval and
+    plans its deliveries through :func:`_plan_deliveries`; the rest is
+    the executor's view (``current_level`` / ``try_resize`` /
+    ``set_balloon_limits``), with ``FaultyServer``'s resize chain and
+    balloon rejections.  The synthetic degraded fleet uses it as it is;
+    :class:`MaskedFaultDataPlane` adds engines.
+    """
+
+    def __init__(
+        self, masks: CompiledFaultMasks, catalog: ContainerCatalog, level=0
+    ) -> None:
+        n = masks.n_tenants
+        self.masks = masks
+        self.catalog = catalog
+        self.level = np.zeros(n, dtype=np.int64) + level
+        self.balloon_limit_gb = np.full(n, np.nan)  # NaN = no cap
+        self._index = -1
+        self._transient_left = np.zeros(n, dtype=np.int64)
+        for name in _TALLIES:
+            setattr(self, name, np.zeros(n, dtype=np.int64))
+
+    @property
+    def interval_index(self) -> int:
+        return self._index
+
+    def begin_interval(self, alive: np.ndarray, held: np.ndarray) -> DeliveryPlan:
+        """Advance one interval: refill transient budgets, plan and tally."""
+        self._index += 1
+        i = self._index
+        self._transient_left[:] = self.masks.transient_magnitude[:, i]
+        plan = _plan_deliveries(self.masks, i, alive, held)
+        self.dropped += plan.drop
+        self.delayed += plan.late
+        self.corrupted += plan.corrupt
+        self.skewed += plan.skew
+        self.duplicated += plan.duplicate
+        return plan
+
+    # -- actuation surface (the executor's view) ---------------------------
+
+    def current_level(self, r: int) -> int:
+        return int(self.level[r])
+
+    def try_resize(self, r: int, level: int) -> None:
+        """``FaultyServer.set_container`` for row ``r``.
+
+        A permanent rejection, then the interval's transient budget (both
+        raise), then a partial stall one level short of ``level``.
+        """
+        current = int(self.level[r])
+        i = self._index
+        if self.masks.permanent[r, i]:
+            self.failed_resizes[r] += 1
+            raise PermanentActuationError(
+                f"placement service rejected resize to "
+                f"{self.catalog.at_level(level).name}"
+            )
+        if self._transient_left[r] > 0:
+            self._transient_left[r] -= 1
+            self.failed_resizes[r] += 1
+            raise TransientActuationError(
+                f"placement service busy; resize to "
+                f"{self.catalog.at_level(level).name} not applied"
+            )
+        if self.masks.partial[r, i] and level != current:
+            self.partial_resizes[r] += 1
+            level -= 1 if level > current else -1
+            if level == current:
+                return  # A one-level resize that stalls "one short" does not move.
+        self.level[r] = level
+        self._apply_level(r)
+
+    def set_balloon_limits(
+        self, limits: np.ndarray, active: np.ndarray
+    ) -> np.ndarray:
+        """Cap every ``active`` row at ``limits`` (NaN clears the cap).
+
+        Returns the rows whose cap the broker rejected; those keep their
+        previous cap, as ``FaultyServer`` leaves them.
+        """
+        failed = (
+            active & ~np.isnan(limits) & self.masks.balloon_fail[:, self._index]
+        )
+        self.failed_balloons += failed
+        applied = active & ~failed
+        self.balloon_limit_gb[applied] = limits[applied]
+        self._apply_balloons(np.flatnonzero(applied))
+        return failed
+
+    def set_balloon_limit(self, r: int, limit_gb: float | None) -> None:
+        """One row's cap, raising as ``FaultyServer.set_balloon_limit``."""
+        if limit_gb is not None and self.masks.balloon_fail[r, self._index]:
+            self.failed_balloons[r] += 1
+            raise TransientActuationError(_balloon_rejection(limit_gb))
+        self.balloon_limit_gb[r] = np.nan if limit_gb is None else limit_gb
+        self._apply_balloons((r,))
+
+    def _apply_level(self, r: int) -> None:
+        """Hook: row ``r``'s applied level changed (no engine here)."""
+
+    def _apply_balloons(self, rows) -> None:
+        """Hook: these rows' balloon caps were set (no engine here)."""
+
+
+class MaskedFaultDataPlane(FaultPlane):
+    """Fault injection over an array of engines, driven by compiled masks.
 
     The scalar path wraps each engine in a
-    :class:`~repro.faults.chaos.FaultyServer`; here one object owns the
-    whole fleet's engines and a :class:`CompiledFaultMasks`, applying the
-    same perturbations (same priority order, held-delivery buffers,
-    per-interval transient budgets, corruption RNG streams) column by
-    column.  Interval indexes count ``run_interval_rows`` calls, exactly
-    like the scalar wrapper counts ``run_interval*`` calls.
+    :class:`~repro.faults.chaos.FaultyServer`; here one
+    :class:`FaultPlane` owns the whole fleet's engines.  The plane plans
+    each interval's deliveries and runs the actuation chain; this class
+    adds only what engines need: the servers, whose counters fill the
+    planned waves, one corruption-mode RNG stream per tenant, the held
+    (late) counters, and a mirror of every applied level and balloon cap
+    onto its server.  The plane starts at each server's container and
+    with no balloon cap, as every caller builds them.  Interval indexes
+    count ``run_interval_rows`` calls, exactly like the scalar wrapper
+    counts ``run_interval*`` calls.
     """
 
     def __init__(
@@ -850,146 +1025,49 @@ class MaskedFaultDataPlane:
                 f"data plane needs matching servers/masks/seeds, got "
                 f"{n}/{masks.n_tenants}/{len(corrupt_seeds)}"
             )
+        super().__init__(masks, catalog, [s.container.level for s in servers])
         self.servers = list(servers)
-        self.masks = masks
-        self.catalog = catalog
         self._rngs = [np.random.default_rng(s) for s in corrupt_seeds]
-        self._index = -1
-        self._held: list[list[IntervalCounters]] = [[] for _ in range(n)]
-        self._transient_left = np.zeros(n, dtype=np.int64)
-        self.dropped = np.zeros(n, dtype=np.int64)
-        self.delayed = np.zeros(n, dtype=np.int64)
-        self.duplicated = np.zeros(n, dtype=np.int64)
-        self.corrupted = np.zeros(n, dtype=np.int64)
-        self.skewed = np.zeros(n, dtype=np.int64)
-        self.failed_resizes = np.zeros(n, dtype=np.int64)
-        self.partial_resizes = np.zeros(n, dtype=np.int64)
-        self.failed_balloons = np.zeros(n, dtype=np.int64)
-
-    @property
-    def interval_index(self) -> int:
-        return self._index
+        self._held: list[IntervalCounters | None] = [None] * n
 
     def run_interval_rows(
         self, rates_rows: Sequence[np.ndarray], active: np.ndarray
     ) -> list[list[IntervalCounters]]:
         """Run one interval on the ``active`` rows; deliveries per tenant."""
-        self._index += 1
-        i = self._index
-        m = self.masks
-        self._transient_left[:] = m.transient_magnitude[:, i]
-        out: list[list[IntervalCounters]] = [[] for _ in self.servers]
+        held = np.array([c is not None for c in self._held], dtype=bool)
+        plan = self.begin_interval(active, held)
+        fresh: dict[int, IntervalCounters] = {}
         for r in np.flatnonzero(active):
             counters = self.servers[r].run_interval_with_rates(rates_rows[r])
-            deliveries = self._held[r]
-            self._held[r] = []
-            if m.drop[r, i]:
-                self.dropped[r] += 1
-            elif m.late[r, i]:
-                self.delayed[r] += 1
-                self._held[r].append(counters)
-            elif m.corrupt[r, i]:
-                self.corrupted[r] += 1
+            if plan.corrupt[r]:
                 mode = int(self._rngs[r].integers(0, N_CORRUPTION_MODES))
-                deliveries.append(corrupt_counters(counters, mode))
-            elif m.skew[r, i]:
-                self.skewed[r] += 1
-                shift = m.skew_magnitude[r, i] * counters.duration_s
-                deliveries.append(
-                    dataclasses.replace(
-                        counters,
-                        start_s=counters.start_s - shift,
-                        end_s=counters.end_s - shift,
-                    )
+                counters = corrupt_counters(counters, mode)
+            elif plan.skew[r]:
+                shift = self.masks.skew_magnitude[r, self._index] * counters.duration_s
+                counters = dataclasses.replace(
+                    counters,
+                    start_s=counters.start_s - shift,
+                    end_s=counters.end_s - shift,
                 )
-            else:
-                deliveries.append(counters)
-                if m.duplicate[r, i]:
-                    self.duplicated[r] += 1
-                    deliveries.append(counters)
-            out[r] = deliveries
+            fresh[r] = counters
+        out: list[list[IntervalCounters]] = [[] for _ in self.servers]
+        for wave in plan.waves:
+            for r in np.flatnonzero(wave.present):
+                out[r].append(self._held[r] if wave.held[r] else fresh[r])
+        # A late interval is held unperturbed; it surfaces next interval.
+        for r in fresh:
+            self._held[r] = fresh[r] if plan.late[r] else None
         return out
 
-    # -- actuation surface (the executor's view) ---------------------------
+    def _apply_level(self, r: int) -> None:
+        self.servers[r].set_container(self.catalog.at_level(int(self.level[r])))
 
-    def current_levels(self) -> np.ndarray:
-        return np.array(
-            [s.container.level for s in self.servers], dtype=np.int64
-        )
-
-    def current_level(self, r: int) -> int:
-        return self.servers[r].container.level
-
-    def try_resize(self, r: int, level: int) -> None:
-        current = self.servers[r].container.level
-        name = self.catalog.at_level(level).name
-        try:
-            reached = _faulty_resize(
-                self.masks, self._transient_left, r, self._index, current, level, name
-            )
-        except ActuationError:
-            self.failed_resizes[r] += 1
-            raise
-        if reached != level:
-            self.partial_resizes[r] += 1
-            if reached == current:
-                return  # A one-level resize that stalls "one short" does not move.
-        self.servers[r].set_container(self.catalog.at_level(reached))
-
-    def set_balloon_limits(
-        self, limits: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        """Cap every ``active`` server at ``limits`` (NaN clears the cap).
-
-        Returns the rows whose cap the broker rejected; those servers
-        keep their previous cap, as ``FaultyServer`` leaves them.
-        """
-        failed = (
-            active & ~np.isnan(limits) & self.masks.balloon_fail[:, self._index]
-        )
-        self.failed_balloons += failed
-        for r in np.flatnonzero(active & ~failed):
-            limit = limits[r]
+    def _apply_balloons(self, rows) -> None:
+        for r in rows:
+            limit = self.balloon_limit_gb[r]
             self.servers[r].set_balloon_limit(
                 None if np.isnan(limit) else float(limit)
             )
-        return failed
-
-    def set_balloon_limit(self, r: int, limit_gb: float | None) -> None:
-        """One server's cap, raising as ``FaultyServer.set_balloon_limit``."""
-        if limit_gb is not None and self.masks.balloon_fail[r, self._index]:
-            self.failed_balloons[r] += 1
-            raise TransientActuationError(_balloon_rejection(limit_gb))
-        self.servers[r].set_balloon_limit(limit_gb)
-
-
-def _faulty_resize(
-    masks: CompiledFaultMasks,
-    transient_left: np.ndarray,
-    r: int,
-    i: int,
-    current: int,
-    level: int,
-    name: str,
-) -> int:
-    """``FaultyServer.set_container``'s fault chain for row ``r``, interval ``i``.
-
-    A permanent rejection, then the interval's transient budget (both
-    raise), then a partial stall one level short of ``level``.  Returns
-    the level the resize reaches.
-    """
-    if masks.permanent[r, i]:
-        raise PermanentActuationError(
-            f"placement service rejected resize to {name}"
-        )
-    if transient_left[r] > 0:
-        transient_left[r] -= 1
-        raise TransientActuationError(
-            f"placement service busy; resize to {name} not applied"
-        )
-    if masks.partial[r, i] and level != current:
-        return level - (1 if level > current else -1)
-    return level
 
 
 def _balloon_rejection(limit_gb: float) -> str:
@@ -1184,7 +1262,7 @@ def run_fleet_chaos(
     for interval_index in range(n_intervals):
         alive = ~scaler.dead
         rates = [loadgens[t].interval_rates(interval_index) for t in range(n)]
-        containers.append(plane.current_levels())
+        containers.append(plane.level.copy())
         deliveries = plane.run_interval_rows(rates, alive)
         all_waves.append(_drive_interval(scaler, deliveries, goal))
         decided.append(scaler.level.copy())
@@ -1205,109 +1283,35 @@ def run_fleet_chaos(
 # -- synthetic degraded sweep (benchmark / 100k recipe) -----------------------
 
 
-class _ArrayActuator:
-    """A placement service over a plain level array (no engine).
-
-    Applies the compiled actuation masks with
-    :class:`~repro.faults.chaos.FaultyServer` semantics; used by the
-    synthetic degraded benchmark where no engines exist.
-    """
-
-    def __init__(
-        self,
-        masks: CompiledFaultMasks,
-        names: Sequence[str],
-        initial_level: int = 0,
-    ) -> None:
-        n = masks.n_tenants
-        self.masks = masks
-        self.names = list(names)
-        self.level = np.full(n, initial_level, dtype=np.int64)
-        self.balloon_limit_gb = np.full(n, np.nan)
-        self._index = -1
-        self._transient_left = np.zeros(n, dtype=np.int64)
-
-    def begin_interval(self) -> None:
-        self._index += 1
-        self._transient_left[:] = self.masks.transient_magnitude[:, self._index]
-
-    def current_levels(self) -> np.ndarray:
-        return self.level
-
-    def current_level(self, r: int) -> int:
-        return int(self.level[r])
-
-    def try_resize(self, r: int, level: int) -> None:
-        self.level[r] = _faulty_resize(
-            self.masks,
-            self._transient_left,
-            r,
-            self._index,
-            int(self.level[r]),
-            level,
-            self.names[level],
-        )
-
-    def set_balloon_limits(
-        self, limits: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        """Cap the ``active`` rows (NaN clears); returns the rejected rows."""
-        failed = (
-            active & ~np.isnan(limits) & self.masks.balloon_fail[:, self._index]
-        )
-        applied = active & ~failed
-        self.balloon_limit_gb[applied] = limits[applied]
-        return failed
-
-    def state_dict(self) -> dict:
-        return {
-            "index": self._index,
-            "level": self.level.copy(),
-            "balloon_limit_gb": self.balloon_limit_gb.copy(),
-            "transient_left": self._transient_left.copy(),
-        }
-
-    def _checked_state(self, state: dict) -> dict:
-        """``state`` as this actuator's attributes, checked, unassigned."""
-        checked = _checked_arrays(
-            self,
-            {
-                "level": state["level"],
-                "balloon_limit_gb": state["balloon_limit_gb"],
-                "_transient_left": state["transient_left"],
-            },
-        )
-        level = checked["level"]
-        if np.any((level < 0) | (level >= len(self.names))):
-            raise ConfigurationError(
-                "fleet checkpoint applied level outside the catalog"
-            )
-        checked["_index"] = int(state["index"])
-        return checked
-
-    def _assign_state(self, checked: dict) -> None:
-        """Assign what :meth:`_checked_state` returned."""
-        for attr, value in checked.items():
-            setattr(self, attr, value)
-
-
 #: Nominal wall-clock seconds per synthetic billing interval.
 _SYNTHETIC_INTERVAL_S = 60.0
+
+#: The plane's per-row arrays on the checkpoint wire: (key, attribute).
+_PLANE_ARRAYS = (
+    ("level", "level"),
+    ("balloon_limit_gb", "balloon_limit_gb"),
+    ("transient_left", "_transient_left"),
+    *((name, name) for name in _TALLIES),
+)
 
 
 class DegradedSyntheticFleet:
     """Step a degraded fleet over synthetic telemetry and fault masks.
 
-    The telemetry-side masks (drop / late / duplicate / corrupt / skew)
-    are applied directly to the pre-generated
-    :class:`~repro.fleet.vectorized.FleetTelemetryArrays` columns, with a
-    one-delivery held buffer per tenant exactly like the scalar wrapper.
-    Corruption is approximated by flagging the delivery anomalous (the
-    guard quarantines it, which is the scalar outcome for three of the
-    five corruption modes); the parity-exact corruption path lives in
-    :class:`MaskedFaultDataPlane`.
+    The fleet's :class:`FaultPlane` (``actuator``) plans every interval's
+    deliveries and runs its actuation, with the same code that
+    :class:`MaskedFaultDataPlane` runs over engines; this class only
+    feeds the planned waves from the pre-generated
+    :class:`~repro.fleet.vectorized.FleetTelemetryArrays` columns and a
+    one-delivery held buffer per tenant.  The fresh interval's billed
+    cost is the plane's applied level.  Corruption stays a payload
+    difference: with no counters to corrupt, a corrupt delivery is only
+    flagged anomalous, so the guard quarantines it.  That is the scalar
+    outcome for three of the five corruption modes; the other two plant
+    values that ``anomalies()`` does not flag, which only the parity-exact
+    :class:`MaskedFaultDataPlane` reproduces.
 
-    ``state_dict`` / ``load_state_dict`` cover the scaler, the actuator,
+    ``state_dict`` / ``load_state_dict`` cover the scaler, the plane,
     the held buffers, and the interval cursor — a restore mid-sweep
     resumes byte-identically (held by ``tests/test_fleet_checkpoint.py``).
     """
@@ -1324,7 +1328,7 @@ class DegradedSyntheticFleet:
         self.scaler = scaler
         self.arrays = arrays
         self.masks = masks
-        self.actuator = _ArrayActuator(masks, scaler._names)
+        self.actuator = FaultPlane(masks, scaler.catalog)
         self.interval = 0
         self.n_intervals = arrays.latency_ms.shape[0]
         # The one-delivery held buffer: a late delivery's fields, its
@@ -1344,52 +1348,34 @@ class DegradedSyntheticFleet:
     def step(self) -> list[WaveDecisions]:
         """One billing interval: delivery waves + actuation."""
         scaler = self.scaler
-        n = scaler.n_tenants
         i = self.interval
-        m = self.masks
-        self.actuator.begin_interval()
         alive = ~scaler.dead
-
-        drop = m.drop[:, i] & alive
-        late = m.late[:, i] & ~drop & alive
-        corrupt = m.corrupt[:, i] & ~drop & ~late & alive
-        skew = m.skew[:, i] & ~drop & ~late & ~corrupt & alive
-        dup = m.duplicate[:, i] & ~drop & ~late & ~corrupt & ~skew & alive
-        delivered = alive & ~drop & ~late
-
-        held = self._held["present"] & alive
+        plan = self.actuator.begin_interval(alive, self._held["present"])
         fresh = {name: getattr(self.arrays, name)[i] for name in _INTERVAL_FIELDS}
         billed = scaler._costs[self.actuator.level]
-        start = np.full(n, i * _SYNTHETIC_INTERVAL_S)
-        end = start + _SYNTHETIC_INTERVAL_S
-        start = np.where(skew, start - m.skew_magnitude[:, i] * _SYNTHETIC_INTERVAL_S, start)
-        end = np.where(skew, end - m.skew_magnitude[:, i] * _SYNTHETIC_INTERVAL_S, end)
-
-        wave_plans = [
-            (held | delivered, held),  # wave 0: held first, else fresh
-            ((held & delivered) | (~held & dup), held & delivered),
-            (held & dup, np.zeros(n, dtype=bool)),
-        ]
-        gap = alive & ~held & ~delivered
-        waves = []
+        shift = np.where(plan.skew, self.masks.skew_magnitude[:, i], 0.0)
+        start = i * _SYNTHETIC_INTERVAL_S - shift * _SYNTHETIC_INTERVAL_S
+        end = (i + 1) * _SYNTHETIC_INTERVAL_S - shift * _SYNTHETIC_INTERVAL_S
+        gap = alive & ~plan.waves[0].present
         corrupt_reason = ("synthetic corruption flag",)
         held_index = self._held["index"]
-        for w, (present, use_held) in enumerate(wave_plans):
-            present = present & ~scaler.dead
+        waves = []
+        for w, wave in enumerate(plan.waves):
+            present = wave.present & ~scaler.dead
             if w > 0 and not np.any(present):
                 break
+            use_held = wave.held
             fields = {
                 name: np.where(use_held, self._held[name], fresh_col)
                 for name, fresh_col in fresh.items()
             }
-            index = np.where(use_held, held_index, i)
-            anomalous = corrupt & ~use_held
+            anomalous = plan.corrupt & ~use_held
             reasons = {r: corrupt_reason for r in np.flatnonzero(anomalous)}
             waves.append(
                 scaler.decide_wave(
                     present=present,
                     gap=gap if w == 0 else None,
-                    index=index,
+                    index=np.where(use_held, held_index, i),
                     start_s=np.where(use_held, held_index * _SYNTHETIC_INTERVAL_S, start),
                     end_s=np.where(use_held, (held_index + 1) * _SYNTHETIC_INTERVAL_S, end),
                     anomalous=anomalous,
@@ -1401,6 +1387,7 @@ class DegradedSyntheticFleet:
 
         # Late deliveries are held clean (the scalar wrapper holds the
         # unperturbed counters); they surface next interval.
+        late = plan.late
         self._held["present"] = late
         if np.any(late):
             self._held["index"][late] = i
@@ -1415,31 +1402,40 @@ class DegradedSyntheticFleet:
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
+        plane = self.actuator
         return {
             "interval": self.interval,
             "scaler": self.scaler.state_dict(),
-            "actuator": self.actuator.state_dict(),
+            "actuator": {
+                "index": plane.interval_index,
+                **{key: getattr(plane, attr).copy() for key, attr in _PLANE_ARRAYS},
+            },
             "held": {name: value.copy() for name, value in self._held.items()},
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a fleet built over the same arrays and masks.
 
-        The interval, the actuator and the held buffers are checked
-        first, and the scaler checks itself before it assigns anything,
-        so a refused state raises :class:`ConfigurationError` and leaves
-        the whole fleet as it was.
+        The interval, the plane and the held buffers are checked first,
+        and the scaler checks itself before it assigns anything, so a
+        refused state raises :class:`ConfigurationError` and leaves the
+        whole fleet as it was.
         """
         interval = int(state["interval"])
-        actuator = self.actuator._checked_state(state["actuator"])
-        if not (
-            0 <= interval <= self.n_intervals
-            and actuator["_index"] == interval - 1
-        ):
+        index = int(state["actuator"]["index"])
+        if not (0 <= interval <= self.n_intervals and index == interval - 1):
             raise ConfigurationError(
                 f"fleet checkpoint interval {interval} / actuator index "
-                f"{actuator['_index']} do not fit this "
-                f"{self.n_intervals}-interval sweep"
+                f"{index} do not fit this {self.n_intervals}-interval sweep"
+            )
+        plane = _checked_arrays(
+            self.actuator,
+            {attr: state["actuator"][key] for key, attr in _PLANE_ARRAYS},
+        )
+        level = plane["level"]
+        if np.any((level < 0) | (level >= len(self.scaler.catalog))):
+            raise ConfigurationError(
+                "fleet checkpoint applied level outside the catalog"
             )
         held = _checked_arrays(
             SimpleNamespace(**self._held),
@@ -1447,5 +1443,7 @@ class DegradedSyntheticFleet:
         )
         self.scaler.load_state_dict(state["scaler"])
         self.interval = interval
-        self.actuator._assign_state(actuator)
+        self.actuator._index = index
+        for attr, value in plane.items():
+            setattr(self.actuator, attr, value)
         self._held = held

@@ -827,14 +827,12 @@ class FleetHealthMonitor:
         window: int = 8,
         thresholds: FleetSloThresholds | None = None,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
         self.thresholds = thresholds or FleetSloThresholds()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
         self._rolling: dict[str, deque] = {
             metric: deque(maxlen=window) for metric, _ in _WATCHED_METRICS
         }
@@ -895,8 +893,6 @@ class FleetHealthMonitor:
                     value=value,
                     threshold=threshold,
                 )
-            if self.metrics is not None:
-                self.metrics.gauge(f"fleet.health.{metric}").set(value)
         snapshot["rolling"] = rolling
         self.history.append(snapshot)
         return snapshot
@@ -918,21 +914,17 @@ class FleetHealthMonitor:
 # -- reports ------------------------------------------------------------------
 
 
-def fleet_report(
-    store: FleetTraceStore,
-    slo_thresholds: FleetSloThresholds | None = None,
-    health_window: int = 8,
-) -> dict:
+def fleet_report(store: FleetTraceStore) -> dict:
     """A deterministic JSON-ready summary of one recorded fleet run.
 
-    Re-derives the SLO aggregates from the columns (so a store saved
-    without a live monitor still reports health), then rolls up the
-    decision, budget, balloon, and damper columns fleet wide.
+    Re-derives the SLO aggregates from the columns with a default
+    :class:`FleetHealthMonitor` (8-interval window, default
+    :class:`FleetSloThresholds`), so a store saved without a live
+    monitor still reports health, then rolls up the decision, budget,
+    balloon, and damper columns fleet wide.
     """
     arrays = store.arrays
-    monitor = FleetHealthMonitor(
-        window=health_window, thresholds=slo_thresholds
-    )
+    monitor = FleetHealthMonitor()
     for j in range(store.n_intervals):
         wait_ms = arrays["wait_ms"][j]
         monitor.observe(
