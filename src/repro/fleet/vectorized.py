@@ -191,11 +191,9 @@ class FleetSignals(NamedTuple):
     wait_level: np.ndarray  # (K, T) int8
     wait_pct: np.ndarray  # (K, T) smoothed
     wait_significant: np.ndarray  # (K, T) bool
-    util_slope: np.ndarray  # (K, T)
     util_significant: np.ndarray  # (K, T) bool
     util_agreement: np.ndarray  # (K, T)
     util_direction: np.ndarray  # (K, T) int8
-    wait_slope: np.ndarray  # (K, T)
     wait_trend_significant: np.ndarray  # (K, T) bool
     wait_agreement: np.ndarray  # (K, T)
     wait_direction: np.ndarray  # (K, T) int8
@@ -268,10 +266,6 @@ def _checked_arrays(owner, raw: dict) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _sign8(values: np.ndarray) -> np.ndarray:
-    return np.sign(values).astype(np.int8)
-
-
 def _empty_fleet_signals(n: int, inert: bool = False) -> FleetSignals:
     """Fleet-wide signal outputs, filled in one pass over the rows.
 
@@ -296,11 +290,9 @@ def _empty_fleet_signals(n: int, inert: bool = False) -> FleetSignals:
         wait_level=alloc((K, n), dtype=np.int8),
         wait_pct=alloc((K, n)),
         wait_significant=alloc((K, n), dtype=bool),
-        util_slope=alloc((K, n)),
         util_significant=alloc((K, n), dtype=bool),
         util_agreement=alloc((K, n)),
         util_direction=alloc((K, n), dtype=np.int8),
-        wait_slope=alloc((K, n)),
         wait_trend_significant=alloc((K, n), dtype=bool),
         wait_agreement=alloc((K, n)),
         wait_direction=alloc((K, n), dtype=np.int8),
@@ -314,23 +306,23 @@ def _empty_fleet_signals(n: int, inert: bool = False) -> FleetSignals:
 
 
 def _trend_into(out: FleetSignals, idx, trend: BatchedTrend) -> None:
-    """Scatter one stacked latency + K util + K wait trend into ``out[idx]``."""
+    """Scatter one stacked latency + K util + K wait trend into ``out[idx]``.
+
+    Only the latency series carries a slope: the rules read the resource
+    trends' direction alone.
+    """
     series = (1 + 2 * K, -1)
-    slope = trend.slope.reshape(series)
     sig = trend.significant.reshape(series)
     agree = trend.agreement.reshape(series)
-    # TrendResult.direction: sign of the slope iff significant.
-    direction = np.where(sig, _sign8(slope), np.int8(0)).astype(np.int8)
-    out.lat_slope[idx] = slope[0]
+    direction = trend.direction.reshape(series)
+    out.lat_slope[idx] = trend.slope.reshape(series)[0]
     out.lat_significant[idx] = sig[0]
     out.lat_agreement[idx] = agree[0]
     out.lat_n_points[idx] = trend.n_points.reshape(series)[0]
     out.lat_direction[idx] = direction[0]
-    out.util_slope[:, idx] = slope[1 : 1 + K]
     out.util_significant[:, idx] = sig[1 : 1 + K]
     out.util_agreement[:, idx] = agree[1 : 1 + K]
     out.util_direction[:, idx] = direction[1 : 1 + K]
-    out.wait_slope[:, idx] = slope[1 + K :]
     out.wait_trend_significant[:, idx] = sig[1 + K :]
     out.wait_agreement[:, idx] = agree[1 + K :]
     out.wait_direction[:, idx] = direction[1 + K :]
@@ -614,6 +606,8 @@ class VectorizedTelemetry:
         # Trends: one kernel call for latency + K utilization + K wait
         # series over the trend sub-window, stacked (tw, series, m) so its
         # transpose is the kernel's (series, tw) input without a copy.
+        # Only the latency slope is read (its magnitude decides whether a
+        # latency trend is material), so only its m rows sort slopes.
         tslots = self._tail_slots(cfg.trend_window, idx, c)
         tw = len(tslots)
         stack = self._buf("trend", (tw, 1 + 2 * K, m))
@@ -624,6 +618,7 @@ class VectorizedTelemetry:
             self._trend_x(tslots, idx, stack.shape),
             stack.reshape(tw, -1).T,
             alpha=cfg.trend_alpha,
+            median_rows=slice(0, m),
         )
         _trend_into(out, idx, trend)
 

@@ -44,12 +44,20 @@ How each kernel stays exact without the per-row reference's work:
   ``y_j - y_i`` is zero exactly when ``y_j == y_i`` and otherwise has
   the sign of ``y_j > y_i``, so a pair's slope sign is read from two
   comparisons.  Quotients are formed only for the rows whose trend was
-  accepted, and only to take their median.  The one case where a
-  quotient's sign differs from its operands' (underflow to zero, or
-  ``inf/inf``) needs magnitudes beyond ~1e±300; each block bounds every
-  row's magnitudes and routes only the rows that fail to the scalar
-  reference.  When every clock in a block runs one way (a shared axis,
-  or rings read oldest or newest first) only y is compared.
+  accepted and whose median the caller reads (``median_rows``), and
+  only to take that median.  The one case where a quotient's sign
+  differs from its operands' (underflow to zero, or ``inf/inf``) needs
+  magnitudes beyond ~1e±300; each block bounds every row's magnitudes
+  and routes only the rows that fail to the scalar reference.  When
+  every clock in a block runs one way (a shared axis, or rings read
+  oldest or newest first) only y is compared.
+* A trend's direction needs no quotient either.  With α > ½ an
+  accepted trend's sign is held by a strict majority of the row's n
+  pair slopes, so both middle order statistics (sorted positions
+  ``(n - 1) // 2`` and ``n // 2``) carry it, and so does their mean: the
+  median's sign is the sign of the positive count minus the negative
+  count.  Rows whose quotients may lose their operands' sign still go
+  to the scalar reference, direction included.
 * Medians are a sort (NaN sorts last) followed by a gather of the middle
   pair at positions chosen from each series' non-NaN count — the same
   order statistics ``np.median`` selects, and the same ``(lo + hi) / 2``.
@@ -118,13 +126,30 @@ PAIRWISE_RANK_MAX_WINDOW = 32
 _MAGNITUDE_CAP = 2.0**1022
 
 
-class BatchedTrend(NamedTuple):
-    """Struct-of-arrays :class:`repro.stats.theil_sen.TrendResult`."""
-
+class _TrendFields(NamedTuple):
     slope: np.ndarray  # (T,) float — 0.0 where not significant
     significant: np.ndarray  # (T,) bool
     agreement: np.ndarray  # (T,) float
     n_points: np.ndarray  # (T,) int
+    direction: np.ndarray  # (T,) int8 — TrendResult.direction
+
+
+class BatchedTrend(_TrendFields):
+    """Struct-of-arrays :class:`repro.stats.theil_sen.TrendResult`.
+
+    Built from the four result fields alone, ``direction`` is derived
+    from them as :attr:`TrendResult.direction` is: 0 unless significant
+    with a nonzero slope, else +1 for a positive slope and -1 otherwise.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, slope, significant, agreement, n_points, direction=None):
+        if direction is None:
+            slope = np.asarray(slope)
+            live = np.asarray(significant) & (slope != 0.0)
+            direction = np.where(live, np.where(slope > 0.0, 1, -1), 0).astype(np.int8)
+        return super().__new__(cls, slope, significant, agreement, n_points, direction)
 
 
 class BatchedCorrelation(NamedTuple):
@@ -260,6 +285,8 @@ def batched_detect_trend(
     y: np.ndarray,
     alpha: float = 0.70,
     min_points: int = 4,
+    *,
+    median_rows: slice | np.ndarray | None = None,
 ) -> BatchedTrend:
     """Row-wise :func:`repro.stats.theil_sen.detect_trend` over ``(T, W)``.
 
@@ -270,6 +297,12 @@ def batched_detect_trend(
     scalar reference does.  Inputs may be in any memory order; a
     time-major buffer passed as its transpose (``buf.T``) is read in
     place, and neither input is ever written.
+
+    ``median_rows`` indexes the rows (a slice, indices or a boolean
+    mask) whose slope median a caller reads; by default every row.  The
+    other rows report slope 0 and skip the median, the trend's costliest
+    step; their direction, significance, agreement and point count are
+    the reference's all the same.
     """
     if not 0.5 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0.5, 1.0], got {alpha}")
@@ -312,6 +345,11 @@ def batched_detect_trend(
     agreement = np.zeros(n_tenants)
     significant = np.zeros(n_tenants, dtype=bool)
     n_points = np.zeros(n_tenants, dtype=np.intp)
+    trend_sign = np.zeros(n_tenants, dtype=np.int8)
+    wanted = None
+    if median_rows is not None:
+        wanted = np.zeros(n_tenants, dtype=bool)
+        wanted[median_rows] = True
     n_pairs = sum(window - j0 for _, j0 in blocks)
     row_blocks = _row_blocks(n_tenants, 8 * n_pairs)
     # One scratch set per call, reused by every block: the comparison
@@ -409,9 +447,17 @@ def batched_detect_trend(
             sig[inexact] = False
         agreement[rows] = agree
         significant[rows] = sig
+        # An accepted trend holds a strict majority of the pair signs, so
+        # the majority side is the sign of its median slope.
+        sign = (pos > neg).view(np.int8) - (pos < neg).view(np.int8)
+        sign *= sig
+        trend_sign[rows] = sign
 
-        # Medians only where a trend was accepted: those columns' pair
-        # slopes (NaN where excluded), sorted down each column.
+        # Medians only where a trend was accepted and the caller reads
+        # it: those columns' pair slopes (NaN where excluded), sorted
+        # down each column.
+        if wanted is not None:
+            sig &= wanted[rows]
         cols = np.flatnonzero(sig)
         if cols.size:
             size = n_pairs * cols.size
@@ -442,9 +488,12 @@ def batched_detect_trend(
             at = rows.start + inexact
             x_at = np.broadcast_to(x, y.shape)[at]
             (
-                slope[at], significant[at], agreement[at], n_points[at]
+                slope[at], significant[at], agreement[at], n_points[at],
+                trend_sign[at],
             ) = _trend_by_rows(x_at, y[at], alpha, min_points)
-    return BatchedTrend(slope, significant, agreement, n_points)
+            if wanted is not None:
+                slope[at[~wanted[at]]] = 0.0
+    return BatchedTrend(slope, significant, agreement, n_points, trend_sign)
 
 
 def fractional_ranks(values: np.ndarray) -> np.ndarray:

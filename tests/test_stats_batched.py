@@ -552,3 +552,95 @@ def test_block_budget_never_changes_a_byte(inputs):
             )
         for x_in, y_in in zip(_layouts(x_sp).values(), _layouts(y_sp).values()):
             _assert_bytes_equal(batched_spearman(x_in, y_in), corr)
+
+
+#: Magnitudes whose quotients may underflow to zero or reach ``inf/inf``:
+#: the kernel routes their rows to the scalar reference.
+EXTREMES = np.array([1e308, -1e308, 1e300, 1e-320, -5e-324, 2.0**-1060])
+
+
+@st.composite
+def _trend_rows(draw):
+    """Trend inputs with every clock shape the kernel branches on.
+
+    y mixes continuous draws, integer ties, :data:`POOL` markers and
+    :data:`EXTREMES`; x is a shared axis (ascending or permuted, with
+    ties or holes) or per-row clocks that all ascend, all descend (the
+    count swap) or mix directions, holes and extreme spans.
+    """
+    window = draw(st.sampled_from((2, 3, 4, 5, 8, 10)))
+    rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e4])), (rows, window))
+    ties = rng.random((rows, window)) < draw(st.floats(0.0, 1.0))
+    y[ties] = np.round(y[ties])
+    marked = rng.random((rows, window)) < draw(st.floats(0.0, 0.5))
+    y[marked] = rng.choice(POOL, size=int(marked.sum()))
+    extreme = rng.random((rows, window)) < draw(st.sampled_from([0.0, 0.02, 0.2]))
+    y[extreme] = rng.choice(EXTREMES, size=int(extreme.sum()))
+    clock = np.arange(window, dtype=float)
+    kind = draw(
+        st.sampled_from(["ascending", "permuted", "up", "down", "mixed"])
+    )
+    if kind == "ascending":
+        x = np.floor(clock / draw(st.integers(1, 3)))
+    elif kind == "permuted":
+        x = rng.permutation(clock)
+        if draw(st.booleans()):
+            x[rng.integers(window)] = draw(st.sampled_from([np.nan, np.inf]))
+    elif kind in ("up", "down"):
+        step = rng.uniform(0.5, 3.0, (rows, 1))
+        x = rng.normal(0.0, 100.0, (rows, 1)) + step * clock
+        if kind == "down":
+            x = x[:, ::-1].copy()
+    else:
+        x = np.tile(clock, (rows, 1))
+        x[rng.random(rows) < 0.5] = clock[::-1]
+        holes = rng.random((rows, window)) < 0.1
+        x[holes] = rng.choice([0.0, 1.0, np.nan, -np.inf], size=int(holes.sum()))
+        x[rng.random(rows) < 0.1] = np.linspace(-1.0, 1.0, window) * 1e308
+    alpha = draw(st.floats(0.5, 1.0, exclude_min=True))
+    return x, y, alpha
+
+
+def _median_set(draw, rows):
+    """A median-row set as the kernel takes it, plus its boolean mask."""
+    form = draw(st.sampled_from(["mask", "indices", "slice"]))
+    if form == "slice":
+        lo = draw(st.integers(0, rows))
+        index = slice(lo, draw(st.integers(lo, rows)))
+        mask = np.zeros(rows, dtype=bool)
+        mask[index] = True
+        return index, mask
+    mask = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    return (mask if form == "mask" else np.flatnonzero(mask)), mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trend_rows(), st.data())
+def test_trend_direction_and_median_rows_match_the_reference(inputs, data):
+    """Direction equals ``detect_trend(row).direction`` on every row.
+
+    Rows in the median set equal the reference in every field; the
+    others report slope 0 and the reference's significance, agreement,
+    point count and direction.  Neither the median set nor the block
+    budget changes any other row's output.
+    """
+    x, y, alpha = inputs
+    rows = y.shape[0]
+    x_rows = np.broadcast_to(x, y.shape)
+    with np.errstate(all="ignore"):  # extreme rows over- and underflow
+        scalar = [detect_trend(xr, yr, alpha) for xr, yr in zip(x_rows, y)]
+    direction = np.array([r.direction for r in scalar], dtype=np.int8)
+    with mock.patch.object(batched, "SLOPE_CHUNK_ELEMENTS", 2**40):
+        whole = batched_detect_trend(x, y, alpha=alpha)
+    _assert_fields_equal(whole, _trend_reference(x, y, alpha))
+    assert whole.direction.dtype == np.int8
+    assert np.array_equal(whole.direction, direction)
+    for _ in range(2):
+        median_rows, mask = _median_set(data.draw, rows)
+        budget = data.draw(st.integers(1, rows * 50), label="budget")
+        with mock.patch.object(batched, "SLOPE_CHUNK_ELEMENTS", budget):
+            out = batched_detect_trend(x, y, alpha=alpha, median_rows=median_rows)
+        want = whole._replace(slope=np.where(mask, whole.slope, 0.0))
+        _assert_bytes_equal(out, want)

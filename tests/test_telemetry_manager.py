@@ -381,17 +381,17 @@ class TestReferenceOracle:
                     res.utilization_pct, res.wait_ms, res.wait_pct,
                     level[res.utilization_level], level[res.wait_level],
                     res.wait_significant,
-                    ut.slope, ut.significant, ut.agreement,
-                    wt.slope, wt.significant, wt.agreement,
+                    ut.direction, ut.significant, ut.agreement,
+                    wt.direction, wt.significant, wt.agreement,
                     res.latency_correlation.rho,
                     res.latency_correlation.n_points,
                 ) == (
                     col.util_pct[k, 0], col.wait_ms[k, 0], col.wait_pct[k, 0],
                     col.util_level[k, 0], col.wait_level[k, 0],
                     col.wait_significant[k, 0],
-                    col.util_slope[k, 0], col.util_significant[k, 0],
+                    col.util_direction[k, 0], col.util_significant[k, 0],
                     col.util_agreement[k, 0],
-                    col.wait_slope[k, 0], col.wait_trend_significant[k, 0],
+                    col.wait_direction[k, 0], col.wait_trend_significant[k, 0],
                     col.wait_agreement[k, 0],
                     col.rho[k, 0], col.corr_n_points[k, 0],
                 ), f"{where} {kind}"
