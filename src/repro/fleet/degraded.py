@@ -15,12 +15,16 @@ with per-tenant objects (:class:`~repro.core.telemetry_guard.TelemetryGuard`,
   rest is the healthy engine's: the per-row telemetry rings and the
   observe helper that feeds them, the ledger charge, and the decision
   body (balloon, scaling, damper, budget enforcement), run over each
-  wave's row mask.
+  wave's row mask.  Actuation runs as array ops too: one resize pass
+  per attempt number over the rows still retrying; only strings and
+  each tenant's own backoff-jitter draw touch a single row.
 * **Waves** — one billing interval delivers 0..3 counters per tenant
   (held + fresh + duplicate).  :meth:`decide_wave` consumes one delivery
   *wave*: a boolean ``present`` mask plus per-tenant field arrays.  Each
   wave is the vectorized form of one ``AutoScaler.decide`` call per
-  participating tenant, so per-tenant decision order is preserved.
+  participating tenant, so per-tenant decision order is preserved.  Both
+  drivers run one wave loop, :func:`_decide_waves`, over the planned
+  waves.
 * :func:`repro.faults.vectorized.compile_schedules` turns the per-tenant
   :class:`~repro.faults.schedule.FaultSchedule` s into ``(T, I)`` masks
   that one :class:`FaultPlane` applies at the fleet's telemetry /
@@ -49,8 +53,9 @@ is reported per tenant in the scalar sweep's ``"Type: message"`` form.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,6 +97,7 @@ from repro.workloads.traces import Trace
 
 __all__ = [
     "CIRCUIT_CODES",
+    "RESIZE_OUTCOMES",
     "WaveDecisions",
     "FleetActuationReports",
     "DegradedVectorizedAutoScaler",
@@ -106,6 +112,18 @@ __all__ = [
 # CIRCUIT_CODES order: codes index into the tuple).
 _C_CLOSED, _C_OPEN, _C_HALF = 0, 1, 2
 CIRCUIT_CODES = ("closed", "open", "half-open")
+
+# Resize-attempt outcomes of FaultPlane.try_resizes (codes index into
+# RESIZE_OUTCOMES), and the error the scalar FaultyServer raises for each
+# rejection, as an explanation quotes it ({} is the target container).
+_R_APPLIED, _R_PARTIAL, _R_TRANSIENT, _R_PERMANENT = 0, 1, 2, 3
+RESIZE_OUTCOMES = ("applied", "partial", "transient", "permanent")
+_RESIZE_ERRORS = {
+    _R_TRANSIENT: f"{TransientActuationError.__name__}: placement service "
+    "busy; resize to {} not applied",
+    _R_PERMANENT: f"{PermanentActuationError.__name__}: placement service "
+    "rejected resize to {}",
+}
 
 #: The executor settings a fleet chooses; its backoff schedule and the
 #: guard's tunables are the scalar defaults, so checkpoints omit them.
@@ -558,9 +576,13 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         """One interval's fleet actuation: ``ResizeExecutor.execute`` per row.
 
         Reads the ``plane``'s applied levels, and resizes and caps
-        balloons through its actuation surface.
+        balloons through its array surface.  Each resize attempt is one
+        :meth:`FaultPlane.try_resizes` call over the rows still retrying,
+        so at most ``max_attempts`` calls run; refunds, adoption, tallies
+        and breaker steps are array ops over the rows they apply to.
         """
         n = self.n_tenants
+        x = self._executor
         alive = ~self._dead
         self.action_counts["intervals"] += 1
         requested = self.level.copy()
@@ -571,110 +593,96 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         current = plane.level.copy()
         attempts = np.zeros(n, dtype=np.int64)
         backoff = np.zeros(n)
-        succeeded = np.zeros(n, dtype=bool)
-        refunds = np.zeros(n)
-        applied = current.copy()
         # Ordered (action, reason) pairs, kept only for rows that have one.
         explained: dict[int, list[tuple[str, str]]] = {}
 
+        # Row sets are index arrays: on most intervals they are empty, and
+        # an empty index costs nothing where a full-width mask would not.
         opened = alive & (self._x_state == _C_OPEN)
-        if np.any(opened):
-            self._x_open_left[opened] -= 1
-            to_half = opened & (self._x_open_left <= 0)
-            if np.any(to_half):
-                self._x_state[to_half] = _C_HALF
-                self._safe[to_half] = False
-                for r in np.flatnonzero(to_half):
-                    self._safe_reason[r] = ""
-            mismatch = opened & (requested != current)
-            for r in np.flatnonzero(mismatch):
-                refunds[r] = self._schedule_refund_row(
-                    r, int(requested[r]), int(current[r])
+        open_rows = np.flatnonzero(opened)
+        self._x_open_left[open_rows] -= 1
+        to_half = open_rows[self._x_open_left[open_rows] <= 0]
+        self._x_state[to_half] = _C_HALF
+        self._safe[to_half] = False
+        for r in to_half:
+            self._safe_reason[r] = ""
+        # An open circuit attempts nothing: the row keeps its container.
+        held = open_rows[requested[open_rows] != current[open_rows]]
+        for r in held:
+            explained[r] = [
+                (
+                    ActionKind.SAFE_MODE.value,
+                    f"circuit open ({max(int(self._x_open_left[r]), 0)} "
+                    f"interval(s) left): resize "
+                    f"{self._names[current[r]]} -> "
+                    f"{self._names[requested[r]]} not attempted",
                 )
-                explained.setdefault(r, []).append(
-                    (
-                        ActionKind.SAFE_MODE.value,
-                        f"circuit open ({max(int(self._x_open_left[r]), 0)} "
-                        f"interval(s) left): resize "
-                        f"{self._names[current[r]]} -> "
-                        f"{self._names[requested[r]]} not attempted",
-                    )
-                )
-                self._adopt_level(r, int(current[r]))
-            succeeded[opened] = requested[opened] == current[opened]
+            ]
 
-        noop = alive & ~opened & (requested == current)
-        succeeded[noop] = True
+        # One pass per attempt number over the rows still retrying: only
+        # a transient rejection retries, and only a retry waits a backoff.
+        resize = np.flatnonzero(alive & ~opened & (requested != current))
+        outcome = np.full(n, _R_APPLIED, dtype=np.int8)
+        rows = resize
+        for attempt in range(1, x.max_attempts + 1):
+            if not rows.size:
+                break
+            attempts[rows] = attempt
+            outcome[rows] = codes = plane.try_resizes(rows, requested[rows])
+            rows = rows[codes == _R_TRANSIENT]
+            if attempt < x.max_attempts:
+                backoff[rows] += self._backoff(rows, attempt)
+        self.x_total_attempts[resize] += attempts[resize]
+        applied = plane.level.copy()
+        # A partial stall never lands on the requested level, so every
+        # outcome but a clean apply is a failure.
+        applied_cleanly = outcome[resize] == _R_APPLIED
+        won, failed = resize[applied_cleanly], resize[~applied_cleanly]
+        self._x_consec[won] = 0
+        self._x_state[won[self._x_state[won] == _C_HALF]] = _C_CLOSED
+        self.x_total_failures[failed] += 1
 
-        resize = alive & ~opened & (requested != current)
-        for r in np.flatnonzero(resize):
-            req_lvl = int(requested[r])
-            cur_lvl = int(current[r])
-            att = 0
-            error: Exception | None = None
-            backoff_ms = 0.0
-            while att < self._executor.max_attempts:
-                att += 1
-                self.x_total_attempts[r] += 1
-                try:
-                    plane.try_resize(r, req_lvl)
-                    error = None
-                    break
-                except TransientActuationError as exc:
-                    error = exc
-                    if att < self._executor.max_attempts:
-                        backoff_ms += self._backoff_row(r, att)
-                except PermanentActuationError as exc:
-                    error = exc
-                    break
-            attempts[r] = att
-            backoff[r] = backoff_ms
-            app_lvl = plane.current_level(r)
-            applied[r] = app_lvl
-            if error is None and app_lvl == req_lvl:
-                succeeded[r] = True
-                self._x_consec[r] = 0
-                if self._x_state[r] == _C_HALF:
-                    self._x_state[r] = _C_CLOSED
+        # Stranded on a costlier container than chosen: refund the gap.
+        stranded = np.concatenate([held, failed])
+        extra = self._costs[applied[stranded]] - self._costs[requested[stranded]]
+        refunds = np.zeros(n)
+        refunds[stranded] = np.maximum(extra, 0.0)
+        self._pending_refund[stranded] += refunds[stranded]
+        self.x_total_refunds[stranded] += refunds[stranded]
+        names = self._names
+        for r in failed:
+            cur, req, app = names[current[r]], names[requested[r]], names[applied[r]]
+            if outcome[r] == _R_PARTIAL:
+                reason = f"resize {cur} -> {req} applied partially: running {app}"
             else:
-                self.x_total_failures[r] += 1
-                refunds[r] = self._schedule_refund_row(r, req_lvl, app_lvl)
-                if error is not None:
-                    reason = (
-                        f"resize {self._names[cur_lvl]} -> "
-                        f"{self._names[req_lvl]} failed after {att} "
-                        f"attempt(s) ({type(error).__name__}: {error}); "
-                        f"running {self._names[app_lvl]}"
-                    )
-                else:
-                    reason = (
-                        f"resize {self._names[cur_lvl]} -> "
-                        f"{self._names[req_lvl]} applied partially: "
-                        f"running {self._names[app_lvl]}"
-                    )
-                notes = explained.setdefault(r, [])
-                notes.append((ActionKind.ACTUATION_FAILED.value, reason))
-                if app_lvl != int(self.level[r]):
-                    self._adopt_level(r, app_lvl)
-                self._on_failure_row(r, notes)
+                reason = (
+                    f"resize {cur} -> {req} failed after {attempts[r]} "
+                    f"attempt(s) ({_RESIZE_ERRORS[outcome[r]].format(req)}); "
+                    f"running {app}"
+                )
+            explained[r] = [(ActionKind.ACTUATION_FAILED.value, reason)]
+        # notify_actuation: adopt ground truth, cancel stale probes.
+        self.level[stranded] = applied[stranded]
+        self._on_resize(stranded)
+        self._on_failure(failed, explained)
 
         # The balloon cap is applied every interval, even under an open
         # circuit or a no-op resize (the scalar always calls
         # _apply_balloon), and its failure can re-open an open breaker.
-        for r in np.flatnonzero(plane.set_balloon_limits(limits, alive)):
-            notes = explained.setdefault(r, [])
-            notes.append(
+        balloon_failed = np.flatnonzero(plane.set_balloon_limits(limits, alive))
+        for r in balloon_failed:
+            explained.setdefault(r, []).append(
                 (
                     ActionKind.ACTUATION_FAILED.value,
                     f"balloon adjustment failed "
                     f"({_balloon_rejection(limits[r])}); probe cancelled",
                 )
             )
-            # notify_balloon_actuation_failed: cancel the probe but keep
-            # the scale-down streak.
-            self._cancel_probe(r)
-            self.x_total_failures[r] += 1
-            self._on_failure_row(r, notes)
+        # notify_balloon_actuation_failed: cancel the probe but keep the
+        # scale-down streak.
+        self._cancel_probe(balloon_failed)
+        self.x_total_failures[balloon_failed] += 1
+        self._on_failure(balloon_failed, explained)
 
         explanations: list = [()] * n
         for r in np.flatnonzero(~alive):
@@ -687,63 +695,60 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
             applied_level=applied,
             attempts=attempts,
             backoff_ms=backoff,
-            succeeded=succeeded & alive,
+            succeeded=alive & (applied == requested),
             refund_scheduled=refunds,
             circuit=self._x_state.copy(),
             explanations=tuple(explanations),
         )
 
-    def _adopt_level(self, r: int, level: int) -> None:
-        """``notify_actuation``: adopt ground truth, cancel stale probes."""
-        self.level[r] = level
-        self._on_resize(r)
-
-    def _schedule_refund_row(self, r: int, requested: int, applied: int) -> float:
-        extra = float(self._costs[applied] - self._costs[requested])
-        if extra <= 0.0:
-            return 0.0
-        self._pending_refund[r] += extra
-        self.x_total_refunds[r] += extra
-        return extra
-
-    def _backoff_row(self, r: int, attempt: int) -> float:
+    def _backoff(self, rows: np.ndarray, attempt: int) -> np.ndarray:
+        """The wait after ``rows``' failed ``attempt``, one jitter draw each."""
         x = self._executor
         base = x.backoff_base_ms * x.backoff_factor ** (attempt - 1)
         if x.jitter == 0.0:
-            return base  # deterministic path draws nothing from the RNG
-        return float(base * (1.0 + self._x_rngs[r].uniform(-x.jitter, x.jitter)))
+            return np.full(rows.size, base)  # deterministic: draws nothing
+        return np.array(
+            [base * (1.0 + self._x_rngs[r].uniform(-x.jitter, x.jitter)) for r in rows]
+        )
 
-    def _on_failure_row(
-        self, r: int, explanations: list[tuple[str, str]]
+    def _on_failure(
+        self, rows: np.ndarray, explained: dict[int, list[tuple[str, str]]]
     ) -> None:
-        self._x_consec[r] += 1
-        half_open_failed = self._x_state[r] == _C_HALF
-        if not (
-            half_open_failed or self._x_consec[r] >= self._executor.failure_threshold
-        ):
+        """``ResizeExecutor._on_failure`` for each of the distinct ``rows``.
+
+        A failed half-open trial, or a streak reaching the threshold,
+        opens the breaker and enters safe mode; each opened row's
+        explanation gains the breaker's note.
+        """
+        x = self._executor
+        self._x_consec[rows] += 1
+        half_open_failed = self._x_state[rows] == _C_HALF
+        opens = half_open_failed | (self._x_consec[rows] >= x.failure_threshold)
+        trip = rows[opens]
+        if not trip.size:
             return
-        reason = (
-            "trial resize failed while half-open"
-            if half_open_failed
-            else f"{int(self._x_consec[r])} consecutive actuation failures"
-        )
-        self._x_state[r] = _C_OPEN
-        self._x_open_left[r] = self._executor.open_intervals
-        self.x_circuit_opens[r] += 1
-        explanations.append(
-            (
-                ActionKind.SAFE_MODE.value,
-                f"circuit breaker opened ({reason}); holding the current "
-                f"container for {self._executor.open_intervals} interval(s)",
-            )
-        )
-        self.metrics.counter("fleet.circuit_opens").inc()
+        self._x_state[trip] = _C_OPEN
+        self._x_open_left[trip] = x.open_intervals
+        self.x_circuit_opens[trip] += 1
         # enter_safe_mode: cancel a live probe, always reset the streak.
-        self._safe[r] = True
-        self._safe_reason[r] = reason
-        if self._b_phase[r] == _B_PROBING:
-            self._cancel_probe(r)
-        self._low_streak[r] = 0
+        self._safe[trip] = True
+        self._cancel_probe(trip[self._b_phase[trip] == _B_PROBING])
+        self._low_streak[trip] = 0
+        for r, half_open in zip(trip, half_open_failed[opens]):
+            reason = (
+                "trial resize failed while half-open"
+                if half_open
+                else f"{int(self._x_consec[r])} consecutive actuation failures"
+            )
+            self._safe_reason[r] = reason
+            explained.setdefault(r, []).append(
+                (
+                    ActionKind.SAFE_MODE.value,
+                    f"circuit breaker opened ({reason}); holding the current "
+                    f"container for {x.open_intervals} interval(s)",
+                )
+            )
+        self.metrics.counter("fleet.circuit_opens").inc(float(trip.size))
 
     # -- checkpointing -----------------------------------------------------
 
@@ -894,10 +899,11 @@ class FaultPlane:
     the applied container level and balloon cap, and the eight
     injection tallies.  :meth:`begin_interval` advances the interval and
     plans its deliveries through :func:`_plan_deliveries`; the rest is
-    the executor's view (``current_level`` / ``try_resize`` /
-    ``set_balloon_limits``), with ``FaultyServer``'s resize chain and
-    balloon rejections.  The synthetic degraded fleet uses it as it is;
-    :class:`MaskedFaultDataPlane` adds engines.
+    the executor's array view: :meth:`try_resizes` runs
+    ``FaultyServer``'s resize chain on many rows at once and
+    :meth:`set_balloon_limits` its balloon rejections.  The synthetic
+    degraded fleet uses it as it is; :class:`MaskedFaultDataPlane` adds
+    engines.
     """
 
     def __init__(
@@ -932,37 +938,32 @@ class FaultPlane:
 
     # -- actuation surface (the executor's view) ---------------------------
 
-    def current_level(self, r: int) -> int:
-        return int(self.level[r])
+    def try_resizes(self, rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """``FaultyServer.set_container`` on each of the distinct ``rows``.
 
-    def try_resize(self, r: int, level: int) -> None:
-        """``FaultyServer.set_container`` for row ``r``.
-
-        A permanent rejection, then the interval's transient budget (both
-        raise), then a partial stall one level short of ``level``.
+        Per row: a permanent rejection, then the interval's transient
+        budget (neither moves the level), then a partial stall one level
+        short of ``levels``; a one-level resize that stalls does not
+        move.  Returns one :data:`RESIZE_OUTCOMES` code per row.
         """
-        current = int(self.level[r])
         i = self._index
-        if self.masks.permanent[r, i]:
-            self.failed_resizes[r] += 1
-            raise PermanentActuationError(
-                f"placement service rejected resize to "
-                f"{self.catalog.at_level(level).name}"
-            )
-        if self._transient_left[r] > 0:
-            self._transient_left[r] -= 1
-            self.failed_resizes[r] += 1
-            raise TransientActuationError(
-                f"placement service busy; resize to "
-                f"{self.catalog.at_level(level).name} not applied"
-            )
-        if self.masks.partial[r, i] and level != current:
-            self.partial_resizes[r] += 1
-            level -= 1 if level > current else -1
-            if level == current:
-                return  # A one-level resize that stalls "one short" does not move.
-        self.level[r] = level
-        self._apply_level(r)
+        current = self.level[rows]
+        permanent = self.masks.permanent[rows, i]
+        transient = ~permanent & (self._transient_left[rows] > 0)
+        rejected = permanent | transient
+        self._transient_left[rows[transient]] -= 1
+        self.failed_resizes[rows[rejected]] += 1
+        partial = ~rejected & self.masks.partial[rows, i] & (levels != current)
+        self.partial_resizes[rows[partial]] += 1
+        target = np.where(partial, levels - np.sign(levels - current), levels)
+        moves = ~rejected & ~(partial & (target == current))
+        self.level[rows[moves]] = target[moves]
+        self._apply_levels(rows[moves])
+        outcome = np.full(rows.size, _R_APPLIED, dtype=np.int8)
+        outcome[partial] = _R_PARTIAL
+        outcome[transient] = _R_TRANSIENT
+        outcome[permanent] = _R_PERMANENT
+        return outcome
 
     def set_balloon_limits(
         self, limits: np.ndarray, active: np.ndarray
@@ -981,18 +982,10 @@ class FaultPlane:
         self._apply_balloons(np.flatnonzero(applied))
         return failed
 
-    def set_balloon_limit(self, r: int, limit_gb: float | None) -> None:
-        """One row's cap, raising as ``FaultyServer.set_balloon_limit``."""
-        if limit_gb is not None and self.masks.balloon_fail[r, self._index]:
-            self.failed_balloons[r] += 1
-            raise TransientActuationError(_balloon_rejection(limit_gb))
-        self.balloon_limit_gb[r] = np.nan if limit_gb is None else limit_gb
-        self._apply_balloons((r,))
+    def _apply_levels(self, rows: np.ndarray) -> None:
+        """Hook: these rows' applied levels changed (no engine here)."""
 
-    def _apply_level(self, r: int) -> None:
-        """Hook: row ``r``'s applied level changed (no engine here)."""
-
-    def _apply_balloons(self, rows) -> None:
+    def _apply_balloons(self, rows: np.ndarray) -> None:
         """Hook: these rows' balloon caps were set (no engine here)."""
 
 
@@ -1006,10 +999,11 @@ class MaskedFaultDataPlane(FaultPlane):
     adds only what engines need: the servers, whose counters fill the
     planned waves, one corruption-mode RNG stream per tenant, the held
     (late) counters, and a mirror of every applied level and balloon cap
-    onto its server.  The plane starts at each server's container and
-    with no balloon cap, as every caller builds them.  Interval indexes
-    count ``run_interval_rows`` calls, exactly like the scalar wrapper
-    counts ``run_interval*`` calls.
+    onto its server.  :meth:`run_interval_rows` returns the plan beside
+    the deliveries, so callers walk its waves.  The plane starts at each
+    server's container and with no balloon cap, as every caller builds
+    them.  Interval indexes count ``run_interval_rows`` calls, exactly
+    like the scalar wrapper counts ``run_interval*`` calls.
     """
 
     def __init__(
@@ -1032,8 +1026,12 @@ class MaskedFaultDataPlane(FaultPlane):
 
     def run_interval_rows(
         self, rates_rows: Sequence[np.ndarray], active: np.ndarray
-    ) -> list[list[IntervalCounters]]:
-        """Run one interval on the ``active`` rows; deliveries per tenant."""
+    ) -> tuple[DeliveryPlan, list[list[IntervalCounters]]]:
+        """Run one interval on the ``active`` rows.
+
+        Returns the interval's plan and each tenant's deliveries, in the
+        order of the plan's waves.
+        """
         held = np.array([c is not None for c in self._held], dtype=bool)
         plan = self.begin_interval(active, held)
         fresh: dict[int, IntervalCounters] = {}
@@ -1057,10 +1055,11 @@ class MaskedFaultDataPlane(FaultPlane):
         # A late interval is held unperturbed; it surfaces next interval.
         for r in fresh:
             self._held[r] = fresh[r] if plan.late[r] else None
-        return out
+        return plan, out
 
-    def _apply_level(self, r: int) -> None:
-        self.servers[r].set_container(self.catalog.at_level(int(self.level[r])))
+    def _apply_levels(self, rows: np.ndarray) -> None:
+        for r in rows:
+            self.servers[r].set_container(self.catalog.at_level(int(self.level[r])))
 
     def _apply_balloons(self, rows) -> None:
         for r in rows:
@@ -1101,9 +1100,9 @@ class FleetChaosResult(NamedTuple):
 
 def _delivery_wave_arrays(
     deliveries_rows: Sequence[Sequence[IntervalCounters]],
+    goal: LatencyGoal | None,
     wave: int,
     present: np.ndarray,
-    goal: LatencyGoal | None,
 ) -> dict:
     """Extract one wave's decide_wave inputs from per-tenant deliveries.
 
@@ -1148,31 +1147,33 @@ def _delivery_wave_arrays(
     return out
 
 
-def _drive_interval(
+def _decide_waves(
     scaler: DegradedVectorizedAutoScaler,
-    deliveries_rows: Sequence[Sequence[IntervalCounters]],
-    goal: LatencyGoal | None,
+    plan: DeliveryPlan,
+    wave_inputs: Callable[[int, np.ndarray], dict],
 ) -> list[WaveDecisions]:
-    """All delivery waves of one interval, in scalar decide order."""
-    n = scaler.n_tenants
-    counts = np.array([len(d) for d in deliveries_rows], dtype=np.int64)
-    alive = ~scaler.dead
-    gap = alive & (counts == 0)
-    waves: list[WaveDecisions] = []
-    max_waves = int(counts.max(initial=0))
-    for wave in range(max(max_waves, 1)):
-        present = (counts > wave) & ~scaler.dead
-        if wave > 0 and not np.any(present):
+    """Decide one interval's delivery waves, in scalar decide order.
+
+    Each wave's present rows are its planned rows still alive, and the
+    first later wave with none ends the interval.  Wave 0 also carries
+    the gap: the live rows with no delivery at all.  ``wave_inputs(w,
+    present)`` returns wave ``w``'s delivery fields for
+    :meth:`DegradedVectorizedAutoScaler.decide_wave`.
+    """
+    gap = ~scaler.dead & ~plan.waves[0].present
+    decisions: list[WaveDecisions] = []
+    for w, wave in enumerate(plan.waves):
+        present = wave.present & ~scaler.dead
+        if w > 0 and not np.any(present):
             break
-        arrays = _delivery_wave_arrays(deliveries_rows, wave, present, goal)
-        waves.append(
+        decisions.append(
             scaler.decide_wave(
                 present=present,
-                gap=gap if wave == 0 else None,
-                **arrays,
+                gap=gap if w == 0 else None,
+                **wave_inputs(w, present),
             )
         )
-    return waves
+    return decisions
 
 
 def run_fleet_chaos(
@@ -1250,9 +1251,13 @@ def run_fleet_chaos(
     warmup_rates = [
         np.full(ticks, max(float(tr.rates[0]), tr.mean)) for tr in traces
     ]
+    def drive(rates) -> list[WaveDecisions]:
+        plan, deliveries = plane.run_interval_rows(rates, ~scaler.dead)
+        inputs = functools.partial(_delivery_wave_arrays, deliveries, goal)
+        return _decide_waves(scaler, plan, inputs)
+
     for _ in range(warmup):
-        deliveries = plane.run_interval_rows(warmup_rates, ~scaler.dead)
-        _drive_interval(scaler, deliveries, goal)
+        drive(warmup_rates)
         scaler.execute_interval(plane)
 
     containers: list[np.ndarray] = []
@@ -1260,11 +1265,9 @@ def run_fleet_chaos(
     all_waves: list[list[WaveDecisions]] = []
     reports: list[FleetActuationReports] = []
     for interval_index in range(n_intervals):
-        alive = ~scaler.dead
         rates = [loadgens[t].interval_rates(interval_index) for t in range(n)]
         containers.append(plane.level.copy())
-        deliveries = plane.run_interval_rows(rates, alive)
-        all_waves.append(_drive_interval(scaler, deliveries, goal))
+        all_waves.append(drive(rates))
         decided.append(scaler.level.copy())
         reports.append(scaler.execute_interval(plane))
         scaler.metrics.counter("fleet.chaos.intervals").inc()
@@ -1349,41 +1352,32 @@ class DegradedSyntheticFleet:
         """One billing interval: delivery waves + actuation."""
         scaler = self.scaler
         i = self.interval
-        alive = ~scaler.dead
-        plan = self.actuator.begin_interval(alive, self._held["present"])
+        plan = self.actuator.begin_interval(~scaler.dead, self._held["present"])
         fresh = {name: getattr(self.arrays, name)[i] for name in _INTERVAL_FIELDS}
         billed = scaler._costs[self.actuator.level]
         shift = np.where(plan.skew, self.masks.skew_magnitude[:, i], 0.0)
         start = i * _SYNTHETIC_INTERVAL_S - shift * _SYNTHETIC_INTERVAL_S
         end = (i + 1) * _SYNTHETIC_INTERVAL_S - shift * _SYNTHETIC_INTERVAL_S
-        gap = alive & ~plan.waves[0].present
         corrupt_reason = ("synthetic corruption flag",)
         held_index = self._held["index"]
-        waves = []
-        for w, wave in enumerate(plan.waves):
-            present = wave.present & ~scaler.dead
-            if w > 0 and not np.any(present):
-                break
-            use_held = wave.held
-            fields = {
-                name: np.where(use_held, self._held[name], fresh_col)
-                for name, fresh_col in fresh.items()
-            }
+
+        def wave_inputs(w: int, present: np.ndarray) -> dict:
+            use_held = plan.waves[w].held
             anomalous = plan.corrupt & ~use_held
-            reasons = {r: corrupt_reason for r in np.flatnonzero(anomalous)}
-            waves.append(
-                scaler.decide_wave(
-                    present=present,
-                    gap=gap if w == 0 else None,
-                    index=np.where(use_held, held_index, i),
-                    start_s=np.where(use_held, held_index * _SYNTHETIC_INTERVAL_S, start),
-                    end_s=np.where(use_held, (held_index + 1) * _SYNTHETIC_INTERVAL_S, end),
-                    anomalous=anomalous,
-                    anomaly_reasons=reasons,
-                    billed_cost=np.where(use_held, self._held["billed"], billed),
-                    **fields,
-                )
+            return dict(
+                index=np.where(use_held, held_index, i),
+                start_s=np.where(use_held, held_index * _SYNTHETIC_INTERVAL_S, start),
+                end_s=np.where(use_held, (held_index + 1) * _SYNTHETIC_INTERVAL_S, end),
+                anomalous=anomalous,
+                anomaly_reasons={r: corrupt_reason for r in np.flatnonzero(anomalous)},
+                billed_cost=np.where(use_held, self._held["billed"], billed),
+                **{
+                    name: np.where(use_held, self._held[name], fresh_col)
+                    for name, fresh_col in fresh.items()
+                },
             )
+
+        waves = _decide_waves(scaler, plan, wave_inputs)
 
         # Late deliveries are held clean (the scalar wrapper holds the
         # unperturbed counters); they surface next interval.

@@ -324,7 +324,8 @@ def batched_detect_trend(
         order = np.argsort(x_row, kind="stable")
         xs = x_row[order]
         n_finite_x = int(np.count_nonzero(np.isfinite(xs)))
-        x_span = xs[n_finite_x - 1] - xs[0] if n_finite_x else np.nan
+        with np.errstate(over="ignore"):
+            x_span = xs[n_finite_x - 1] - xs[0] if n_finite_x else np.nan
         if x_span > _MAGNITUDE_CAP:
             shared_x, x = False, np.broadcast_to(x, y.shape)
     if shared_x:
@@ -398,7 +399,8 @@ def batched_detect_trend(
             xb = np.where(finite, xb, np.nan)
             yb = np.where(finite, yb, np.nan)
         if not shared_x:
-            x_span = np.fmax.reduce(xb, axis=0) - np.fmin.reduce(xb, axis=0)
+            with np.errstate(over="ignore"):
+                x_span = np.fmax.reduce(xb, axis=0) - np.fmin.reduce(xb, axis=0)
         inexact = _inexact_columns(x_span, yb, lo, hi)
 
         # A slope is positive exactly when dy and dx share a sign, and for
@@ -487,10 +489,11 @@ def batched_detect_trend(
             # operands': the scalar reference decides them.
             at = rows.start + inexact
             x_at = np.broadcast_to(x, y.shape)[at]
-            (
-                slope[at], significant[at], agreement[at], n_points[at],
-                trend_sign[at],
-            ) = _trend_by_rows(x_at, y[at], alpha, min_points)
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                (
+                    slope[at], significant[at], agreement[at], n_points[at],
+                    trend_sign[at],
+                ) = _trend_by_rows(x_at, y[at], alpha, min_points)
             if wanted is not None:
                 slope[at[~wanted[at]]] = 0.0
     return BatchedTrend(slope, significant, agreement, n_points, trend_sign)

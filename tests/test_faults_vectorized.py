@@ -8,8 +8,10 @@ Two contracts:
   controller-kind exclusions;
 * the masks, applied by :class:`~repro.fleet.degraded.MaskedFaultDataPlane`,
   inject exactly what the scalar :class:`~repro.faults.chaos.FaultyServer`
-  injects — per kind, for a single tenant, delivery by delivery and
-  actuation call by actuation call.
+  injects — per kind, for a single tenant, delivery by delivery, and the
+  transient resize budget refills every interval.  The actuation kinds
+  are checked call by call in ``tests/test_fleet_fault_plane.py``, on
+  both planes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.engine.containers import default_catalog
 from repro.engine.resources import ResourceKind
 from repro.engine.server import DatabaseServer, EngineConfig
 from repro.engine.waits import WaitClass
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TransientActuationError
 from repro.faults.chaos import FaultyServer
 from repro.faults.schedule import (
     ACTUATION_KINDS,
@@ -38,7 +40,7 @@ from repro.faults.vectorized import (
     compile_schedules,
     corrupt_counters,
 )
-from repro.fleet.degraded import MaskedFaultDataPlane
+from repro.fleet.degraded import RESIZE_OUTCOMES, MaskedFaultDataPlane
 from repro.workloads import cpuio_workload
 
 from tests.helpers import make_interval_counters
@@ -283,7 +285,7 @@ class TestScalarRoundTrip:
         injected = 0
         for _ in range(self.N_INTERVALS):
             scalar_deliveries = scalar.run_interval_with_rates(rates)
-            vector_deliveries = plane.run_interval_rows([rates], active)[0]
+            _, (vector_deliveries,) = plane.run_interval_rows([rates], active)
             assert len(scalar_deliveries) == len(vector_deliveries)
             for a, b in zip(scalar_deliveries, vector_deliveries):
                 _counters_equal(a, b)
@@ -303,65 +305,6 @@ class TestScalarRoundTrip:
             if tally_kind is kind:
                 assert scalar_count == 3  # duration 2 + duration 1
 
-    @pytest.mark.parametrize(
-        "kind", ACTUATION_KINDS, ids=[k.value for k in ACTUATION_KINDS]
-    )
-    def test_actuation_kind_round_trip(self, kind):
-        schedule = _schedule_for(kind)
-        scalar, plane = self._pair(schedule)
-        rates = np.full(self.TICKS, 40.0)
-        active = np.array([True])
-        outcomes = []
-        for i in range(self.N_INTERVALS):
-            scalar.run_interval_with_rates(rates)
-            plane.run_interval_rows([rates], active)
-            # Alternate up / down two-level resizes plus a balloon poke,
-            # comparing outcome (exception type + message, resulting
-            # level) call by call.
-            target = 4 if i % 2 == 0 else 2
-            scalar_err = vector_err = None
-            try:
-                scalar.set_container(CATALOG.at_level(target))
-            except Exception as exc:  # noqa: BLE001 - compared below
-                scalar_err = f"{type(exc).__name__}: {exc}"
-            try:
-                plane.try_resize(0, target)
-            except Exception as exc:  # noqa: BLE001 - compared below
-                vector_err = f"{type(exc).__name__}: {exc}"
-            assert scalar_err == vector_err, f"interval {i}"
-            assert scalar.container.level == plane.current_level(0), (
-                f"interval {i}"
-            )
-            scalar_err = vector_err = None
-            try:
-                scalar.set_balloon_limit(1.5)
-            except Exception as exc:  # noqa: BLE001 - compared below
-                scalar_err = f"{type(exc).__name__}: {exc}"
-            try:
-                plane.set_balloon_limit(0, 1.5)
-            except Exception as exc:  # noqa: BLE001 - compared below
-                vector_err = f"{type(exc).__name__}: {exc}"
-            assert scalar_err == vector_err, f"interval {i}"
-            scalar.set_balloon_limit(None)
-            plane.set_balloon_limit(0, None)
-            outcomes.append(scalar_err)
-        assert (
-            scalar.failed_resizes,
-            scalar.partial_resizes,
-            scalar.failed_balloons,
-        ) == (
-            int(plane.failed_resizes[0]),
-            int(plane.partial_resizes[0]),
-            int(plane.failed_balloons[0]),
-        )
-        # The fault under test actually fired on both sides.
-        fired = (
-            scalar.failed_resizes
-            + scalar.partial_resizes
-            + scalar.failed_balloons
-        )
-        assert fired > 0
-
     def test_transient_budget_resets_every_interval(self):
         # magnitude=2 transients fail exactly two attempts per interval,
         # then succeed — and the budget refills on the next interval.
@@ -372,20 +315,22 @@ class TestScalarRoundTrip:
         scalar, plane = self._pair(schedule)
         rates = np.full(self.TICKS, 40.0)
         active = np.array([True])
+        row = np.array([0])
         for _ in range(2):
             scalar.run_interval_with_rates(rates)
             plane.run_interval_rows([rates], active)
             for attempt in range(3):
-                scalar_failed = vector_failed = False
+                scalar_failed = False
                 try:
                     scalar.set_container(CATALOG.at_level(3))
-                except Exception:  # noqa: BLE001 - outcome compared below
+                except TransientActuationError:
                     scalar_failed = True
-                try:
-                    plane.try_resize(0, 3)
-                except Exception:  # noqa: BLE001 - outcome compared below
-                    vector_failed = True
+                (code,) = plane.try_resizes(row, np.array([3]))
+                vector_failed = RESIZE_OUTCOMES[code] == "transient"
                 assert scalar_failed == vector_failed == (attempt < 2)
+                assert scalar.container.level == plane.level[0]
+                assert plane.servers[0].container.level == plane.level[0]
             # Reset for the next interval's budget check.
             scalar.set_container(CATALOG.at_level(2))
-            plane.try_resize(0, 2)
+            plane.try_resizes(row, np.array([2]))
+        assert scalar.failed_resizes == int(plane.failed_resizes[0]) == 4

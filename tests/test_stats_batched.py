@@ -13,6 +13,7 @@ Pearson reference, which sums in a different order.
 from __future__ import annotations
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -71,7 +72,8 @@ def _trend_reference(x, y, alpha=0.70, min_points=4):
     rows = []
     for xr, yr in zip(x, y):
         keep = np.isfinite(xr) & np.isfinite(yr)
-        rows.append(detect_trend(xr[keep], yr[keep], alpha, min_points))
+        with np.errstate(all="ignore"):  # extreme rows over- and underflow
+            rows.append(detect_trend(xr[keep], yr[keep], alpha, min_points))
     return BatchedTrend(
         np.array([r.slope for r in rows]),
         np.array([r.significant for r in rows]),
@@ -644,3 +646,31 @@ def test_trend_direction_and_median_rows_match_the_reference(inputs, data):
             out = batched_detect_trend(x, y, alpha=alpha, median_rows=median_rows)
         want = whole._replace(slope=np.where(mask, whole.slope, 0.0))
         _assert_bytes_equal(out, want)
+
+
+_EXTREME_ROW = np.array([1.0, 1e308, 2.0, -1e308, 3.0, 4.0, 5.0, 6.0])
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        # Per-row clocks whose span overflows.
+        (np.array([[-1e308, 1e308]]), np.array([[0.0, 1.0]])),
+        (np.linspace(-1.0, 1.0, 8)[None, :] * 1e308, _EXTREME_ROW[None, :]),
+        # A shared clock whose span overflows.
+        (np.linspace(-1.0, 1.0, 8) * 1e308, np.arange(16.0).reshape(2, 8)),
+        # An ordinary clock against a row the scalar reference decides.
+        (np.arange(8.0), np.stack([_EXTREME_ROW, np.arange(8.0)])),
+    ],
+    ids=["row-span-2", "row-span-8", "shared-span", "extreme-row"],
+)
+def test_extreme_rows_and_clocks_raise_no_floating_point_warning(x, y):
+    """Extreme magnitudes stay inside the kernel's errstate.
+
+    Their outputs equal the scalar reference's, and no overflow or
+    invalid-operation warning escapes the call.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = batched_detect_trend(x, y)
+    _assert_fields_equal(out, _trend_reference(x, y))
