@@ -13,9 +13,9 @@ Three subcommands mirror the repository's main activities:
   ``explain``);
 * ``repro fleet report`` — record (or load) a columnar fleet trace and
   render the fleet-wide summary as JSON or markdown;
-* ``repro fleet sweep`` — time a vectorized fleet sweep (open- or
-  closed-loop; closed-loop sweeps optionally sharded across processes)
-  and emit the timing/actuation digest as JSON;
+* ``repro fleet sweep`` — time a closed-loop vectorized fleet sweep
+  (optionally sharded across processes) and emit the timing/actuation
+  digest as JSON;
 * ``repro serve`` — run the durable controller service over a seeded
   multi-tenant fleet, checkpointing each interval (optionally killing
   and restoring the controller at chosen intervals);
@@ -32,7 +32,7 @@ Examples::
     python -m repro.cli fleet report --tenants 8 --intervals 24 \\
         --save-store fleet.npz
     python -m repro.cli fleet sweep --tenants 50000 --intervals 20 \\
-        --closed-loop --max-rss-gb 2
+        --max-rss-gb 2
     python -m repro.cli trace explain --store fleet.npz --tenant 3 --interval 9
     python -m repro.cli serve --tenants 4 --intervals 20 \\
         --checkpoint-dir ckpts --kill-at 7,13
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = fleet_sub.add_parser(
         "sweep",
-        help="run a vectorized fleet sweep (optionally closed-loop and "
+        help="run a closed-loop vectorized fleet sweep (optionally "
         "sharded) and print the timing/actuation digest as JSON",
     )
     sweep.add_argument("--tenants", type=int, default=100_000)
@@ -217,23 +217,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="latency goal for the sweep (<= 0 disables the goal)",
     )
     sweep.add_argument(
-        "--closed-loop", action="store_true",
-        help="synthesize each interval from the tenants' current container "
-        "levels so decisions feed back into the workload",
-    )
-    sweep.add_argument(
         "--shards", type=int, default=1,
-        help="worker processes (closed-loop only); shards are "
-        "seed-consistent with the unsharded run",
+        help="worker processes; shards are seed-consistent with the "
+        "unsharded run",
     )
     sweep.add_argument(
         "--max-rss-gb", type=float, default=None,
         help="fail (exit 1) if peak RSS exceeds this many GB "
-        "(sharded sweeps: the widest shard's peak)",
+        "(sharded sweeps: the largest worker's peak)",
     )
     sweep.add_argument(
         "--max-interval-s", type=float, default=None,
-        help="fail (exit 1) if the steady-state mean s/interval exceeds this",
+        help="fail (exit 1) if the steady-state mean s/interval exceeds "
+        "this (sharded sweeps: each interval's slowest shard)",
     )
     sweep.add_argument(
         "--out", type=str, default=None,
@@ -523,7 +519,7 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.fleet.vectorized import run_synthetic_sweep, sharded_synthetic_sweep
+    from repro.fleet.vectorized import run_synthetic_sweep
 
     if args.tenants < 1 or args.intervals < 1:
         print("fleet sweep: --tenants and --intervals must be >= 1",
@@ -532,26 +528,13 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("fleet sweep: --shards must be >= 1", file=sys.stderr)
         return 2
-    if args.shards > 1 and not args.closed_loop:
-        print("fleet sweep: --shards needs --closed-loop", file=sys.stderr)
-        return 2
-    goal_ms = args.goal_ms if args.goal_ms > 0 else None
-    if args.shards > 1:
-        digest = sharded_synthetic_sweep(
-            args.tenants,
-            args.intervals,
-            seed=args.seed,
-            n_shards=args.shards,
-            goal_ms=goal_ms,
-        )
-    else:
-        digest = run_synthetic_sweep(
-            args.tenants,
-            args.intervals,
-            seed=args.seed,
-            goal_ms=goal_ms,
-            closed_loop=args.closed_loop,
-        )
+    digest = run_synthetic_sweep(
+        args.tenants,
+        args.intervals,
+        seed=args.seed,
+        goal_ms=args.goal_ms if args.goal_ms > 0 else None,
+        n_shards=args.shards,
+    )
     rendered = json.dumps(digest, indent=2, sort_keys=True, default=float) + "\n"
     if args.out:
         Path(args.out).write_text(rendered)
@@ -559,22 +542,15 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(rendered)
     failures = []
-    if args.max_rss_gb is not None:
-        if "peak_rss_gb" in digest:
-            peak = digest["peak_rss_gb"]
-        else:  # sharded digest: the high-water mark is the widest shard
-            peak = max(s["peak_rss_gb"] for s in digest["shards"])
-        if peak > args.max_rss_gb:
-            failures.append(
-                f"peak RSS {peak:.2f} GB exceeds ceiling {args.max_rss_gb} GB"
-            )
+    peak = digest["peak_rss_gb"]
+    if args.max_rss_gb is not None and peak > args.max_rss_gb:
+        failures.append(
+            f"peak RSS {peak:.2f} GB exceeds ceiling {args.max_rss_gb} GB"
+        )
     if args.max_interval_s is not None:
-        if "per_interval_s" in digest:
-            per = digest["per_interval_s"]
-            steady = per[1:] if len(per) > 1 else per
-            mean_s = sum(steady) / len(steady)
-        else:
-            mean_s = digest["wall_per_interval_s"]
+        per = digest["per_interval_s"]
+        steady = per[1:] if len(per) > 1 else per
+        mean_s = sum(steady) / len(steady)
         if mean_s > args.max_interval_s:
             failures.append(
                 f"mean {mean_s:.3f} s/interval exceeds ceiling "

@@ -42,7 +42,6 @@ from repro.fleet.vectorized import (
     estimate_fleet,
     replay_decisions,
     run_synthetic_sweep,
-    sharded_synthetic_sweep,
     synthesize_fleet_telemetry,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "estimate_fleet",
     "replay_decisions",
     "run_synthetic_sweep",
-    "sharded_synthetic_sweep",
     "synthesize_fleet_telemetry",
     "ChangeEventStats",
     "FleetDemandAnalysis",

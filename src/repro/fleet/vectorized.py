@@ -105,7 +105,6 @@ __all__ = [
     "replay_decisions",
     "synthesize_fleet_telemetry",
     "run_synthetic_sweep",
-    "sharded_synthetic_sweep",
 ]
 
 K = len(SCALABLE_KINDS)  # resource dimensions, in SCALABLE_KINDS order
@@ -2112,74 +2111,105 @@ def _peak_rss_gb() -> float:
     return rss / (1024.0**2)
 
 
+def _sweep_rows(
+    lo: int,
+    hi: int,
+    n_total: int,
+    n_intervals: int,
+    seed: int,
+    goal_ms: float | None,
+) -> dict:
+    """Drive rows ``[lo, hi)`` of an ``n_total``-wide closed-loop fleet.
+
+    Generation is outside the timed window; only ``decide_batch`` is
+    measured.  Returns the rows' unmerged tallies.
+    """
+    from repro.engine.containers import default_catalog
+
+    catalog = default_catalog()
+    goal = LatencyGoal(goal_ms) if goal_ms is not None else None
+    synth = ClosedLoopFleetSynthesizer(n_total, catalog, seed, lo=lo, hi=hi)
+    scaler = VectorizedAutoScaler(
+        catalog, hi - lo, goal=goal, record_actions=False
+    )
+    per_interval = []
+    for i in range(n_intervals):
+        fields = synth.interval(i, scaler.level, scaler.balloon_limit_gb)
+        start = time.perf_counter()
+        scaler.decide_batch(float(i), **fields)
+        per_interval.append(time.perf_counter() - start)
+    return {
+        "per_interval_s": per_interval,
+        "budget_spent": float(scaler._spent.sum()),
+        "actuation": dict(scaler.action_counts),
+        "level_hist": np.bincount(scaler.level, minlength=catalog.num_levels),
+        "peak_rss_gb": _peak_rss_gb(),
+    }
+
+
 def run_synthetic_sweep(
     n_tenants: int,
     n_intervals: int,
     seed: int = 7,
     *,
     goal_ms: float | None = 100.0,
-    closed_loop: bool = False,
-    lo: int = 0,
-    n_total: int | None = None,
+    n_shards: int = 1,
 ) -> dict:
-    """Time a vectorized fleet sweep over seeded synthetic telemetry.
+    """Time a closed-loop vectorized fleet sweep over synthetic telemetry.
 
-    Returns per-interval wall-clock (the acceptance metric for the
-    100k/1M-tenant sweeps) plus a decision digest so results are
-    comparable across runs.  The engine runs the default catalog and
-    thresholds and records no per-tenant action lists.
+    Each interval's telemetry comes from a
+    :class:`ClosedLoopFleetSynthesizer` rendered against the controller's
+    own levels and balloon limits, so the sweep exercises actuation
+    (resizes, budget spend, balloon transitions).  The engine runs the
+    default catalog and thresholds and records no per-tenant action
+    lists.  Returns per-interval ``decide_batch`` wall-clock (the
+    acceptance metric for the 100k/1M-tenant sweeps) plus a decision
+    digest so results are comparable across runs.
 
-    By default the telemetry is :func:`synthesize_fleet_telemetry`'s
-    pre-built open-loop streams, which never react to the controller, so
-    the fleet settles into holds.  ``closed_loop=True`` swaps them for the
-    :class:`ClosedLoopFleetSynthesizer`, whose telemetry reacts to the
-    controller's own levels and balloon limits — this is the mode that
-    exercises actuation (resizes, budget spend, balloon transitions).
-    Generation is excluded from the timed window either way; only
-    ``decide_batch`` is measured.  ``lo``/``n_total`` place this engine
-    at rows ``[lo, lo+n_tenants)`` of an ``n_total``-wide closed-loop
-    fleet, which is how :func:`sharded_synthetic_sweep` keeps shard
-    telemetry identical to an unsharded run.
+    ``n_shards > 1`` splits the rows over that many forked worker
+    processes.  The synthesizer draws at full fleet width and slices, so
+    every decision, and the merged digest, equals the unsharded run's
+    (``budget_spent`` up to floating-point summation order).  The shards
+    run side by side, so for a sharded run ``per_interval_s[i]`` is the
+    slowest shard's ``decide_batch`` time for interval ``i``, and
+    ``peak_rss_gb`` is the largest worker's high-water RSS.
     """
-    from repro.engine.containers import default_catalog
+    import multiprocessing as mp
 
-    catalog = default_catalog()
-    goal = LatencyGoal(goal_ms) if goal_ms is not None else None
-    synth = data = None
-    if closed_loop:
-        total = n_total if n_total is not None else lo + n_tenants
-        synth = ClosedLoopFleetSynthesizer(
-            total, catalog, seed, lo=lo, hi=lo + n_tenants
-        )
+    if n_tenants < 1 or n_shards < 1:
+        raise ValueError("n_tenants and n_shards must be >= 1")
+    cuts = [n_tenants * k // n_shards for k in range(n_shards + 1)]
+    jobs = [
+        (lo, hi, n_tenants, n_intervals, seed, goal_ms)
+        for lo, hi in zip(cuts, cuts[1:])
+        if lo < hi
+    ]
+    if len(jobs) == 1:
+        shards = [_sweep_rows(*jobs[0])]
     else:
-        data = synthesize_fleet_telemetry(n_tenants, n_intervals, seed)
-    scaler = VectorizedAutoScaler(
-        catalog, n_tenants, goal=goal, record_actions=False
-    )
-    per_interval = []
-    resizes = 0
-    for i in range(n_intervals):
-        if synth is not None:
-            fields = synth.interval(i, scaler.level, scaler.balloon_limit_gb)
-        else:
-            fields = {name: getattr(data, name)[i] for name in _INTERVAL_FIELDS}
-        start = time.perf_counter()
-        decision = scaler.decide_batch(float(i), **fields)
-        per_interval.append(time.perf_counter() - start)
-        resizes += int(np.count_nonzero(decision.resized))
-    level_hist = np.bincount(scaler.level, minlength=catalog.num_levels)
-    counts = dict(scaler.action_counts)
+        ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else None
+        )
+        with ctx.Pool(processes=len(jobs)) as pool:
+            shards = pool.starmap(_sweep_rows, jobs)
+    per_interval = np.max([s["per_interval_s"] for s in shards], axis=0)
+    counts = {
+        key: sum(s["actuation"][key] for s in shards)
+        for key in shards[0]["actuation"]
+    }
+    counts["intervals"] = n_intervals  # a per-engine tally, not per row
+    level_hist = np.sum([s["level_hist"] for s in shards], axis=0)
     return {
         "n_tenants": n_tenants,
         "n_intervals": n_intervals,
+        "n_shards": len(jobs),
         "seed": seed,
-        "closed_loop": closed_loop,
-        "total_s": float(sum(per_interval)),
+        "total_s": float(per_interval.sum()),
         "per_interval_s": [float(v) for v in per_interval],
-        "mean_interval_s": float(np.mean(per_interval)),
-        "max_interval_s": float(np.max(per_interval)),
-        "resizes": resizes,
-        "budget_spent": float(scaler._spent.sum()),
+        "mean_interval_s": float(per_interval.mean()),
+        "max_interval_s": float(per_interval.max()),
+        "resizes": counts["resizes"],
+        "budget_spent": float(sum(s["budget_spent"] for s in shards)),
         "balloon_transitions": int(
             counts["probe_started"]
             + counts["balloon_aborted"]
@@ -2187,83 +2217,5 @@ def run_synthetic_sweep(
         ),
         "actuation": counts,
         "final_level_histogram": [int(v) for v in level_hist],
-        "peak_rss_gb": _peak_rss_gb(),
-    }
-
-
-def _shard_bounds(n_tenants: int, n_shards: int) -> list[tuple[int, int]]:
-    sizes = [n_tenants // n_shards] * n_shards
-    for i in range(n_tenants % n_shards):
-        sizes[i] += 1
-    bounds, lo = [], 0
-    for size in sizes:
-        if size > 0:
-            bounds.append((lo, lo + size))
-            lo += size
-    return bounds
-
-
-def _run_shard(args: tuple) -> dict:
-    lo, hi, n_total, n_intervals, seed, goal_ms = args
-    return run_synthetic_sweep(
-        hi - lo,
-        n_intervals,
-        seed=seed,
-        goal_ms=goal_ms,
-        closed_loop=True,
-        lo=lo,
-        n_total=n_total,
-    )
-
-
-def sharded_synthetic_sweep(
-    n_tenants: int,
-    n_intervals: int,
-    seed: int = 7,
-    *,
-    n_shards: int = 4,
-    goal_ms: float | None = 100.0,
-) -> dict:
-    """Split a closed-loop fleet sweep across processes.
-
-    Tenants are independent, so the sweep is embarrassingly parallel:
-    each shard runs rows ``[lo, hi)`` of one global closed-loop fleet and
-    regenerates its slice locally.  The synthesizer draws at full fleet
-    width and slices, so shard telemetry, and therefore every shard
-    decision, equals the same rows of
-    ``run_synthetic_sweep(..., closed_loop=True)``.  Open-loop telemetry
-    is not sharded: it never reacts to the controller, so it has no
-    actuation to spread over workers.
-    """
-    import multiprocessing as mp
-
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    bounds = _shard_bounds(n_tenants, n_shards)
-    jobs = [
-        (lo, hi, n_tenants, n_intervals, seed, goal_ms) for lo, hi in bounds
-    ]
-    start = time.perf_counter()
-    if len(jobs) == 1:
-        results = [_run_shard(jobs[0])]
-    else:
-        ctx = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else None
-        )
-        with ctx.Pool(processes=len(jobs)) as pool:
-            results = pool.map(_run_shard, jobs)
-    wall = time.perf_counter() - start
-    return {
-        "n_tenants": n_tenants,
-        "n_intervals": n_intervals,
-        "n_shards": len(bounds),
-        "closed_loop": True,
-        "wall_s": float(wall),
-        "wall_per_interval_s": float(wall / n_intervals),
-        "resizes": int(sum(r["resizes"] for r in results)),
-        "budget_spent": float(sum(r["budget_spent"] for r in results)),
-        "balloon_transitions": int(
-            sum(r["balloon_transitions"] for r in results)
-        ),
-        "shards": results,
+        "peak_rss_gb": max(s["peak_rss_gb"] for s in shards),
     }

@@ -239,6 +239,50 @@ class FleetTraceStore:
         return cls(config=config, arrays=arrays, actions=actions)
 
 
+#: Per-interval columns the fleet SLO inputs derive from, in
+#: :func:`_observe_health` argument order.
+_HEALTH_COLUMNS = (
+    "wait_ms", "clamp_zero", "budget_forced", "suppressed", "tripped"
+)
+
+
+def _observe_health(
+    monitor: "FleetHealthMonitor",
+    interval: int,
+    wait_ms,
+    clamp_zero,
+    budget_forced,
+    suppressed,
+    tripped,
+) -> None:
+    """Feed one interval's columns to ``monitor`` as SLO inputs.
+
+    The live recorder and :func:`fleet_report` both go through here, so
+    a report re-derived from a store equals the live monitor's summary.
+    """
+    wait_ms = np.asarray(wait_ms, dtype=float)
+    never = np.zeros(wait_ms.shape[1], dtype=bool)
+    monitor.observe(
+        interval,
+        throttling_ms=wait_ms.sum(axis=0),
+        budget_exhausted=clamp_zero | budget_forced,
+        resize_failed=never,
+        oscillating=suppressed | tripped,
+        safe_mode=never,
+    )
+
+
+def _rules_fired(rules) -> dict[str, int]:
+    """Nonzero fire counts per rule id, sorted by id."""
+    counts = np.bincount(np.asarray(rules).ravel(), minlength=len(RULE_NAMES))
+    fired = {
+        str(RULE_NAMES[code]): int(count)
+        for code, count in enumerate(counts)
+        if code > 0 and count > 0
+    }
+    return dict(sorted(fired.items()))
+
+
 class FleetTraceRecorder:
     """Columnar per-interval recorder for a :class:`VectorizedAutoScaler`.
 
@@ -255,21 +299,15 @@ class FleetTraceRecorder:
             never O(tenants)).
         health: optional :class:`FleetHealthMonitor` fed per-interval
             SLO inputs derived from the columns.
-        capture_aux: also keep the reconstruction-aux columns staged via
-            :meth:`stage_aux` (utilization fractions, lock/system waits,
-            completions).  :func:`explain` needs them for byte-exact
-            counter rebuilds; the overhead benchmark turns them off.
     """
 
     def __init__(
         self,
         tracer: Tracer | None = None,
         health: "FleetHealthMonitor | None" = None,
-        capture_aux: bool = True,
     ) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.health = health
-        self.capture_aux = capture_aux
         self._scaler: VectorizedAutoScaler | None = None
         self._config: dict | None = None
         self._staged_aux: dict | None = None
@@ -344,11 +382,11 @@ class FleetTraceRecorder:
     def stage_aux(self, aux: dict) -> None:
         """Stage the next interval's reconstruction-aux arrays.
 
-        Called by the replay/record driver *before* ``decide_batch``;
-        ignored when ``capture_aux`` is off.
+        Called by the replay/record driver *before* ``decide_batch``.
+        The utilization fractions, lock/system waits and completions land
+        as columns :func:`explain` needs for byte-exact counter rebuilds.
         """
-        if self.capture_aux:
-            self._staged_aux = aux
+        self._staged_aux = aux
 
     # -- the per-interval hook (called from decide_batch) ------------------
 
@@ -376,7 +414,7 @@ class FleetTraceRecorder:
 
         aux = self._staged_aux
         self._staged_aux = None
-        if self.capture_aux and aux is not None:
+        if aux is not None:
             push("util_frac", aux["util_frac"])
             push("completions", aux["completions"])
             for name in _AUX_TENANT_COLUMNS:
@@ -384,15 +422,8 @@ class FleetTraceRecorder:
 
         interval = int(payload["t"])
         if self.health is not None:
-            wait_ms = np.asarray(payload["wait_ms"], dtype=float)
-            self.health.observe(
-                interval,
-                throttling_ms=wait_ms.sum(axis=0),
-                budget_exhausted=payload["clamp_zero"]
-                | payload["budget_forced"],
-                resize_failed=np.zeros(wait_ms.shape[1], dtype=bool),
-                oscillating=payload["suppressed"] | payload["tripped"],
-                safe_mode=np.zeros(wait_ms.shape[1], dtype=bool),
+            _observe_health(
+                self.health, interval, *(payload[k] for k in _HEALTH_COLUMNS)
             )
         if self.tracer.enabled:
             self._emit_interval_event(interval, payload)
@@ -400,12 +431,6 @@ class FleetTraceRecorder:
     def _emit_interval_event(self, interval: int, payload: dict) -> None:
         """One aggregate-only FLEET_INTERVAL event (never O(tenants))."""
         rules = np.asarray(payload["rules"])
-        rule_counts = np.bincount(rules.ravel(), minlength=len(RULE_NAMES))
-        fired = {
-            str(RULE_NAMES[code]): int(count)
-            for code, count in enumerate(rule_counts)
-            if code > 0 and count > 0
-        }
         level_hist = np.bincount(
             np.asarray(payload["level_after"]), minlength=self._n_levels
         )
@@ -431,7 +456,7 @@ class FleetTraceRecorder:
             budget_clamp_depth=int(np.count_nonzero(payload["clamp_depth"])),
             tokens_total=float(np.sum(payload["tokens"])),
             spent_total=float(np.sum(payload["spent"])),
-            rules_fired=dict(sorted(fired.items())),
+            rules_fired=_rules_fired(rules),
             level_histogram=[int(v) for v in level_hist],
         )
 
@@ -773,12 +798,8 @@ def fleet_metrics_registry(store: FleetTraceStore) -> MetricsRegistry:
         int(np.count_nonzero(arrays["suppressed"]))
         + int(np.count_nonzero(arrays["tripped"])),
     )
-    rule_counts = np.bincount(rules.ravel(), minlength=len(RULE_NAMES))
-    for code, count in enumerate(rule_counts):
-        if code > 0 and count:
-            registry.counter(f"estimator.rule.{RULE_NAMES[code]}").inc(
-                float(count)
-            )
+    for rule, count in _rules_fired(rules).items():
+        registry.counter(f"estimator.rule.{rule}").inc(float(count))
     _histogram_from_values(
         registry, "estimator.steps", STEP_BUCKETS, arrays["steps"]
     )
@@ -926,23 +947,11 @@ def fleet_report(store: FleetTraceStore) -> dict:
     arrays = store.arrays
     monitor = FleetHealthMonitor()
     for j in range(store.n_intervals):
-        wait_ms = arrays["wait_ms"][j]
-        monitor.observe(
+        _observe_health(
+            monitor,
             int(arrays["t"][j]),
-            throttling_ms=wait_ms.sum(axis=0),
-            budget_exhausted=arrays["clamp_zero"][j]
-            | arrays["budget_forced"][j],
-            resize_failed=np.zeros(store.n_tenants, dtype=bool),
-            oscillating=arrays["suppressed"][j] | arrays["tripped"][j],
-            safe_mode=np.zeros(store.n_tenants, dtype=bool),
+            *(arrays[k][j] for k in _HEALTH_COLUMNS),
         )
-    rules = np.asarray(arrays["rules"])
-    rule_counts = np.bincount(rules.ravel(), minlength=len(RULE_NAMES))
-    fired = {
-        str(RULE_NAMES[code]): int(count)
-        for code, count in enumerate(rule_counts)
-        if code > 0 and count > 0
-    }
     catalog_rows = store.config["catalog"]
     final_levels = np.asarray(arrays["level_after"][-1])
     level_hist = np.bincount(final_levels, minlength=len(catalog_rows))
@@ -966,7 +975,7 @@ def fleet_report(store: FleetTraceStore) -> dict:
             "scale_ups": int(np.count_nonzero(arrays["wants_up"])),
             "scale_downs": int(np.count_nonzero(arrays["shrink"])),
             "holds": int(np.count_nonzero(arrays["hold_help"])),
-            "rules_fired": dict(sorted(fired.items())),
+            "rules_fired": _rules_fired(arrays["rules"]),
             "final_level_histogram": [int(v) for v in level_hist],
         },
         "budget": {
@@ -1079,9 +1088,11 @@ def record_synthetic_fleet(
     """Run a seeded synthetic vectorized sweep under the recorder.
 
     The deterministic entry point behind ``repro fleet report`` and the
-    ``fleet_steady`` golden scenario: same telemetry generator as the
-    benchmark sweep, with the columnar pipeline (and optionally a tracer
-    plus health monitor) attached.  The engine runs the default catalog
+    ``fleet_steady`` golden scenario: open-loop
+    :func:`~repro.fleet.vectorized.synthesize_fleet_telemetry` streams
+    (the closed-loop ``run_synthetic_sweep`` does not use them), with the
+    columnar pipeline (and optionally a tracer plus health monitor)
+    attached.  The engine runs the default catalog
     and thresholds, records per-tenant action lists, and the recorder
     captures the auxiliary columns the drill-down replay needs.
     """

@@ -380,35 +380,21 @@ class TestFleetSweepCommand:
     def test_sharded_closed_loop_matches_unsharded_run(self, tmp_path):
         from repro.fleet.vectorized import run_synthetic_sweep
 
-        code, digest = self._sweep(
-            tmp_path, "--tenants", "300", "--closed-loop", "--shards", "3"
-        )
+        code, digest = self._sweep(tmp_path, "--tenants", "300", "--shards", "3")
         assert code == 0
-        whole = run_synthetic_sweep(300, 6, seed=7, closed_loop=True)
+        whole = run_synthetic_sweep(300, 6, seed=7)
         assert digest["n_shards"] == 3
-        assert digest["closed_loop"] is True
         assert digest["resizes"] == whole["resizes"] > 0
         assert digest["budget_spent"] == pytest.approx(
             whole["budget_spent"], rel=1e-12
         )
         assert digest["balloon_transitions"] == whole["balloon_transitions"]
-        summed = [
-            sum(column)
-            for column in zip(
-                *(s["final_level_histogram"] for s in digest["shards"])
-            )
-        ]
-        assert summed == whole["final_level_histogram"]
-
-    def test_shards_without_closed_loop_exit_2(self, tmp_path, capsys):
-        code, digest = self._sweep(tmp_path, "--tenants", "20", "--shards", "2")
-        assert code == 2
-        assert digest is None
-        assert "--shards needs --closed-loop" in capsys.readouterr().err
+        assert digest["final_level_histogram"] == whole["final_level_histogram"]
+        assert digest["actuation"] == whole["actuation"]
 
     @pytest.mark.parametrize(
         "flags",
-        [(), ("--closed-loop", "--shards", "2")],
+        [(), ("--shards", "2")],
         ids=["unsharded", "sharded"],
     )
     def test_rss_ceiling_exceeded_exits_1(self, tmp_path, capsys, flags):
@@ -418,3 +404,18 @@ class TestFleetSweepCommand:
         assert code == 1
         assert digest is not None
         assert "peak RSS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [(), ("--shards", "2")], ids=["unsharded", "sharded"]
+    )
+    @pytest.mark.parametrize(
+        "ceiling, want", [("1e-9", 1), ("1e9", 0)], ids=["exceeded", "held"]
+    )
+    def test_interval_ceiling(self, tmp_path, capsys, flags, ceiling, want):
+        code, digest = self._sweep(
+            tmp_path, "--tenants", "20", "--max-interval-s", ceiling, *flags
+        )
+        assert code == want
+        assert digest is not None
+        exceeded = "s/interval exceeds" in capsys.readouterr().err
+        assert exceeded == (want == 1)

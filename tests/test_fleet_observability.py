@@ -21,6 +21,7 @@ population-level metrics hooks.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from repro.errors import ConfigurationError
 from repro.fleet.chaos import chaos_sweep
 from repro.fleet.population import synthesize_population
 from repro.fleet.vectorized import VectorizedAutoScaler, replay_decisions
-from repro.obs.events import EventKind, TraceLevel
+from repro.obs.events import EventKind, TraceLevel, json_safe
 from repro.obs.exporters import (
     merge_snapshots,
     parse_prometheus,
@@ -383,6 +384,21 @@ def test_fleet_report_is_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     assert first["fleet"]["n_tenants"] == 8
     assert sum(first["decisions"]["final_level_histogram"]) == 8
+
+
+def test_live_recorder_agrees_with_fleet_report():
+    """The report re-derives health and rule counts the recorder saw live."""
+    tracer = Tracer(run_id="agree", level=TraceLevel.DECISION)
+    health = FleetHealthMonitor()
+    store = record_synthetic_fleet(12, 20, seed=7, tracer=tracer, health=health)
+    report = fleet_report(store)
+    assert health.summary()["intervals"] == 20
+    assert json_safe(health.summary()) == report["health"]
+
+    fired = Counter()
+    for event in tracer.events(kind=EventKind.FLEET_INTERVAL):
+        fired.update(event.fields["rules_fired"])
+    assert fired and dict(fired) == report["decisions"]["rules_fired"]
 
 
 def test_render_markdown_covers_sections():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.latency import LatencyGoal
@@ -22,7 +21,6 @@ from repro.fleet.vectorized import (
     ClosedLoopFleetSynthesizer,
     VectorizedAutoScaler,
     run_synthetic_sweep,
-    sharded_synthetic_sweep,
 )
 from repro.service import encode_state
 
@@ -31,8 +29,8 @@ from repro.service import encode_state
 
 
 def test_closed_loop_sweep_actuates():
-    digest = run_synthetic_sweep(400, 12, seed=7, closed_loop=True)
-    assert digest["closed_loop"] is True
+    digest = run_synthetic_sweep(400, 12, seed=7)
+    assert digest["n_shards"] == 1
     assert digest["resizes"] > 0
     assert digest["budget_spent"] > 0.0
     assert digest["balloon_transitions"] > 0
@@ -43,18 +41,15 @@ def test_closed_loop_sweep_actuates():
 
 def test_closed_loop_shards_match_unsharded_run():
     n_tenants, n_intervals, seed = 300, 10, 11
-    whole = run_synthetic_sweep(n_tenants, n_intervals, seed=seed, closed_loop=True)
-    sharded = sharded_synthetic_sweep(
-        n_tenants, n_intervals, seed=seed, n_shards=3
-    )
+    whole = run_synthetic_sweep(n_tenants, n_intervals, seed=seed)
+    sharded = run_synthetic_sweep(n_tenants, n_intervals, seed=seed, n_shards=3)
     assert sharded["n_shards"] == 3
     assert sharded["resizes"] == whole["resizes"]
     assert sharded["budget_spent"] == pytest.approx(whole["budget_spent"])
     assert sharded["balloon_transitions"] == whole["balloon_transitions"]
-    summed = np.sum(
-        [s["final_level_histogram"] for s in sharded["shards"]], axis=0
-    )
-    assert summed.tolist() == whole["final_level_histogram"]
+    assert sharded["final_level_histogram"] == whole["final_level_histogram"]
+    assert sharded["actuation"] == whole["actuation"]
+    assert len(sharded["per_interval_s"]) == n_intervals
 
 
 # -- checkpoint guard rails ----------------------------------------------------
