@@ -1,53 +1,37 @@
 """Vectorized degraded-mode fleet path: guards, safe mode, and the
 circuit breaker as struct-of-arrays ops.
 
-The healthy vectorized engine (:mod:`repro.fleet.vectorized`) covers the
-lock-step fleet sweep; under fault injection tenants fall out of step —
-deliveries drop, arrive late or twice, carry corrupt counters or skewed
-clocks, and resizes fail.  The scalar control plane handles all of that
+Under fault injection tenants fall out of the healthy engine's lock
+step: deliveries drop, arrive late or twice, carry corrupt counters or
+skewed clocks, and resizes fail.  The scalar control plane handles that
 with per-tenant objects (:class:`~repro.core.telemetry_guard.TelemetryGuard`,
-:class:`~repro.core.resize_executor.ResizeExecutor`); this module runs the
-*same* degraded control loop for the whole fleet at once:
+:class:`~repro.core.resize_executor.ResizeExecutor`); this module runs
+the *same* degraded loop for the whole fleet at once:
 
-* :class:`DegradedVectorizedAutoScaler` — guard admission verdicts,
-  safe-mode gating, the refund drain, and the resize executor's retry /
-  backoff / circuit-breaker state, all as ``(T,)`` numpy arrays.  The
-  rest is the healthy engine's: the per-row telemetry rings and the
-  observe helper that feeds them, the ledger charge, and the decision
-  body (balloon, scaling, damper, budget enforcement), run over each
-  wave's row mask.  Actuation runs as array ops too: one resize pass
-  per attempt number over the rows still retrying; only strings and
-  each tenant's own backoff-jitter draw touch a single row.
-* **Waves** — one billing interval delivers 0..3 counters per tenant
-  (held + fresh + duplicate).  :meth:`decide_wave` consumes one delivery
-  *wave*: a boolean ``present`` mask plus per-tenant field arrays.  Each
-  wave is the vectorized form of one ``AutoScaler.decide`` call per
-  participating tenant, so per-tenant decision order is preserved.  Both
-  drivers run one wave loop, :func:`_decide_waves`, over the planned
-  waves.
-* :func:`repro.faults.vectorized.compile_schedules` turns the per-tenant
-  :class:`~repro.faults.schedule.FaultSchedule` s into ``(T, I)`` masks
-  that one :class:`FaultPlane` applies at the fleet's telemetry /
-  actuation boundary — the scalar :class:`~repro.faults.chaos.FaultyServer`
-  semantics (priority order, delivery waves, held deliveries,
-  per-interval transient budgets, the resize chain, injection tallies)
-  written once for both degraded sweeps.  :class:`MaskedFaultDataPlane`
-  adds engines and their corruption-mode RNG streams;
-  :class:`DegradedSyntheticFleet` feeds the same waves from arrays.
+* :class:`DegradedVectorizedAutoScaler` adds guard verdicts, safe mode,
+  the refund drain and the executor's retry / backoff / breaker state as
+  ``(T,)`` arrays to the healthy engine's rings, ledger charge and
+  decision body, and actuates the fleet as array ops.
+* **Waves** — an interval delivers 0..3 counters per tenant (held +
+  fresh + duplicate), one per delivery *wave*.  :func:`_decide_waves`
+  admits every wave in order (guard, ledger, rings), then decides once:
+  one signal read and one masked decision body for every row that owes
+  one.  A row owing a decision whose next delivery would act takes it
+  first, in a second pass over those rows only, so each tenant keeps
+  its scalar decision order.
+* One :class:`FaultPlane` applies the compiled ``(T, I)`` fault masks at
+  the telemetry / actuation boundary with
+  :class:`~repro.faults.chaos.FaultyServer`'s semantics;
+  :class:`MaskedFaultDataPlane` adds engines and
+  :class:`DegradedSyntheticFleet` feeds the waves from arrays.
 
-Byte-identity contract: driven by :func:`run_fleet_chaos` with the same
-workload / trace / schedule / seeds, the fleet path reproduces ``N``
+Byte-identity contract: :func:`run_fleet_chaos` reproduces ``N``
 independent scalar :func:`~repro.harness.chaos.run_chaos` runs exactly —
-container levels, action lists, guard verdict tallies and reason strings,
-circuit states, the budget ledger including refunds, damper cooldowns,
-and safe-mode flags.  Held by ``tests/test_fleet_degraded_parity.py``
-across every fault kind, all config axes, and randomized seeded
-schedules.
-
-A tenant whose scalar twin would *raise* (budget exhaustion) is marked
-dead instead of aborting the fleet: its state freezes at the raise point
-(exactly where the scalar run stopped mutating) and the formatted error
-is reported per tenant in the scalar sweep's ``"Type: message"`` form.
+levels, action lists, guard tallies and reasons, circuit states, the
+ledger with refunds, damper cooldowns and safe-mode flags
+(``tests/test_fleet_degraded_parity.py``).  A tenant whose scalar twin
+would *raise* (budget exhaustion) is marked dead instead: its state
+freezes at the raise point and its error is kept as ``"Type: message"``.
 """
 
 from __future__ import annotations
@@ -125,6 +109,15 @@ _RESIZE_ERRORS = {
     "rejected resize to {}",
 }
 
+#: The telemetry actions that lead a wave's action list, in scalar order.
+_PREFIX = (
+    ActionKind.TELEMETRY_DISCARDED.value,
+    ActionKind.TELEMETRY_LATE.value,
+    ActionKind.TELEMETRY_QUARANTINED.value,
+    ActionKind.TELEMETRY_GAP.value,
+    ActionKind.SAFE_MODE.value,
+)
+
 #: The executor settings a fleet chooses; its backoff schedule and the
 #: guard's tunables are the scalar defaults, so checkpoints omit them.
 _EXECUTOR_OPTIONS = ("max_attempts", "failure_threshold", "open_intervals")
@@ -156,12 +149,11 @@ _DEGRADED_ARRAYS = (
 class WaveDecisions(NamedTuple):
     """One delivery wave's fleet decisions.
 
-    ``participants`` marks rows that completed a decision this wave (a
-    delivery or, on wave 0, a telemetry gap); ``died`` marks rows whose
-    scalar twin would have raised mid-decide.  ``level`` / ``resized`` /
-    ``balloon_limit_gb`` cover the whole fleet (non-participants simply
-    keep their previous values); ``actions`` is per-tenant ordered
-    action-kind values, ``None`` for non-participants.
+    ``participants`` marks rows with a delivery (or, on wave 0, a gap)
+    this wave; ``died`` rows whose scalar twin would have raised.
+    ``level`` / ``resized`` / ``balloon_limit_gb`` cover the whole fleet;
+    ``actions`` holds each tenant's ordered action values, ``None`` for
+    non-participants.
     """
 
     participants: np.ndarray  # (T,) bool
@@ -191,33 +183,45 @@ class FleetActuationReports(NamedTuple):
     explanations: tuple
 
 
+class _OwedDecisions:
+    """One interval's admitted waves and the decisions they still owe.
+
+    ``full`` / ``held`` mark rows owing a full or a held decision, ``wave``
+    the wave it is owed to, ``inputs`` a full decision's raw util /
+    disk-read / memory columns.  ``waves`` keeps each wave's participants,
+    deaths and action prefix, ``passes`` each decision pass's rows, their
+    waves, its decision and the caps it left; ``level`` /
+    ``balloon_limit_gb`` are the values before the first pass.
+    """
+
+    def __init__(self, scaler: DegradedVectorizedAutoScaler) -> None:
+        n = scaler.n_tenants
+        self.level = scaler.level.copy()
+        self.balloon_limit_gb = scaler.balloon_limit_gb.copy()
+        self.full = np.zeros(n, dtype=bool)
+        self.held = np.zeros(n, dtype=bool)
+        self.wave = np.zeros(n, dtype=np.int64)
+        self.inputs = (np.zeros((K, n)), np.full(n, np.nan), np.full(n, np.nan))
+        self.waves: list[tuple] = []
+        self.passes: list[tuple] = []
+
+
 class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
     """The degraded-mode control plane as struct-of-arrays state.
 
-    Extends the healthy engine with the per-tenant state the scalar path
-    keeps in ``TelemetryGuard`` / ``AutoScaler`` safe mode /
-    ``ResizeExecutor``:
+    Adds to the healthy engine what the scalar path keeps in
+    ``TelemetryGuard`` / ``AutoScaler`` safe mode / ``ResizeExecutor``:
+    guard sequencing (``expected_next`` with -1 as None, missing-interval
+    sets, the last admitted end) and tallies; safe-mode flags and
+    reasons; one pending refund per tenant (exact: only passive
+    decisions skip settlement, and they never schedule one); and the
+    breaker state, retry tallies and one backoff-jitter stream per
+    tenant.  The guard's tunables and the backoff schedule are the scalar
+    defaults; the scalar executor validates the three options.
 
-    * guard sequencing (``expected_next`` with -1 as the scalar's None,
-      missing-interval sets, last admitted end timestamp) and tallies;
-    * safe-mode flags and reasons;
-    * the pending-refund ledger (the scalar holds at most one pending
-      refund between settlements — passive decisions, the only
-      no-settle intervals, request the current container and therefore
-      never schedule one — so a single float per tenant is exact);
-    * circuit-breaker state, retry tallies, and one backoff-jitter RNG
-      stream per tenant (``ResizeExecutor``'s own seeds).
-
-    Drive it with :meth:`decide_wave` (one call per delivery wave, plus
-    the wave-0 gap mask) and :meth:`execute_interval` (once per billing
-    interval).  Both engines share the telemetry rings, the observe
-    helper, the ledger charge and the decision body; the healthy entry
+    Per interval: :func:`_decide_waves` (:meth:`decide_wave` is its
+    one-wave case), then :meth:`execute_interval`.  The healthy entry
     points :meth:`decide_batch` and :meth:`attach_recorder` raise here.
-
-    The guard's tunables and the executor's backoff schedule are the
-    scalar :class:`TelemetryGuard` and :class:`ResizeExecutor` defaults;
-    ``max_attempts``, ``failure_threshold`` and ``open_intervals`` are
-    validated by the scalar executor itself.
     """
 
     def __init__(
@@ -280,6 +284,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
 
         self._dead = np.zeros(n_tenants, dtype=bool)
         self._dead_error: list[str | None] = [None] * n_tenants
+        self._owed: _OwedDecisions | None = None
 
     # -- convenience views -------------------------------------------------
 
@@ -323,7 +328,13 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
 
     # -- the wave loop -----------------------------------------------------
 
-    def decide_wave(
+    def decide_wave(self, **wave) -> WaveDecisions:
+        """Admit one delivery wave (:meth:`_admit_wave`'s fields) and
+        decide it: the one-wave case of :func:`_decide_waves`."""
+        self._admit_wave(**wave)
+        return self._decide_admitted()[0]
+
+    def _admit_wave(
         self,
         *,
         present: np.ndarray,
@@ -340,21 +351,25 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         disk_physical_reads: np.ndarray,
         billed_cost: np.ndarray,
         gap: np.ndarray | None = None,
-    ) -> WaveDecisions:
-        """Consume one delivery wave; the vectorized ``decide`` per row.
+    ) -> None:
+        """Admit one delivery wave: the scalar ``decide`` up to its body.
 
-        ``present`` marks rows with a delivery this wave; ``gap`` (wave 0
-        only) marks rows whose interval passed with no delivery at all
-        (the scalar ``decide_missing``).  Field arrays are full-width
-        ``(T,)`` / ``(K, T)``; non-present rows' values are ignored.
-        ``index`` / ``start_s`` / ``end_s`` / ``anomalous`` /
-        ``anomaly_reasons`` describe each delivery as the scalar guard
-        would see it (``counters.interval_index`` / timestamps /
-        ``counters.anomalies()``); ``anomaly_reasons`` is indexed by row
-        and read only for anomalous rows, and only when guard reasons
-        are recorded.  ``billed_cost`` is each delivery's
-        ``counters.container.cost``.
+        Guard verdicts and reasons, ledger settlement, ring writes and the
+        held rows' cooldown tick run here; the decision body waits for
+        :meth:`_decide_admitted`.  A row that already owes a decision
+        this interval takes it first if this wave would act on it.
+
+        ``present`` marks rows delivering this wave, ``gap`` (wave 0 only)
+        rows whose interval passed with none (the scalar
+        ``decide_missing``).  Fields are full-width ``(T,)`` / ``(K, T)``
+        and read only for present rows: each delivery's interval index,
+        timestamps and anomalies as the scalar guard sees them
+        (``anomaly_reasons`` is indexed by row and read only when reasons
+        are kept), its decide fields, and its container's billed cost.
         """
+        if self._owed is None:
+            self._owed = _OwedDecisions(self)
+        owed = self._owed
         n = self.n_tenants
         was_dead = self._dead.copy()
         present = np.asarray(present, dtype=bool) & ~was_dead
@@ -441,19 +456,19 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         self.g_missed[gap] += 1
         self.g_consecutive[gap] += 1
 
+        # -- an owed decision runs before the row's next active delivery ---
+        # A discarded delivery moves no ledger, ring or decision: it waits.
+        in_order = ((present & ~discard) | gap) & (owed.full | owed.held)
+        if np.any(in_order):
+            self._decide_owed(in_order)
+
         # -- budget settlement, in scalar decide order ---------------------
-        # ADMIT first pays the believed cost for each missed interval, then
-        # observes, then pays the delivery's billed cost; QUARANTINE / GAP
-        # pay the believed cost (the degraded decision); DISCARD / LATE
-        # are passive (no ledger movement).
+        # ADMIT pays the believed cost per missed interval, observes, then
+        # pays the billed cost; QUARANTINE / GAP pay the believed cost;
+        # DISCARD / LATE move no ledger.
         believed = self._costs[self.level]
-        k = 0
-        while True:
-            m = admit & (missed > k)
-            if not np.any(m):
-                break
-            self._settle_rows(m, believed)
-            k += 1
+        for k in range(int(missed.max(initial=0))):
+            self._settle_rows(admit & (missed > k), believed)
 
         self._observe(
             np.flatnonzero(late | (admit & ~self._dead)),
@@ -468,7 +483,7 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         self._settle_rows(admit, np.asarray(billed_cost, dtype=float))
         self._settle_rows(quarantine | gap, believed)
 
-        # -- decision bodies -----------------------------------------------
+        # -- the decisions this wave owes ----------------------------------
         alive = ~self._dead
         quar_alive = quarantine & alive
         gap_alive = gap & alive
@@ -478,30 +493,15 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
         # the budget) and advance only the balloon's COOLDOWN clock.
         held = quar_alive | gap_alive | safe_admit
         self._tick_balloon_cooldown(held & (self._b_phase == _B_COOLDOWN))
-
-        signals = self.telemetry.signals_rows(np.flatnonzero(full))
-        participants = (present | gap) & alive
-        decided = self._decide(
-            signals,
-            self._estimate(signals),
-            util_pct,
-            disk_reads,
-            memory_used_gb,
-            rows=full,
-            held=held,
-            prefix=[
-                (ActionKind.TELEMETRY_DISCARDED.value, discard),
-                (ActionKind.TELEMETRY_LATE.value, late),
-                (ActionKind.TELEMETRY_QUARANTINED.value, quar_alive),
-                (ActionKind.TELEMETRY_GAP.value, gap_alive),
-                (
-                    ActionKind.SAFE_MODE.value,
-                    ((quar_alive | gap_alive) & self._safe) | safe_admit,
-                ),
-            ],
-            participants=participants,
-        )
+        owed.full |= full
+        owed.held |= held
+        owed.wave[full | held] = len(owed.waves)
+        for column, values in zip(owed.inputs, (util_pct, disk_reads, memory_used_gb)):
+            np.copyto(column, values, where=full)
         died = self._dead & ~was_dead
+        safe = ((quar_alive | gap_alive) & self._safe) | safe_admit
+        prefix = (discard, late, quar_alive, gap_alive, safe)
+        owed.waves.append(((present | gap) & alive, died, prefix))
 
         c = self.metrics.counter
         for name, mask in (
@@ -510,22 +510,55 @@ class DegradedVectorizedAutoScaler(VectorizedAutoScaler):
             ("fleet.guard.quarantined", quarantine),
             ("fleet.guard.discarded", discard),
             ("fleet.guard.missing", gap),
+            ("fleet.decide.in_order", in_order),
+            ("fleet.tenants_died", died),
         ):
             count = int(np.count_nonzero(mask))
             if count:
                 c(name).inc(float(count))
-        n_died = int(np.count_nonzero(died))
-        if n_died:
-            c("fleet.tenants_died").inc(float(n_died))
 
-        return WaveDecisions(
-            participants=participants,
-            level=self.level.copy(),
-            resized=decided["resized"],
-            balloon_limit_gb=self.balloon_limit_gb.copy(),
-            actions=decided["actions"],
-            died=died,
+    def _decide_owed(self, rows: np.ndarray | None = None) -> None:
+        """One signal read and one masked decision body over the owed
+        decisions (of ``rows``, if given); kept for :meth:`_decide_admitted`."""
+        owed = self._owed
+        full, held = owed.full, owed.held
+        if rows is not None:
+            full, held = full & rows, held & rows
+        signals = self.telemetry.signals_rows(np.flatnonzero(full))
+        decided = self._decide(
+            signals, self._estimate(signals), *owed.inputs, rows=full, held=held
         )
+        owed.full, owed.held = owed.full & ~full, owed.held & ~held
+        owed.passes.append(
+            (full | held, owed.wave.copy(), decided, self.balloon_limit_gb.copy())
+        )
+
+    def _decide_admitted(self) -> list[WaveDecisions]:
+        """Decide every owed row at once; one record per admitted wave, as
+        if each wave had decided alone: its ``level`` / ``balloon_limit_gb``
+        carry its own and earlier waves' decisions, ``resized`` and the
+        actions only its own."""
+        self._decide_owed()
+        owed, self._owed = self._owed, None
+        out = []
+        for w, (participants, died, prefix) in enumerate(owed.waves):
+            level, balloon = owed.level.copy(), owed.balloon_limit_gb.copy()
+            resized = np.zeros(self.n_tenants, dtype=bool)
+            slots = list(zip(_PREFIX, prefix))
+            for rows, wave, decided, balloon_after in owed.passes:
+                upto, now = rows & (wave <= w), rows & (wave == w)
+                level[upto] = decided["level_after"][upto]
+                balloon[upto] = balloon_after[upto]
+                resized |= decided["resized"] & now
+                if decided["slots"] is not None:
+                    slots += [(value, mask & now) for value, mask in decided["slots"]]
+            actions = None
+            if self._record_actions:
+                actions = self._assemble_actions(slots, participants)
+            out.append(
+                WaveDecisions(participants, level, resized, balloon, actions, died)
+            )
+        return out
 
     # -- wave helpers ------------------------------------------------------
 
@@ -894,16 +927,11 @@ _TALLIES = (
 class FaultPlane:
     """``FaultyServer`` for a whole fleet, over plain arrays.
 
-    Owns what every degraded sweep needs at the telemetry / actuation
-    boundary: the interval index, each row's transient-failure budget,
-    the applied container level and balloon cap, and the eight
-    injection tallies.  :meth:`begin_interval` advances the interval and
-    plans its deliveries through :func:`_plan_deliveries`; the rest is
-    the executor's array view: :meth:`try_resizes` runs
-    ``FaultyServer``'s resize chain on many rows at once and
-    :meth:`set_balloon_limits` its balloon rejections.  The synthetic
-    degraded fleet uses it as it is; :class:`MaskedFaultDataPlane` adds
-    engines.
+    Holds the interval index, each row's transient-failure budget, the
+    applied level and balloon cap, and the eight injection tallies.
+    :meth:`begin_interval` plans an interval's deliveries;
+    :meth:`try_resizes` and :meth:`set_balloon_limits` are the
+    executor's array view of the resize chain and balloon rejections.
     """
 
     def __init__(
@@ -915,6 +943,7 @@ class FaultPlane:
         self.level = np.zeros(n, dtype=np.int64) + level
         self.balloon_limit_gb = np.full(n, np.nan)  # NaN = no cap
         self._index = -1
+        self._begin_level = self.level.copy()
         self._transient_left = np.zeros(n, dtype=np.int64)
         for name in _TALLIES:
             setattr(self, name, np.zeros(n, dtype=np.int64))
@@ -927,6 +956,7 @@ class FaultPlane:
         """Advance one interval: refill transient budgets, plan and tally."""
         self._index += 1
         i = self._index
+        self._begin_level = self.level.copy()
         self._transient_left[:] = self.masks.transient_magnitude[:, i]
         plan = _plan_deliveries(self.masks, i, alive, held)
         self.dropped += plan.drop
@@ -970,16 +1000,22 @@ class FaultPlane:
     ) -> np.ndarray:
         """Cap every ``active`` row at ``limits`` (NaN clears the cap).
 
-        Returns the rows whose cap the broker rejected; those keep their
-        previous cap, as ``FaultyServer`` leaves them.
+        Returns the rows the broker rejected; they keep their cap, as
+        ``FaultyServer`` leaves them.  The hook sees only rows whose cap
+        changed or whose level moved this interval: a server's cap call
+        evicts to capacity, a no-op after its interval ran but not always,
+        in the last bit, after a resize.
         """
         failed = (
             active & ~np.isnan(limits) & self.masks.balloon_fail[:, self._index]
         )
         self.failed_balloons += failed
         applied = active & ~failed
+        before = self.balloon_limit_gb
+        same = (before == limits) | (np.isnan(before) & np.isnan(limits))
+        moved = self.level != self._begin_level
         self.balloon_limit_gb[applied] = limits[applied]
-        self._apply_balloons(np.flatnonzero(applied))
+        self._apply_balloons(np.flatnonzero(applied & (~same | moved)))
         return failed
 
     def _apply_levels(self, rows: np.ndarray) -> None:
@@ -990,20 +1026,15 @@ class FaultPlane:
 
 
 class MaskedFaultDataPlane(FaultPlane):
-    """Fault injection over an array of engines, driven by compiled masks.
+    """A :class:`FaultPlane` over engines: one
+    :class:`~repro.faults.chaos.FaultyServer` per tenant, as arrays.
 
-    The scalar path wraps each engine in a
-    :class:`~repro.faults.chaos.FaultyServer`; here one
-    :class:`FaultPlane` owns the whole fleet's engines.  The plane plans
-    each interval's deliveries and runs the actuation chain; this class
-    adds only what engines need: the servers, whose counters fill the
-    planned waves, one corruption-mode RNG stream per tenant, the held
-    (late) counters, and a mirror of every applied level and balloon cap
-    onto its server.  :meth:`run_interval_rows` returns the plan beside
-    the deliveries, so callers walk its waves.  The plane starts at each
-    server's container and with no balloon cap, as every caller builds
-    them.  Interval indexes count ``run_interval_rows`` calls, exactly
-    like the scalar wrapper counts ``run_interval*`` calls.
+    Adds the servers, whose counters fill the planned waves, one
+    corruption-mode RNG stream per tenant, the held (late) counters, and
+    a mirror of each applied level and balloon cap onto its server.  The
+    plane starts at each server's container with no cap; interval
+    indexes count :meth:`run_interval_rows` calls, as the scalar wrapper
+    counts ``run_interval*`` calls.
     """
 
     def __init__(
@@ -1077,13 +1108,10 @@ def _balloon_rejection(limit_gb: float) -> str:
 
 
 class FleetChaosResult(NamedTuple):
-    """Everything a vectorized chaos run observed.
-
-    ``containers`` holds the in-force level per tenant at the start of
-    each measured interval; ``decided_levels`` the actuated decision's
-    level (the scalar ``interval_decisions``); ``waves`` and ``reports``
-    the per-interval wave decisions and actuation reports.
-    """
+    """Everything a vectorized chaos run observed, per measured interval:
+    the in-force level at its start (``containers``), the actuated
+    decision's level (``decided_levels``, the scalar
+    ``interval_decisions``), its wave decisions and actuation report."""
 
     scaler: DegradedVectorizedAutoScaler
     plane: MaskedFaultDataPlane
@@ -1104,13 +1132,9 @@ def _delivery_wave_arrays(
     wave: int,
     present: np.ndarray,
 ) -> dict:
-    """Extract one wave's decide_wave inputs from per-tenant deliveries.
-
-    The decide fields come from the extractor
-    :func:`repro.fleet.vectorized.counters_to_interval_arrays` uses;
-    the guard-facing fields (interval index, timestamps, anomalies) are
-    added here.
-    """
+    """One wave's admission fields from per-tenant deliveries: the
+    decide fields as :func:`_counter_fields` reads them, plus the guard's
+    interval index, timestamps and anomalies."""
     n = len(deliveries_rows)
     out = {
         "index": np.zeros(n, dtype=np.int64),
@@ -1152,28 +1176,21 @@ def _decide_waves(
     plan: DeliveryPlan,
     wave_inputs: Callable[[int, np.ndarray], dict],
 ) -> list[WaveDecisions]:
-    """Decide one interval's delivery waves, in scalar decide order.
+    """Admit one interval's delivery waves in order, then decide once.
 
-    Each wave's present rows are its planned rows still alive, and the
-    first later wave with none ends the interval.  Wave 0 also carries
-    the gap: the live rows with no delivery at all.  ``wave_inputs(w,
-    present)`` returns wave ``w``'s delivery fields for
-    :meth:`DegradedVectorizedAutoScaler.decide_wave`.
+    A wave delivers its planned rows still alive, the first later wave
+    with none ends the interval, and wave 0 also carries the gap (live
+    rows with no delivery).  ``wave_inputs(w, present)`` gives its fields.
     """
     gap = ~scaler.dead & ~plan.waves[0].present
-    decisions: list[WaveDecisions] = []
     for w, wave in enumerate(plan.waves):
         present = wave.present & ~scaler.dead
         if w > 0 and not np.any(present):
             break
-        decisions.append(
-            scaler.decide_wave(
-                present=present,
-                gap=gap if w == 0 else None,
-                **wave_inputs(w, present),
-            )
+        scaler._admit_wave(
+            present=present, gap=gap if w == 0 else None, **wave_inputs(w, present)
         )
-    return decisions
+    return scaler._decide_admitted()
 
 
 def run_fleet_chaos(
@@ -1190,11 +1207,10 @@ def run_fleet_chaos(
 ) -> FleetChaosResult:
     """The vectorized :func:`~repro.harness.chaos.run_chaos` over a fleet.
 
-    Per-tenant construction mirrors the scalar runner exactly: engine
-    seed ``seeds[t]``, load-generator seed ``seeds[t] + 1``, corruption
-    stream ``seeds[t] + 2``, executor jitter stream ``seeds[t] + 3``,
-    the schedule shifted past the warm-up, and a default
-    :class:`OscillationDamper` (the chaos path's scalar default).
+    Each tenant is built as the scalar runner builds it: engine seed
+    ``seeds[t]``, load-generator ``+ 1``, corruption ``+ 2`` and jitter
+    ``+ 3`` streams, the schedule shifted past the warm-up, and a
+    default :class:`OscillationDamper`.
     """
     config = config or ExperimentConfig()
     n = len(traces)
@@ -1301,22 +1317,15 @@ _PLANE_ARRAYS = (
 class DegradedSyntheticFleet:
     """Step a degraded fleet over synthetic telemetry and fault masks.
 
-    The fleet's :class:`FaultPlane` (``actuator``) plans every interval's
-    deliveries and runs its actuation, with the same code that
-    :class:`MaskedFaultDataPlane` runs over engines; this class only
-    feeds the planned waves from the pre-generated
+    The fleet's :class:`FaultPlane` (``actuator``) plans each interval
+    and actuates it; this class feeds the planned waves from the
     :class:`~repro.fleet.vectorized.FleetTelemetryArrays` columns and a
-    one-delivery held buffer per tenant.  The fresh interval's billed
-    cost is the plane's applied level.  Corruption stays a payload
-    difference: with no counters to corrupt, a corrupt delivery is only
-    flagged anomalous, so the guard quarantines it.  That is the scalar
-    outcome for three of the five corruption modes; the other two plant
-    values that ``anomalies()`` does not flag, which only the parity-exact
-    :class:`MaskedFaultDataPlane` reproduces.
-
-    ``state_dict`` / ``load_state_dict`` cover the scaler, the plane,
-    the held buffers, and the interval cursor — a restore mid-sweep
-    resumes byte-identically (held by ``tests/test_fleet_checkpoint.py``).
+    one-delivery held buffer per tenant, billing the fresh interval at
+    the applied level.  With no counters to corrupt, a corrupt delivery
+    is only flagged anomalous, so the guard quarantines it: the scalar
+    outcome for three of the five corruption modes.  A checkpoint covers
+    the scaler, the plane, the held buffers and the interval cursor, and
+    resumes byte-identically (``tests/test_fleet_checkpoint.py``).
     """
 
     def __init__(

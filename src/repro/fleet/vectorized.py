@@ -37,8 +37,8 @@ Scope and contracts:
   healthy-telemetry fleet sweep, the hot path;
   :mod:`repro.fleet.degraded` extends it with telemetry guards, safe
   mode, the resize executor and fault injection, and drives the same
-  decision body (:meth:`VectorizedAutoScaler._decide`) masked to each
-  delivery wave's rows.
+  decision body (:meth:`VectorizedAutoScaler._decide`) masked to the
+  rows an interval's delivery waves leave owing a decision.
 * **Lock-step catalogs only.**  Dimension-scaled variants break the
   level⇔cost monotonicity the ``searchsorted`` searches rely on;
   constructing with such a catalog raises.
@@ -333,23 +333,17 @@ class VectorizedTelemetry:
     The rings are time-major — ``(W, T)`` for the clock and latency,
     ``(W, K, T)`` per resource — so the batched kernels read
     ``(W, series)`` views without a transposing copy; checkpoints keep
-    the tenant-major wire layout (``(T, W)`` / ``(K, T, W)``).  Fault
-    injection breaks lock step (a dropped delivery leaves a row a sample
-    short, a late one admits two in one interval), so every row has its
-    own clock and cursor; :meth:`observe` / :meth:`signals` are the
-    all-rows cases of the wave calls :meth:`observe_rows` /
-    :meth:`signals_rows`.
-
-    Every write lands at each row's own cursor.  Lock step is a property
-    of the input: a read whose rows share a cursor and a clock goes
-    through shared slots under one clock, with slices for the whole
-    fleet — every row of a healthy sweep, and cold rings, whose
-    unwritten slots are NaN in every row.  Other reads address each row
-    at its own slots and clock; both read the same samples, so signals
-    are byte-identical.
-    Ring order is irrelevant to every statistic (see module docstring),
-    and unwritten NaN slots are dropped by the kernels exactly as the
-    scalar paths drop absent samples.
+    the tenant-major wire layout (``(T, W)`` / ``(K, T, W)``).  Faults
+    break lock step (a dropped delivery leaves a row a sample short, a
+    late one admits two in one interval), so every write lands at its
+    row's own cursor; :meth:`observe` / :meth:`signals` are the all-rows
+    cases of :meth:`observe_rows` / :meth:`signals_rows`.  A read whose
+    rows share a cursor and a clock (a healthy sweep, or cold rings)
+    goes through shared slots; other reads address each row's own slots
+    and clock.  Both read the same samples, so signals are byte-identical;
+    ring order is irrelevant to every statistic (see module docstring),
+    and the kernels drop unwritten NaN slots as the scalar paths drop
+    absent samples.
     """
 
     def __init__(
@@ -581,11 +575,9 @@ class VectorizedTelemetry:
         """Fleet-width signal set with only the ``rows`` subset computed.
 
         Every other row holds the inert defaults (NaN latency, UNKNOWN
-        status, zeros elsewhere).  Every selected row must have at least
-        one observed sample (in the degraded sweep only tenants whose
-        delivery was *admitted* this interval reach the full decision
-        body, which guarantees it).  An empty ``rows`` (a wave whose
-        deliveries were all quarantined) returns the inert set without
+        status, zeros elsewhere).  Every selected row needs an observed
+        sample (the degraded engine reads only rows whose delivery it
+        admitted); an empty ``rows`` returns the inert set without
         reaching the kernels.
         """
         out = _empty_fleet_signals(self.n_tenants, inert=True)
@@ -795,7 +787,8 @@ class VectorizedAutoScaler:
 
     Degraded modes (telemetry guard, safe mode, resize-executor coupling)
     live in :class:`repro.fleet.degraded.DegradedVectorizedAutoScaler`,
-    which runs this class's decision body over each wave's row mask.
+    which runs this class's decision body over the rows an interval's
+    admitted delivery waves leave pending.
 
     Args:
         catalog: a pure lock-step catalog (dimension-scaled variants raise).
@@ -1128,6 +1121,8 @@ class VectorizedAutoScaler:
         decided = self._decide(
             signals, demand, util_pct, disk_physical_reads, memory_used_gb
         )
+        slots = decided.pop("slots")
+        actions = None if slots is None else self._assemble_actions(slots)
         self.action_counts["intervals"] += 1
 
         if clock is not None:
@@ -1157,6 +1152,7 @@ class VectorizedAutoScaler:
                 tokens=self._tokens,
                 spent=self._spent,
                 balloon_limit_gb=self.balloon_limit_gb,
+                actions=actions,
                 **decided,
             )
 
@@ -1166,7 +1162,7 @@ class VectorizedAutoScaler:
             balloon_limit_gb=self.balloon_limit_gb.copy(),
             steps=demand.steps.copy(),
             rules=demand.rules.copy(),
-            actions=decided["actions"],
+            actions=actions,
         )
 
     def _estimate(self, signals: FleetSignals) -> FleetDemand:
@@ -1188,22 +1184,18 @@ class VectorizedAutoScaler:
         *,
         rows: np.ndarray | None = None,
         held: np.ndarray | None = None,
-        prefix: Sequence[tuple[str, np.ndarray]] = (),
-        participants: np.ndarray | None = None,
     ) -> dict:
         """The decision body, after budget settlement and signals.
 
         Latency gate, balloon step, scale-up / explained hold /
         scale-down, damper suppression, budget enforcement, damper
         observe, ``_on_resize`` and the action tally, in scalar-source
-        order.  Without ``rows`` every tenant decides and nothing is
-        masked.  A delivery wave passes ``rows``, the tenants that run
-        the whole body, and ``held``, the degraded and safe-mode tenants
-        that keep their container unless the budget forces it down;
-        every other tenant is left untouched.  ``prefix`` slots lead
-        each tenant's action list, and tenants outside ``participants``
-        get ``None`` there.  Returns the interval's level arrays, masks and
-        actions, keyed as the trace recorder's columns.
+        order.  ``rows`` (all when None) run the whole body; ``held``
+        rows keep their container unless the budget forces it down;
+        every other tenant is left untouched.  Returns the level arrays
+        and masks keyed as the trace recorder's columns, and ``slots``:
+        each action with its row mask, in append order (None without
+        ``record_actions``).
         """
         n = self.n_tenants
         previous = self.level
@@ -1293,25 +1285,21 @@ class VectorizedAutoScaler:
         c["budget_forced"] += int(np.count_nonzero(budget_forced))
         c["damper_tripped"] += int(np.count_nonzero(tripped))
 
-        actions = None
+        slots = None
         if self._record_actions:
             scale_up = ActionKind.SCALE_UP.value
-            actions = self._assemble_actions(
-                [
-                    *prefix,
-                    (ActionKind.BALLOON_ABORT.value, balloon_aborted),
-                    (ActionKind.BALLOON_CONFIRM.value, balloon_confirmed),
-                    *((scale_up, wants_up & (demand.steps[k] > 0)) for k in range(K)),
-                    (ActionKind.BUDGET_CONSTRAINED.value, up_clipped),
-                    (ActionKind.NO_CHANGE.value, hold_help),
-                    (ActionKind.BALLOON_START.value, probe_started),
-                    (ActionKind.SCALE_DOWN.value, shrink),
-                    (ActionKind.OSCILLATION_DAMPED.value, suppressed),
-                    (ActionKind.BUDGET_CONSTRAINED.value, budget_forced),
-                    (ActionKind.OSCILLATION_DAMPED.value, tripped),
-                ],
-                participants,
-            )
+            slots = [
+                (ActionKind.BALLOON_ABORT.value, balloon_aborted),
+                (ActionKind.BALLOON_CONFIRM.value, balloon_confirmed),
+                *((scale_up, wants_up & (demand.steps[k] > 0)) for k in range(K)),
+                (ActionKind.BUDGET_CONSTRAINED.value, up_clipped),
+                (ActionKind.NO_CHANGE.value, hold_help),
+                (ActionKind.BALLOON_START.value, probe_started),
+                (ActionKind.SCALE_DOWN.value, shrink),
+                (ActionKind.OSCILLATION_DAMPED.value, suppressed),
+                (ActionKind.BUDGET_CONSTRAINED.value, budget_forced),
+                (ActionKind.OSCILLATION_DAMPED.value, tripped),
+            ]
 
         return dict(
             level_before=previous,
@@ -1328,7 +1316,7 @@ class VectorizedAutoScaler:
             tripped=tripped,
             balloon_aborted=balloon_aborted,
             balloon_confirmed=balloon_confirmed,
-            actions=actions,
+            slots=slots,
         )
 
     # -- pieces of the loop, in scalar-source order ------------------------

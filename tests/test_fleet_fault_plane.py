@@ -117,15 +117,15 @@ def _synthetic_deliveries(schedule: FaultSchedule):
     """The same three records from a one-tenant synthetic fleet."""
     fleet = _synthetic_fleet(schedule)
     scaler = fleet.scaler
-    decide_wave = scaler.decide_wave
+    admit_wave = scaler._admit_wave
     waves: list[list[int]] = []
 
-    def recording_decide_wave(**wave):
+    def recording_admit_wave(**wave):
         if wave["present"][0]:
             waves[-1].append(int(wave["index"][0]))
-        return decide_wave(**wave)
+        return admit_wave(**wave)
 
-    scaler.decide_wave = recording_decide_wave
+    scaler._admit_wave = recording_admit_wave
     for _ in range(N_INTERVALS):
         waves.append([])
         fleet.step()
